@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densela import Tolerance, herm_eig, inertia, null_basis, spectral_norm, svd
+from .densela import (Tolerance, herm_eig, inertia, norm_within, null_basis,
+                      spectral_norm, svd)
 from .errors import DimensionMismatch, NotSelfadjoint, NotSymmetry, PreconditionFailed
 from .hermdex import hermitian_indices
 from .krein import (KOperator, KreinSpace, k_adjoint, is_selfadjoint,
@@ -49,21 +50,25 @@ class BKFactorization:
 
 @dataclass(frozen=True, eq=False)
 class SignatureFactorization:
-    """C = T^H J_A T with J_A a signature operator on a Hilbert space."""
+    """C = T^H J_A T with J_A a signature operator on a Hilbert space.
+
+    K_space must be Euclidean and J_A selfadjoint and unitary, both
+    within ``tol.residual_tol``.
+    """
 
     K_space: KreinSpace
     J_A: KOperator
     T: KOperator
+    tol: Tolerance = Tolerance()
 
     def __post_init__(self):
-        tol = Tolerance()
+        t = self.tol.residual_tol
         n = self.K_space.dim
-        if spectral_norm(self.K_space.J - np.eye(n)) > tol.residual_tol:
+        if not norm_within(self.K_space.J - np.eye(n), t):
             raise NotSymmetry("signature factorizations live over a Hilbert space")
         M = self.J_A.matrix
-        scale = max(1.0, spectral_norm(M))
-        if (spectral_norm(M - M.conj().T) > tol.residual_tol * scale
-                or spectral_norm(M @ M - np.eye(n)) > tol.residual_tol * scale * scale):
+        if not (norm_within(M - M.conj().T, t, M, floor=1.0)
+                and norm_within(M @ M - np.eye(n), t, M, floor=1.0, power=2)):
             raise NotSymmetry("operator is not selfadjoint and unitary")
 
 
@@ -143,7 +148,7 @@ def keyth_verify(C: KOperator, S: SignatureFactorization,
     """
     failures = []
     H = C.domain
-    if spectral_norm(H.J - np.eye(H.dim)) > tol.residual_tol:
+    if not norm_within(H.J - np.eye(H.dim), tol.residual_tol):
         failures.append("operator space is not a Hilbert space")
     if not is_selfadjoint(C, tol):
         failures.append("operator is not selfadjoint")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densela import Tolerance, herm_eig, null_basis, spectral_norm, svd
+from .densela import Tolerance, herm_eig, norm_within, null_basis, spectral_norm, svd
 from .errors import DimensionMismatch, NotDirect, NotSelfadjoint
 from .hermdex import hermitian_indices
 from .krein import (KOperator, Subspace, SubspaceClass, c_orthogonal,
@@ -94,9 +94,10 @@ def validate(C: KOperator, dec: Decomposition, tol: Tolerance = Tolerance()) -> 
     cls_plus = classify_subspace(C, mp, tol)
     cls_minus = classify_subspace(C, mm, tol)
     kernel_dim = null_basis(C.matrix, tol).shape[1]
-    kernel_residual = spectral_norm(C.matrix @ mz.basis)
+    kernel_part = C.matrix @ mz.basis
+    kernel_residual = spectral_norm(kernel_part)
     kernel_ok = (mz.dim == kernel_dim
-                 and kernel_residual <= tol.residual_tol * max(1.0, spectral_norm(C.matrix)))
+                 and norm_within(kernel_part, tol.residual_tol, C.matrix, floor=1.0))
     sign_ok = ((mp.dim == 0 or cls_plus == SubspaceClass.STRICTLY_POSITIVE)
                and (mm.dim == 0 or cls_minus == SubspaceClass.STRICTLY_NEGATIVE)
                and kernel_ok)

@@ -11,6 +11,16 @@ single two-knob :class:`Tolerance`:
 * ``residual_tol`` bounds matrix-equation residuals, again relative to
   operand norms.
 
+Every yes/no residual check ``||R||_2 <= t * scale(||S||_2)`` goes
+through :func:`norm_within`, which decides it cheap-first from the
+Frobenius sandwich ``||X||_F / sqrt(min(m, n)) <= ||X||_2 <= ||X||_F``
+(Golub & Van Loan, *Matrix Computations*, 2.3).  The bounds are widened
+by a relative slack of 1e-12, far above the rounding error of either
+norm, so a cheap verdict is never within rounding of the threshold and
+always agrees with the exact one; only when the widened bounds straddle
+the threshold are the SVD-based 2-norms computed.  Norms that are
+reported, or that set a band or a level, are always exact.
+
 Matrices are plain ``numpy`` complex arrays in row-major layout.  The
 heavy lifting is delegated to LAPACK through numpy; this module owns the
 tolerance discipline, the error taxonomy, and the deterministic ordering
@@ -19,6 +29,7 @@ conventions (eigenvalues ascending, singular values descending).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +40,7 @@ __all__ = [
     "Tolerance",
     "HermEig",
     "spectral_norm",
+    "norm_within",
     "herm_eig",
     "inertia",
     "psd_sqrt",
@@ -88,11 +100,57 @@ def spectral_norm(M) -> float:
     return float(np.linalg.norm(A, 2))
 
 
+# Relative widening of the Frobenius bounds in `norm_within`.
+_SLACK = 1e-12
+# Below this the Frobenius sum may have lost entries to underflow.
+_F_TINY = 1e-145
+
+
+def _two_norm_bounds(A: np.ndarray):
+    """(lo, hi) with lo <= ||A||_2 <= hi, or None when rounding of the
+    Frobenius sum cannot be bounded (NaN/Inf entries, overflow, underflow)."""
+    f = math.sqrt(np.vdot(A, A).real)
+    if _F_TINY <= f < math.inf:
+        return f / math.sqrt(min(A.shape)) * (1.0 - _SLACK), f * (1.0 + _SLACK)
+    if f == 0.0 and not A.any():
+        return 0.0, 0.0
+    return None
+
+
+def _threshold(t: float, floor: float, scale: float, power: int) -> float:
+    # t * s * s ... in the order the hand-written checks used
+    return math.prod((t,) + (max(floor, scale),) * power)
+
+
+def norm_within(R, t: float, S=None, floor: float = 0.0, power: int = 1) -> bool:
+    """Decide ``||R||_2 <= t * max(floor, ||S||_2) ** power``.
+
+    ``S`` is a matrix, a tuple of matrices whose 2-norms multiply, or
+    None, which stands for a scale of 1.  Frobenius bounds settle the
+    question whenever they clear the threshold; otherwise, and for any
+    non-finite or under/overflowing Frobenius value, the exact 2-norms
+    are compared, so NaN/Inf entries raise ``InputError`` from
+    ``spectral_norm``.
+    """
+    factors = () if S is None else S if isinstance(S, tuple) else (S,)
+    mats = [np.asarray(A, dtype=complex) for A in (R,) + factors]
+    bounds = [_two_norm_bounds(A) for A in mats]
+    if None not in bounds:
+        r_lo, r_hi = bounds[0]
+        s_lo = math.prod(b[0] for b in bounds[1:])
+        s_hi = math.prod(b[1] for b in bounds[1:])
+        if r_hi <= _threshold(t, floor, s_lo, power):
+            return True
+        if r_lo > _threshold(t, floor, s_hi, power):
+            return False
+    norms = [spectral_norm(A) for A in mats]
+    return norms[0] <= _threshold(t, floor, math.prod(norms[1:]), power)
+
+
 def _require_hermitian(A: np.ndarray, tol: Tolerance) -> np.ndarray:
     if A.shape[0] != A.shape[1]:
         raise NotHermitian(f"matrix is not square: shape {A.shape}")
-    scale = spectral_norm(A)
-    if spectral_norm(A - A.conj().T) > tol.residual_tol * scale:
+    if not norm_within(A - A.conj().T, tol.residual_tol, A):
         raise NotHermitian("matrix deviates from its conjugate transpose "
                            "beyond residual tolerance")
     # Work with the Hermitian part so LAPACK sees an exactly symmetric input.

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densela import Tolerance, herm_eig, spectral_norm, svd
+from .densela import Tolerance, herm_eig, norm_within, svd
 from .errors import (DimensionMismatch, IllConditioned, NotCongruent,
                      NotInvertible, NotSelfadjoint)
 from .krein import (IndexTriple, KOperator, KreinSpace, hilbert_space,
@@ -43,16 +43,21 @@ COND_CAP = 1e8
 
 @dataclass(frozen=True, eq=False)
 class Congruence:
-    """An invertible map X between spaces, with its inverse cached."""
+    """An invertible map X between spaces, with its inverse cached.
+
+    The cached inverse must satisfy ``||X X_inv - I|| <= residual_tol *
+    max(1, ||X|| ||X_inv||)`` under ``tol``.
+    """
 
     X: KOperator
     X_inv: KOperator
+    tol: Tolerance = Tolerance()
 
     def __post_init__(self):
         n = self.X.codomain.dim
-        resid = spectral_norm(self.X.matrix @ self.X_inv.matrix - np.eye(n))
-        scale = max(1.0, spectral_norm(self.X.matrix) * spectral_norm(self.X_inv.matrix))
-        if resid > 1e-8 * scale:
+        X, X_inv = self.X.matrix, self.X_inv.matrix
+        if not norm_within(X @ X_inv - np.eye(n), self.tol.residual_tol,
+                           (X, X_inv), floor=1.0):
             raise NotInvertible("cached inverse does not invert the map")
 
 
@@ -74,7 +79,7 @@ def make_congruence(X: KOperator, tol: Tolerance = Tolerance()) -> Congruence:
     n = X.domain.dim
     if n == 0:
         inv = KOperator(X.codomain, X.domain, np.zeros((0, 0), dtype=complex))
-        return Congruence(X, inv)
+        return Congruence(X, inv, tol)
     U, s, V = svd(X.matrix, tol)
     if s[-1] <= tol.rank_tol * s[0]:
         raise NotInvertible("operator is numerically singular")
@@ -82,7 +87,7 @@ def make_congruence(X: KOperator, tol: Tolerance = Tolerance()) -> Congruence:
         raise IllConditioned(
             f"condition number {s[0] / s[-1]:.3e} exceeds cap {COND_CAP:.0e}")
     inv_mat = (V / s) @ U.conj().T
-    return Congruence(X, KOperator(X.codomain, X.domain, inv_mat))
+    return Congruence(X, KOperator(X.codomain, X.domain, inv_mat), tol)
 
 
 def hermitian_indices(C: KOperator, tol: Tolerance = Tolerance()) -> IndexTriple:
@@ -133,7 +138,7 @@ def to_hilbert(C: KOperator, tol: Tolerance = Tolerance()):
     E = hilbert_space(H.dim)
     D = KOperator(E, E, H.J @ C.matrix)
     eye = np.eye(H.dim, dtype=complex)
-    X = Congruence(KOperator(H, E, eye), KOperator(E, H, eye))
+    X = Congruence(KOperator(H, E, eye), KOperator(E, H, eye), tol)
     return D, X
 
 
@@ -172,7 +177,7 @@ def canonical_form(C: KOperator, tol: Tolerance = Tolerance()) -> CanonicalForm:
     E = hilbert_space(n)
     D_mat = np.zeros((n, n), dtype=complex)
     np.fill_diagonal(D_mat, [1.0] * p + [-1.0] * q + [0.0] * z)
-    X = Congruence(KOperator(H, E, X_mat), KOperator(E, H, X_inv_mat))
+    X = Congruence(KOperator(H, E, X_mat), KOperator(E, H, X_inv_mat), tol)
     return CanonicalForm(indices=IndexTriple(p, q, z),
                          D=KOperator(E, E, D_mat), X=X)
 
@@ -198,4 +203,4 @@ def build_congruence(A: KOperator, B: KOperator,
     X_mat = cb.X.X_inv.matrix @ ca.X.X.matrix
     X_inv_mat = ca.X.X_inv.matrix @ cb.X.X.matrix
     return Congruence(KOperator(A.domain, B.domain, X_mat),
-                      KOperator(B.domain, A.domain, X_inv_mat))
+                      KOperator(B.domain, A.domain, X_inv_mat), tol)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .densela import Tolerance, inertia, spectral_norm, svd
+from .densela import Tolerance, inertia, norm_within, spectral_norm, svd
 from .errors import DimensionMismatch, InputError, NotSymmetry
 
 __all__ = [
@@ -104,10 +104,9 @@ def make_space(J, tol: Tolerance = Tolerance()) -> KreinSpace:
     if J.size and not np.isfinite(J).all():
         raise InputError("fundamental symmetry contains NaN or Inf entries")
     n = J.shape[0]
-    scale = max(1.0, spectral_norm(J))
-    if spectral_norm(J - J.conj().T) > tol.residual_tol * scale:
+    if not norm_within(J - J.conj().T, tol.residual_tol, J, floor=1.0):
         raise NotSymmetry("candidate symmetry is not Hermitian")
-    if spectral_norm(J @ J - np.eye(n)) > tol.residual_tol * scale * scale:
+    if not norm_within(J @ J - np.eye(n), tol.residual_tol, J, floor=1.0, power=2):
         raise NotSymmetry("candidate symmetry does not square to the identity")
     return KreinSpace(dim=n, J=J)
 
@@ -156,7 +155,7 @@ def is_selfadjoint(C: KOperator, tol: Tolerance = Tolerance()) -> bool:
     """True iff C = C*, equivalently iff J C is Hermitian within tolerance."""
     _require_endomorphism(C)
     JC = C.domain.J @ C.matrix
-    return spectral_norm(JC - JC.conj().T) <= tol.residual_tol * spectral_norm(C.matrix)
+    return norm_within(JC - JC.conj().T, tol.residual_tol, C.matrix)
 
 
 def make_subspace(H: KreinSpace, vectors, tol: Tolerance = Tolerance()) -> Subspace:
@@ -208,4 +207,4 @@ def c_orthogonal(C: KOperator, M: Subspace, N: Subspace,
     _require_endomorphism(C)
     if M.space.dim != C.domain.dim or N.space.dim != C.domain.dim:
         raise DimensionMismatch("subspaces do not live in the operator's space")
-    return spectral_norm(_gram(C, M, N)) <= tol.residual_tol * spectral_norm(C.matrix)
+    return norm_within(_gram(C, M, N), tol.residual_tol, C.matrix)

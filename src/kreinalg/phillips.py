@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densela import Tolerance, herm_eig, null_basis, pinv, psd_sqrt, spectral_norm, svd
+from .densela import (Tolerance, herm_eig, norm_within, null_basis, pinv, psd_sqrt,
+                      spectral_norm, svd)
 from .errors import (ContractionOverflow, DegenerateProjection, DimensionMismatch,
                      Incompatible, InputError, NotContraction, NotSemidefinite)
 from .krein import (KOperator, KreinSpace, Subspace, SubspaceClass,
@@ -141,7 +142,7 @@ def check_compatibility(Gp: GraphRep, Gm: GraphRep,
     if not _same_space(Gp.space, Gm.space):
         raise DimensionMismatch("graph representations live in different spaces")
     block = Gm.angle.conj().T @ Gp.M.basis - Gm.M.basis.conj().T @ Gp.angle
-    return spectral_norm(block) <= tol.residual_tol
+    return norm_within(block, tol.residual_tol)
 
 
 def _graph_pair(G: np.ndarray, H: KreinSpace, tol: Tolerance):
@@ -190,10 +191,9 @@ def phillips_extend(Gp: GraphRep, Gm: GraphRep,
 
     G = (Bm @ A_blk @ Bp.conj().T + Bm @ B_blk @ Bp_perp.conj().T
          + Bm_perp @ C_blk @ Bp.conj().T + Bm_perp @ X @ Bp_perp.conj().T)
-    norm = spectral_norm(G)
-    if norm > 1.0 + 10.0 * tol.residual_tol:
+    if not norm_within(G, 1.0 + 10.0 * tol.residual_tol):
         raise ContractionOverflow(
-            f"assembled contraction has norm {norm:.12f}")
+            f"assembled contraction has norm {spectral_norm(G):.12f}")
     plus, minus = _graph_pair(G, H, tol)
     return MaximalPair(G=G, G_tilde_plus=plus, G_tilde_minus=minus, space=H)
 
@@ -210,6 +210,6 @@ def maximal_subspaces(G, A_space: KreinSpace, tol: Tolerance = Tolerance()):
     if G.shape != (q, p):
         raise DimensionMismatch(
             f"contraction shape {G.shape} does not match the split ({q}, {p})")
-    if spectral_norm(G) > 1.0 + tol.residual_tol:
+    if not norm_within(G, 1.0 + tol.residual_tol):
         raise NotContraction(f"operator norm {spectral_norm(G):.12f} exceeds 1")
     return _graph_pair(G, A_space, tol)

@@ -30,6 +30,20 @@ def matrix_to_obj(M) -> dict:
     return {"rows": int(A.shape[0]), "cols": int(A.shape[1]), "data": data}
 
 
+def _is_number(v) -> bool:
+    # JSON true/false arrive as bool, which Python counts as an int
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _as_float(v, what: str) -> float:
+    if not _is_number(v):
+        raise InputError(f"{what} must be a number")
+    try:
+        return float(v)
+    except OverflowError:
+        raise InputError(f"{what} does not fit in a double") from None
+
+
 def matrix_from_obj(obj, what: str = "matrix") -> np.ndarray:
     if not isinstance(obj, dict):
         raise InputError(f"{what}: expected an object with rows/cols/data")
@@ -37,16 +51,19 @@ def matrix_from_obj(obj, what: str = "matrix") -> np.ndarray:
         rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     except KeyError as exc:
         raise InputError(f"{what}: missing field {exc}") from exc
-    if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 0 or cols < 0:
+    if not all(_is_number(v) and isinstance(v, int) and v >= 0 for v in (rows, cols)):
         raise InputError(f"{what}: rows/cols must be nonnegative integers")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise InputError(f"{what}: data length must be rows*cols = {rows * cols}")
     out = np.zeros(rows * cols, dtype=complex)
     for k, pair in enumerate(data):
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(v, (int, float)) for v in pair)):
+                or not (_is_number(pair[0]) and _is_number(pair[1]))):
             raise InputError(f"{what}: entry {k} is not a [re, im] pair")
-        out[k] = complex(pair[0], pair[1])
+        try:
+            out[k] = complex(pair[0], pair[1])
+        except OverflowError:
+            raise InputError(f"{what}: entry {k} does not fit in a double") from None
     if rows * cols and not np.isfinite(out).all():
         raise InputError(f"{what}: entries must be finite")
     return out.reshape(rows, cols)
@@ -77,8 +94,9 @@ def problem_from_obj(obj) -> tuple[np.ndarray | None, np.ndarray, Tolerance]:
     unknown = set(tol_obj) - {"rank_tol", "residual_tol"}
     if unknown:
         raise InputError(f"unknown tolerance fields: {sorted(unknown)}")
-    tol = Tolerance(rank_tol=float(tol_obj.get("rank_tol", Tolerance.rank_tol)),
-                    residual_tol=float(tol_obj.get("residual_tol", Tolerance.residual_tol)))
+    tol = Tolerance(**{name: _as_float(tol_obj.get(name, getattr(Tolerance, name)),
+                                       f"tolerance.{name}")
+                       for name in ("rank_tol", "residual_tol")})
     return J, op, tol
 
 
@@ -88,7 +106,9 @@ def load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, undecodable UTF-8, integers past the digit limit,
+        # nesting past the recursion limit
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
 
 

@@ -13,7 +13,8 @@ import numpy as np
 from .bkfact import BKFactorization, bk_factorize, bk_verify, keyth_verify, \
     SignatureFactorization
 from .decomp import decompose, projections, validate
-from .densela import Tolerance, herm_eig, psd_sqrt, spectral_norm
+from .densela import Tolerance, herm_eig, norm_within, psd_sqrt, spectral_norm
+from .errors import InputError
 from .genrand import (GenConfig, gen_injective_factor, gen_invertible,
                       gen_selfadjoint, gen_space, gen_space_with_split,
                       haar_unitary, j_unitary)
@@ -262,7 +263,7 @@ def keyth_battery(seed: int, count: int = 300, dim_max: int = 8,
         C = KOperator(E, E, C_mat)
         fact = SignatureFactorization(K_space=E,
                                       J_A=KOperator(E, E, J_A),
-                                      T=KOperator(E, E, T_mat))
+                                      T=KOperator(E, E, T_mat), tol=tol)
         report = keyth_verify(C, fact, tol)
         ok = report["passed"]
 
@@ -332,7 +333,7 @@ def phillips_battery(seed: int, count: int = 300, dim_max: int = 8,
         ok = ok and _contained(represented(gp, tol), ext.G_tilde_plus, tol)
         ok = ok and _contained(represented(gm, tol), ext.G_tilde_minus, tol)
         gram = ext.G_tilde_minus.basis.conj().T @ A_kre.J @ ext.G_tilde_plus.basis
-        ok = ok and spectral_norm(gram) <= tol.residual_tol
+        ok = ok and norm_within(gram, tol.residual_tol)
         ok = ok and ext.G_tilde_plus.dim == p and ext.G_tilde_minus.dim == q
         if not ok:
             failures += 1
@@ -357,7 +358,7 @@ def _contained(small, big, tol: Tolerance) -> bool:
     if small.dim == 0:
         return True
     proj = big.basis @ (big.basis.conj().T @ small.basis)
-    return spectral_norm(proj - small.basis) <= tol.residual_tol
+    return norm_within(proj - small.basis, tol.residual_tol)
 
 
 def identities_battery(seed: int, count: int = 500, dim_max: int = 8,
@@ -412,6 +413,8 @@ _BATTERIES = [
 def run_property_suite(seed: int, count: int | None = None, dim_max: int = 8,
                        tol: Tolerance = Tolerance()) -> dict:
     """Run every battery; `count` overrides each battery's default size."""
+    if count is not None and count < 0:
+        raise InputError(f"count must be nonnegative, got {count}")
     reports = []
     for name, fn in _BATTERIES:
         cases = DEFAULT_COUNTS[name] if count is None else count

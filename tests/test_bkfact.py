@@ -4,6 +4,7 @@ import pytest
 from kreinalg.bkfact import (BKFactorization, SignatureFactorization,
                              bk_factorize, bk_verify, contained_space,
                              keyth_verify)
+from kreinalg.densela import Tolerance
 from kreinalg.errors import (DimensionMismatch, NotSelfadjoint, NotSymmetry,
                              PreconditionFailed)
 from kreinalg.krein import (KOperator, hilbert_space, k_adjoint, make_space,
@@ -176,3 +177,15 @@ def test_signature_factorization_validates():
     with pytest.raises(NotSymmetry):
         SignatureFactorization(K_space=E, J_A=op(E, np.diag([1.0, 2.0])),
                                T=op(E, np.eye(2)))
+
+
+def test_signature_factorization_uses_caller_tolerance():
+    # J_A off selfadjoint by 1e-6: rejected at the default residual_tol,
+    # accepted at residual_tol = 1e-5
+    E = hilbert_space(2)
+    J_A = op(E, np.array([[1.0, 1e-6], [0.0, -1.0]]))
+    with pytest.raises(NotSymmetry):
+        SignatureFactorization(K_space=E, J_A=J_A, T=op(E, np.eye(2)))
+    loose = Tolerance(residual_tol=1e-5)
+    S = SignatureFactorization(K_space=E, J_A=J_A, T=op(E, np.eye(2)), tol=loose)
+    assert S.tol == loose

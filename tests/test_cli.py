@@ -117,6 +117,23 @@ def test_exit_code_input_error(capsys, tmp_path):
     bad.write_text("not json")
     assert main(["indices", "-i", str(bad)]) == 2
     assert main(["indices", "-i", str(tmp_path / "missing.json")]) == 2
+    one = {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}
+    hostile = {
+        "huge_int": json.dumps({"operator": {**one, "data": [[10 ** 400, 0]]}}),
+        "tol_string": json.dumps({"operator": one, "tolerance": {"rank_tol": "abc"}}),
+        "bool_entry": json.dumps({"operator": {**one, "data": [[True, False]]}}),
+        "bool_shape": json.dumps({"operator": {**one, "rows": True, "cols": True}}),
+        "digits": "1" * 5000,
+        "nesting": "[" * 100000,
+        "not_utf8": b"\xff\xfe",
+    }
+    for name, text in hostile.items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        capsys.readouterr()
+        assert main(["indices", "-i", str(path)]) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, name
 
 
 def test_exit_code_precondition(capsys, tmp_path):
@@ -143,6 +160,13 @@ def test_property_suite_small(capsys):
     assert code == 0
     assert rep["passed"]
     assert len(rep["batteries"]) == 8
+
+
+def test_property_suite_rejects_negative_count(capsys):
+    assert main(["property-suite", "--count", "-3", "--machine"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_property_suite_env_seed(capsys, monkeypatch):

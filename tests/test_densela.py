@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kreinalg.densela import (Tolerance, herm_eig, inertia, null_basis, pinv,
-                              psd_sqrt, spectral_norm, svd)
+import kreinalg.densela as densela
+from kreinalg.densela import (Tolerance, herm_eig, inertia, norm_within,
+                              null_basis, pinv, psd_sqrt, spectral_norm, svd)
 from kreinalg.errors import InputError, NotHermitian, NotPSD
 
 # sqrt of [[2,1],[1,2]] by hand: eigenpairs (3, (1,1)/sqrt2), (1, (1,-1)/sqrt2)
@@ -138,3 +139,122 @@ def test_svd_reconstructs():
     U, s, V = svd(A)
     assert np.allclose(U @ np.diag(s) @ V.conj().T, A, atol=1e-10)
     assert np.all(np.diff(s) <= 0)
+
+
+def exact_within(R, t, S=None, floor=0.0, power=1):
+    """The comparison norm_within stands for, written out with 2-norms."""
+    scale = 1.0 if S is None else max(floor, spectral_norm(S))
+    bound = t
+    for _ in range(power):
+        bound *= scale
+    return spectral_norm(R) <= bound
+
+
+def random_complex(rng, m, n):
+    return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """Count the SVD-based norms norm_within falls back to."""
+    calls = []
+
+    def counting(M):
+        calls.append(np.shape(M))
+        return spectral_norm(M)
+
+    monkeypatch.setattr(densela, "spectral_norm", counting)
+    return calls
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 6),
+       st.integers(1, 6), st.floats(-2.0, 2.0), st.sampled_from([0.0, 1.0]),
+       st.sampled_from([1, 2]), st.floats(-10.0, 0.0))
+def test_norm_within_matches_exact(seed, m, n, k, log_ratio, floor, power, log_scale):
+    # R sized so its 2-norm sits within two decades of the threshold
+    rng = np.random.default_rng(seed)
+    t = 1e-8
+    S = random_complex(rng, k, k) * 10.0 ** log_scale
+    R = random_complex(rng, m, n)
+    bound = t * max(floor, spectral_norm(S)) ** power
+    R *= 10.0 ** log_ratio * bound / spectral_norm(R)
+    assert norm_within(R, t, S, floor, power) == exact_within(R, t, S, floor, power)
+    assert norm_within(R, t) == exact_within(R, t)
+
+
+@pytest.mark.parametrize("rel", [-1e-13, 1e-13])
+def test_norm_within_at_threshold(rel):
+    rng = np.random.default_rng(5)
+    t = 1e-8
+    S = random_complex(rng, 4, 4)
+    R = random_complex(rng, 4, 3)
+    R *= t * spectral_norm(S) * (1.0 + rel) / spectral_norm(R)
+    assert norm_within(R, t, S) == exact_within(R, t, S)
+    assert norm_within(R, t, S) == (rel < 0)
+
+
+@pytest.mark.parametrize("rel", [-1e-13, 1e-13])
+def test_norm_within_tight_rank_one(rel, exact_calls):
+    # rank-1 R has ||R||_F = ||R||_2 and S = I has ||S||_F / sqrt(n) = ||S||_2:
+    # both bounds are attained, so only the slack keeps the cheap verdict
+    # away from the threshold and the exact norms must decide
+    n, t = 5, 1e-8
+    u = np.arange(1.0, n + 1.0)
+    R = np.outer(u, u[::-1] + 1j)
+    R *= t * (1.0 + rel) / spectral_norm(R)
+    S = np.eye(n)
+    assert norm_within(R, t, S) == exact_within(R, t, S) == (rel < 0)
+    assert exact_calls
+
+
+def test_norm_within_clear_cases_skip_the_svd(exact_calls):
+    rng = np.random.default_rng(3)
+    S = random_complex(rng, 6, 6)
+    R = random_complex(rng, 6, 6)
+    assert norm_within(1e-12 * R, 1e-8, S)
+    assert not norm_within(R, 1e-8, S)
+    assert norm_within(1e-12 * R, 1e-8, (S, S), floor=1.0)
+    assert not norm_within(R, 1e-8, S, floor=1.0, power=2)
+    assert exact_calls == []
+
+
+def test_norm_within_empty_operands():
+    empty_r, empty_c = np.zeros((0, 3)), np.zeros((3, 0))
+    assert norm_within(empty_r, 1e-8)
+    assert norm_within(empty_r, 1e-8, empty_c)
+    assert norm_within(np.zeros((2, 2)), 1e-8, empty_c)
+    # a nonzero R against an empty scale: threshold 0, unless floored
+    assert not norm_within(np.eye(2), 1e-8, empty_c)
+    assert norm_within(1e-9 * np.eye(2), 1e-8, empty_c, floor=1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_norm_within_non_finite_raises(bad):
+    M = np.eye(3, dtype=complex)
+    M[1, 2] = bad
+    with pytest.raises(InputError):
+        norm_within(M, 1e-8, np.eye(3))
+    with pytest.raises(InputError):
+        norm_within(np.eye(3), 1e-8, M)
+
+
+def test_norm_within_frobenius_overflow_takes_exact_path(exact_calls):
+    # entries near 1e200 are finite, but their squares overflow the
+    # Frobenius sum; the exact 2-norms must decide
+    big = np.full((3, 3), 1e200, dtype=complex)
+    assert not norm_within(big, 1e-8, np.eye(3))
+    assert exact_calls
+    exact_calls.clear()
+    assert norm_within(np.eye(3), 1e-8, big)
+    assert exact_calls
+    assert norm_within(1e-9 * big, 1e-8, big) == exact_within(1e-9 * big, 1e-8, big)
+
+
+def test_norm_within_frobenius_underflow_takes_exact_path(exact_calls):
+    # squares of 1e-170 underflow to zero; a Frobenius norm of 0 must not
+    # pass R against a scale that is tiny as well
+    tiny = np.full((2, 2), 1e-170, dtype=complex)
+    S = 1e-165 * np.eye(2)
+    assert not norm_within(tiny, 1e-8, S)
+    assert exact_calls

@@ -1,0 +1,91 @@
+"""Golden machine reports: every command's --machine output, byte for byte.
+
+The fixtures under tests/golden/ pin the exact bytes each subcommand
+prints for a small (n = 8) Krein problem, so a change that claims to
+leave reports byte-identical is checked here rather than just claimed.
+Each command runs as its own process with one BLAS thread.
+
+Regenerate the inputs and the expected reports (only when a report is
+meant to change) with
+
+    python tests/test_golden.py
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+CASES = {
+    "indices": ["indices", "-i", "problem8.json", "--machine"],
+    "decompose": ["decompose", "-i", "problem8.json", "--machine"],
+    "factorize": ["factorize", "-i", "problem8.json", "--machine"],
+    "congruent": ["congruent", "problem8.json", "pair8_b.json", "--machine"],
+    "phillips": ["phillips", "plus8.json", "minus8.json", "--space", "space8.json",
+                 "--machine"],
+    "property-suite": ["property-suite", "--seed", "20260822", "--count", "3",
+                       "--machine"],
+}
+
+
+def run_case(argv) -> bytes:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-m", "kreinalg", *argv], cwd=GOLDEN,
+                          env=env, capture_output=True, check=True)
+    return done.stdout
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_report(name):
+    expected = (GOLDEN / f"{name}.out").read_bytes()
+    assert run_case(CASES[name]) == expected
+
+
+def write_inputs() -> None:
+    """Seeded n = 8 inputs: a problem with a kernel on a (4, 4) space, a
+    congruent copy on a (5, 3) space, and an orthogonal semidefinite pair."""
+    sys.path.insert(0, str(SRC))
+    import numpy as np
+    from kreinalg.genrand import (GenConfig, complex_gaussian, gen_invertible,
+                                  gen_selfadjoint, gen_space_with_split,
+                                  haar_unitary)
+    from kreinalg.hermdex import transport
+    from kreinalg.phillips import canonical_frames
+    from kreinalg.serial import dump_json, matrix_to_obj
+
+    def write(name, obj):
+        (GOLDEN / name).write_text(dump_json(obj) + "\n")
+
+    H = gen_space_with_split(GenConfig(801), 4, 4)
+    A = gen_selfadjoint(GenConfig(802, kernel_prob=1.0), H)
+    write("problem8.json", {"space": {"J": matrix_to_obj(H.J)},
+                            "operator": matrix_to_obj(A.matrix)})
+    K = gen_space_with_split(GenConfig(803), 5, 3)
+    B = transport(A, gen_invertible(GenConfig(804), K, H))
+    write("pair8_b.json", {"space": {"J": matrix_to_obj(K.J)},
+                           "operator": matrix_to_obj(B.matrix)})
+
+    S = gen_space_with_split(GenConfig(805), 4, 4)
+    rng = np.random.Generator(np.random.PCG64(806))
+    U_plus, U_minus = canonical_frames(S)
+    U, _, Vh = np.linalg.svd(complex_gaussian(rng, 4, 4))
+    G0 = (U * rng.uniform(0.0, 0.95, 4)) @ Vh
+    plus = (U_plus + U_minus @ G0) @ haar_unitary(rng, 4)[:, :2]
+    minus = (U_plus @ G0.conj().T + U_minus) @ haar_unitary(rng, 4)[:, :2]
+    write("space8.json", matrix_to_obj(S.J))
+    write("plus8.json", matrix_to_obj(plus))
+    write("minus8.json", matrix_to_obj(minus))
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    write_inputs()
+    for case, argv in CASES.items():
+        (GOLDEN / f"{case}.out").write_bytes(run_case(argv))

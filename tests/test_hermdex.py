@@ -3,7 +3,8 @@ import pytest
 
 from kreinalg.errors import (DimensionMismatch, IllConditioned, NotCongruent,
                              NotInvertible, NotSelfadjoint)
-from kreinalg.hermdex import (build_congruence, canonical_form,
+from kreinalg.densela import Tolerance
+from kreinalg.hermdex import (Congruence, build_congruence, canonical_form,
                               hermitian_indices, is_congruent,
                               make_congruence, to_hilbert, transport)
 from kreinalg.krein import (IndexTriple, KOperator, hilbert_space, identity_op,
@@ -153,3 +154,25 @@ def test_build_congruence_with_kernels():
     B = op(H, np.diag([0.0, 5.0, -0.5]))
     X = build_congruence(A, B)
     assert np.allclose(transport(B, X).matrix, A.matrix, atol=1e-10)
+
+
+def test_congruence_inverse_check_uses_caller_tolerance():
+    # cached inverse off by a relative 1e-6: too far for the default
+    # residual_tol = 1e-8, inside residual_tol = 1e-5
+    H = hilbert_space(2)
+    loose = Tolerance(residual_tol=1e-5)
+    X = op(H, np.eye(2))
+    X_inv = op(H, np.eye(2) + 1e-6 * np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(NotInvertible):
+        Congruence(X, X_inv)
+    assert Congruence(X, X_inv, loose).tol == loose
+
+
+def test_congruence_builders_pass_tolerance():
+    tol = Tolerance(rank_tol=1e-9, residual_tol=1e-6)
+    H = make_space(J2)
+    C = op(H, [[0, 1], [-1, 0]])
+    assert make_congruence(identity_op(H), tol).tol == tol
+    assert to_hilbert(C, tol)[1].tol == tol
+    assert canonical_form(C, tol).X.tol == tol
+    assert build_congruence(C, C, tol).tol == tol
