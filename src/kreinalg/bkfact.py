@@ -18,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densela import (Tolerance, herm_eig, inertia, norm_within, null_basis,
-                      spectral_norm, svd)
-from .errors import DimensionMismatch, NotSelfadjoint, NotSymmetry, PreconditionFailed
+from .densela import (Tolerance, inertia, norm_within, null_basis, rank,
+                      spectral_norm)
+from .errors import DimensionMismatch, NotSymmetry, PreconditionFailed
 from .hermdex import hermitian_indices
 from .krein import (KOperator, KreinSpace, k_adjoint, is_selfadjoint,
-                    space_indices)
+                    selfadjoint_split, space_indices)
 
 __all__ = [
     "BKFactorization",
@@ -89,16 +89,11 @@ def bk_factorize(C: KOperator, tol: Tolerance = Tolerance()) -> BKFactorization:
     where W stacks the selected eigenvectors.  Kernel directions of C
     never enter the factor space, which is what keeps A injective.
     """
-    if not is_selfadjoint(C, tol):
-        raise NotSelfadjoint("factorization requires a selfadjoint operator")
+    split = selfadjoint_split(C, tol, "factorization")
     H = C.domain
-    D = H.J @ C.matrix
-    eig = herm_eig(0.5 * (D + D.conj().T), tol)
-    w, V = eig.eigenvalues, eig.eigenvectors
-    band = tol.rank_tol * (float(np.max(np.abs(w))) if w.size else 0.0)
-    plus = w > band
-    minus = w < -band
-    p, q = int(np.count_nonzero(plus)), int(np.count_nonzero(minus))
+    w, V = split.eigenvalues, split.eigenvectors
+    plus, minus = split.plus, split.minus
+    p, q, _ = split.counts
     W = np.hstack([V[:, plus], V[:, minus]])
     lam = np.concatenate([w[plus], w[minus]])
     A_mat = H.J @ (W * np.sqrt(np.abs(lam)))
@@ -162,10 +157,8 @@ def keyth_verify(C: KOperator, S: SignatureFactorization,
     recon = S.T.matrix.conj().T @ S.J_A.matrix @ S.T.matrix
     c_norm = spectral_norm(C.matrix)
     residual = spectral_norm(C.matrix - recon) / c_norm if c_norm > 0 else 0.0
-    ker_trivial = null_basis(S.T.matrix, tol).shape[1] == 0
-    _, sv, _ = svd(S.T.matrix, tol)
-    rank = int(np.count_nonzero(sv > tol.rank_tol * sv[0])) if sv.size else 0
-    range_dense = rank == S.K_space.dim
+    r = rank(S.T.matrix, tol)
+    ker_trivial, range_dense = r == H.dim, r == S.K_space.dim
     h_C = hermitian_indices(C, tol)
     pj, qj, zj = inertia(S.J_A.matrix, tol)
     index_equality = (h_C.h_plus, h_C.h_minus) == (pj, qj) and zj == 0

@@ -20,8 +20,8 @@ from .decomp import decompose, projections, validate
 from .densela import Tolerance, spectral_norm
 from .errors import (DimensionMismatch, InputError, KreinError,
                      NumericalError, PreconditionError)
-from .hermdex import build_congruence, hermitian_indices, is_congruent, \
-    transport
+from .hermdex import (build_congruence, hermitian_indices, require_equal_dims,
+                      transport)
 from .krein import (KOperator, KreinSpace, hilbert_space, make_space,
                     make_subspace, space_indices)
 from .phillips import graph_rep, phillips_extend
@@ -50,24 +50,36 @@ def _load_space_flag(args, n: int, tol: Tolerance) -> KreinSpace:
     return make_space(J, tol)
 
 
-def _load_operator(args) -> tuple[KreinSpace, KOperator, Tolerance]:
-    obj = load_json(args.input)
+def _read_operand(path) -> tuple:
+    """(J or None, square operator matrix, file tolerance or None)."""
+    obj = load_json(path)
     if isinstance(obj, dict) and "operator" in obj:
-        J, M, file_tol = problem_from_obj(obj)
-    elif isinstance(obj, dict) and "rows" in obj:
-        J, M, file_tol = None, matrix_from_obj(obj, "operator"), None
-    else:
-        raise InputError(
-            "input must be a problem file (operator key) or a matrix file")
-    tol = _merge_tolerance(args, file_tol)
-    n = M.shape[0]
-    if args.space is not None:
-        space = _load_space_flag(args, n, tol)
-    elif J is not None:
-        space = make_space(J, tol)
-    else:
-        space = hilbert_space(n)
-    return space, KOperator(space, space, M), tol
+        return problem_from_obj(obj)
+    if isinstance(obj, dict) and "rows" in obj:
+        # a matrix file is a problem file's operator alone: no J, no tolerance
+        return None, problem_from_obj({"operator": obj})[1], None
+    raise InputError(
+        f"{path}: input must be a problem file (operator key) or a matrix file")
+
+
+def _load_operators(args, *paths) -> tuple[list[KOperator], Tolerance]:
+    """Operators from problem or matrix files.  The tolerance (flags, then
+    the first problem file, then the default) is settled before any space
+    is validated, so every space is checked under it."""
+    parsed = [_read_operand(path) for path in paths]
+    tol = _merge_tolerance(args, next(
+        (file_tol for _, _, file_tol in parsed if file_tol is not None), None))
+    ops = []
+    for J, M, _ in parsed:
+        n = M.shape[0]
+        if args.space is not None:
+            space = _load_space_flag(args, n, tol)
+        elif J is not None:
+            space = make_space(J, tol)
+        else:
+            space = hilbert_space(n)
+        ops.append(KOperator(space, space, M))
+    return ops, tol
 
 
 def _emit(report: dict, args, render) -> None:
@@ -82,14 +94,14 @@ def _print_indices_line(label: str, triple) -> None:
 
 
 def cmd_indices(args) -> int:
-    space, C, tol = _load_operator(args)
+    (C,), tol = _load_operators(args, args.input)
     idx = hermitian_indices(C, tol)
-    ip, im = space_indices(space, tol)
+    ip, im = space_indices(C.domain, tol)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "indices",
         "indices": list(idx),
-        "space": {"dim": space.dim, "ind_plus": ip, "ind_minus": im},
+        "space": {"dim": C.domain.dim, "ind_plus": ip, "ind_minus": im},
     }
 
     def render(rep):
@@ -103,7 +115,7 @@ def cmd_indices(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    space, C, tol = _load_operator(args)
+    (C,), tol = _load_operators(args, args.input)
     dec = decompose(C, tol)
     rep = validate(C, dec, tol)
     P = projections(C, dec, tol)
@@ -137,7 +149,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_factorize(args) -> int:
-    space, C, tol = _load_operator(args)
+    (C,), tol = _load_operators(args, args.input)
     F = bk_factorize(C, tol)
     rep = bk_verify(C, F, tol)
     ip, im = space_indices(F.A_space, tol) if F.A_space.dim else (0, 0)
@@ -174,41 +186,18 @@ def cmd_factorize(args) -> int:
     return 0 if rep["passed"] else 1
 
 
-def _load_pair_operand(path, args, tol_holder: list) -> tuple[KreinSpace, KOperator]:
-    obj = load_json(path)
-    if isinstance(obj, dict) and "operator" in obj:
-        J, M, file_tol = problem_from_obj(obj)
-        if file_tol is not None:
-            tol_holder.append(file_tol)
-    elif isinstance(obj, dict) and "rows" in obj:
-        J, M = None, matrix_from_obj(obj, "operator")
-    else:
-        raise InputError(f"{path}: not a problem or matrix file")
-    n = M.shape[0]
-    tol = _merge_tolerance(args, tol_holder[0] if tol_holder else None)
-    if args.space is not None:
-        space = _load_space_flag(args, n, tol)
-    elif J is not None:
-        space = make_space(J, tol)
-    else:
-        space = hilbert_space(n)
-    return space, KOperator(space, space, M)
-
-
 def cmd_congruent(args) -> int:
-    holder: list = []
-    space_a, A = _load_pair_operand(args.input_a, args, holder)
-    space_b, B = _load_pair_operand(args.input_b, args, holder)
-    tol = _merge_tolerance(args, holder[0] if holder else None)
-    verdict = is_congruent(A, B, tol)
+    (A, B), tol = _load_operators(args, args.input_a, args.input_b)
+    require_equal_dims(A, B)
+    idx_a, idx_b = hermitian_indices(A, tol), hermitian_indices(B, tol)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "congruent",
-        "indices_a": list(hermitian_indices(A, tol)),
-        "indices_b": list(hermitian_indices(B, tol)),
-        "congruent": bool(verdict),
+        "indices_a": list(idx_a),
+        "indices_b": list(idx_b),
+        "congruent": idx_a == idx_b,
     }
-    if verdict:
+    if report["congruent"]:
         X = build_congruence(A, B, tol)
         resid = spectral_norm(A.matrix - transport(B, X, tol).matrix)
         scale = max(spectral_norm(A.matrix), spectral_norm(B.matrix))

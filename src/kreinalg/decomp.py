@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densela import Tolerance, herm_eig, norm_within, null_basis, spectral_norm, svd
-from .errors import DimensionMismatch, NotDirect, NotSelfadjoint
+from .densela import Tolerance, norm_within, null_basis, rank, spectral_norm, svd
+from .errors import DimensionMismatch, NotDirect
 from .hermdex import hermitian_indices
 from .krein import (KOperator, Subspace, SubspaceClass, c_orthogonal,
-                    classify_subspace, is_selfadjoint)
+                    classify_subspace, selfadjoint_split)
 
 __all__ = [
     "Decomposition",
@@ -47,31 +47,17 @@ class DecompositionProjections:
 
 def decompose(C: KOperator, tol: Tolerance = Tolerance()) -> Decomposition:
     """Spectral decomposition M_plus + M_minus + M_zero for selfadjoint C."""
-    if not is_selfadjoint(C, tol):
-        raise NotSelfadjoint("decomposition requires a selfadjoint operator")
+    split = selfadjoint_split(C, tol, "decomposition")
     H = C.domain
-    JC = H.J @ C.matrix
-    eig = herm_eig(0.5 * (JC + JC.conj().T), tol)
-    w, V = eig.eigenvalues, eig.eigenvectors
-    band = tol.rank_tol * (float(np.max(np.abs(w))) if w.size else 0.0)
-    plus = V[:, w > band]
-    minus = V[:, w < -band]
-    zero = V[:, (w >= -band) & (w <= band)]
-    return Decomposition(M_plus=Subspace(H, plus),
-                         M_minus=Subspace(H, minus),
-                         M_zero=Subspace(H, zero))
-
-
-def _rank(A: np.ndarray, tol: Tolerance) -> int:
-    if min(A.shape) == 0:
-        return 0
-    _, s, _ = svd(A, tol)
-    return int(np.count_nonzero(s > tol.rank_tol * s[0]))
+    V = split.eigenvectors
+    return Decomposition(M_plus=Subspace(H, V[:, split.plus]),
+                         M_minus=Subspace(H, V[:, split.minus]),
+                         M_zero=Subspace(H, V[:, split.zero]))
 
 
 def _pair_direct(A: Subspace, B: Subspace, tol: Tolerance) -> bool:
     stacked = np.hstack([A.basis, B.basis])
-    return _rank(stacked, tol) == A.dim + B.dim
+    return rank(stacked, tol) == A.dim + B.dim
 
 
 def validate(C: KOperator, dec: Decomposition, tol: Tolerance = Tolerance()) -> dict:
@@ -81,10 +67,10 @@ def validate(C: KOperator, dec: Decomposition, tol: Tolerance = Tolerance()) -> 
     (including M_zero = ker C), pairwise directness of the two-part
     sums, pairwise C-orthogonality, dimension match with the hermitian
     indices, and directness of the full three-part sum.  Failures are
-    reported, not raised.
+    reported, not raised; a C that is not selfadjoint raises
+    ``NotSelfadjoint`` from the index computation.
     """
-    if not is_selfadjoint(C, tol):
-        raise NotSelfadjoint("validation requires a selfadjoint operator")
+    idx = hermitian_indices(C, tol)
     H = C.domain
     for part in (dec.M_plus, dec.M_minus, dec.M_zero):
         if part.space.dim != H.dim:
@@ -110,7 +96,6 @@ def validate(C: KOperator, dec: Decomposition, tol: Tolerance = Tolerance()) -> 
                  and c_orthogonal(C, mp, mz, tol)
                  and c_orthogonal(C, mm, mz, tol))
 
-    idx = hermitian_indices(C, tol)
     dims_ok = (mp.dim, mm.dim, mz.dim) == tuple(idx)
 
     stacked = np.hstack([mp.basis, mm.basis, mz.basis])
@@ -118,7 +103,7 @@ def validate(C: KOperator, dec: Decomposition, tol: Tolerance = Tolerance()) -> 
         min_sv = 1.0 if H.dim == 0 else 0.0
         direct = H.dim == 0
     else:
-        _, s, _ = svd(stacked, tol)
+        _, s, _ = svd(stacked)
         min_sv = float(s[-1]) if stacked.shape[1] <= H.dim else 0.0
         direct = stacked.shape[1] == H.dim and min_sv > tol.rank_tol
 
@@ -148,7 +133,7 @@ def projections(C: KOperator, dec: Decomposition,
     H = C.domain
     mp, mm, mz = dec.M_plus, dec.M_minus, dec.M_zero
     B = np.hstack([mp.basis, mm.basis, mz.basis])
-    if B.shape[1] != H.dim or _rank(B, tol) != H.dim:
+    if B.shape[1] != H.dim or rank(B, tol) != H.dim:
         raise NotDirect("decomposition parts do not span the space directly")
     if H.dim == 0:
         E = np.zeros((0, 0), dtype=complex)

@@ -1,15 +1,20 @@
 """Dense complex linear-algebra kernels with explicit tolerance policy.
 
 Everything downstream (indices, canonical forms, factorizations, graph
-completions) is built from the six operations in this module: Hermitian
-eigendecomposition, inertia counting, PSD square root, null-space
-extraction, Moore-Penrose pseudo-inverse, and SVD.  All of them share a
-single two-knob :class:`Tolerance`:
+completions) is built from the operations in this module: Hermitian
+eigendecomposition and its spectral split, inertia counting, PSD square
+root, rank, null-space extraction, Moore-Penrose pseudo-inverse, and
+SVD.  All of them share a single two-knob :class:`Tolerance`:
 
 * ``rank_tol``     decides when a singular value or eigenvalue counts as
   zero, always relative to the spectral norm of the operand;
 * ``residual_tol`` bounds matrix-equation residuals, again relative to
   operand norms.
+
+Every relative ``rank_tol`` decision is made in one of two places:
+eigenvalues are split into plus/minus/zero bands by
+:func:`spectral_split`, and singular values are cut by the helper
+behind :func:`rank`.
 
 Every yes/no residual check ``||R||_2 <= t * scale(||S||_2)`` goes
 through :func:`norm_within`, which decides it cheap-first from the
@@ -34,19 +39,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NoConvergence, NotHermitian, NotPSD
+from .errors import (IllConditioned, InputError, NoConvergence, NotHermitian,
+                     NotInvertible, NotPSD)
 
 __all__ = [
     "Tolerance",
     "HermEig",
+    "SpectralSplit",
     "spectral_norm",
     "norm_within",
     "herm_eig",
+    "spectral_split",
     "inertia",
     "psd_sqrt",
+    "rank",
     "null_basis",
+    "range_basis",
     "pinv",
     "svd",
+    "conditioned_svd",
 ]
 
 
@@ -81,6 +92,19 @@ class HermEig:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class SpectralSplit(HermEig):
+    """Eigendecomposition with boolean masks over the eigenvalues (above
+    ``band``, below ``-band``, inside ``[-band, band]``) and their
+    ``counts`` (n_plus, n_minus, n_zero)."""
+
+    band: float
+    plus: np.ndarray
+    minus: np.ndarray
+    zero: np.ndarray
+    counts: tuple[int, int, int]
 
 
 def _as_matrix(M) -> np.ndarray:
@@ -171,44 +195,59 @@ def herm_eig(M, tol: Tolerance = Tolerance()) -> HermEig:
     return HermEig(eigenvalues=w, eigenvectors=V)
 
 
-def inertia(M, tol: Tolerance = Tolerance(),
-            scale: float | None = None) -> tuple[int, int, int]:
-    """Counts (n_plus, n_minus, n_zero) of eigenvalues of a Hermitian matrix.
+def spectral_split(M, tol: Tolerance = Tolerance(),
+                   scale: float | None = None) -> SpectralSplit:
+    """Eigendecomposition of a Hermitian matrix with its sign bands.
 
     The zero band is ``[-rank_tol * norm, rank_tol * norm]``; values
     exactly at the threshold count as zero, so classification is
-    deterministic.  ``norm`` defaults to the largest eigenvalue magnitude;
-    pass ``scale`` when M may cancel to round-off (a Gram matrix of a
-    neutral subspace, say) so noise does not masquerade as signature.
+    deterministic.  ``norm`` is the largest eigenvalue magnitude, or
+    ``scale`` when that is larger; pass ``scale`` when M may cancel to
+    round-off (a Gram matrix of a neutral subspace, say) so noise does
+    not masquerade as signature.
     """
     eig = herm_eig(M, tol)
     w = eig.eigenvalues
     own = float(np.max(np.abs(w))) if w.size else 0.0
     band = tol.rank_tol * max(own, scale if scale is not None else 0.0)
-    n_plus = int(np.count_nonzero(w > band))
-    n_minus = int(np.count_nonzero(w < -band))
-    return n_plus, n_minus, w.size - n_plus - n_minus
+    plus, minus = w > band, w < -band
+    n_plus, n_minus = int(np.count_nonzero(plus)), int(np.count_nonzero(minus))
+    return SpectralSplit(w, eig.eigenvectors, band, plus, minus, ~(plus | minus),
+                         (n_plus, n_minus, w.size - n_plus - n_minus))
+
+
+def inertia(M, tol: Tolerance = Tolerance(),
+            scale: float | None = None) -> tuple[int, int, int]:
+    """Counts (n_plus, n_minus, n_zero) of the bands of :func:`spectral_split`."""
+    return spectral_split(M, tol, scale).counts
 
 
 def psd_sqrt(M, tol: Tolerance = Tolerance(), scale: float | None = None) -> np.ndarray:
     """Hermitian PSD square root.
 
-    Eigenvalues below ``-rank_tol * scale`` raise ``NotPSD``; small
-    negatives inside the band are clamped to zero before the root.
-    ``scale`` defaults to the matrix norm; pass the natural scale of the
-    computation that produced M when M itself may cancel to round-off
-    (a defect operator at its breakdown level, say).
+    Eigenvalues below the zero band of :func:`spectral_split` raise
+    ``NotPSD``; small negatives inside the band are clamped to zero
+    before the root.  ``scale`` widens the band as there; pass the
+    natural scale of the computation that produced M when M itself may
+    cancel to round-off (a defect operator at its breakdown level, say).
     """
-    eig = herm_eig(M, tol)
-    w, V = eig.eigenvalues, eig.eigenvectors
-    base = float(np.max(np.abs(w))) if w.size else 0.0
-    if scale is not None:
-        base = max(base, float(scale))
-    if w.size and float(w[0]) < -tol.rank_tol * base:
+    split = spectral_split(M, tol, scale)
+    w, V = split.eigenvalues, split.eigenvectors
+    if w.size and float(w[0]) < -split.band:
         raise NotPSD(f"eigenvalue {w[0]:.3e} below the PSD band")
     root = np.sqrt(np.clip(w, 0.0, None))
     R = (V * root) @ V.conj().T
     return 0.5 * (R + R.conj().T)
+
+
+def _count_above_cut(s: np.ndarray, tol: Tolerance) -> int:
+    # singular values nonincreasing; the cut is relative to the largest
+    return int(np.count_nonzero(s > tol.rank_tol * s[0])) if s.size else 0
+
+
+def rank(M, tol: Tolerance = Tolerance()) -> int:
+    """Numerical rank: singular values above ``rank_tol`` times the largest."""
+    return _count_above_cut(svd(M)[1], tol)
 
 
 def _full_svd(A: np.ndarray):
@@ -222,40 +261,54 @@ def _full_svd(A: np.ndarray):
 def null_basis(M, tol: Tolerance = Tolerance()) -> np.ndarray:
     """Orthonormal basis of the numerical null space, as columns.
 
-    A direction counts as null when its singular value is at most
-    ``rank_tol`` times the largest one.  The result has zero columns for
-    an injective matrix; for a matrix with zero rows every coordinate
-    direction is returned.
+    A direction counts as null when the rank cut of :func:`rank` drops
+    it.  The result has zero columns for an injective matrix; for a
+    matrix with zero rows every coordinate direction is returned.
     """
     A = _as_matrix(M)
     _, s, Vh = _full_svd(A)
-    cut = tol.rank_tol * (float(s[0]) if s.size else 0.0)
-    rank = int(np.count_nonzero(s > cut))
-    return Vh[rank:].conj().T
+    return Vh[_count_above_cut(s, tol):].conj().T
+
+
+def range_basis(M, tol: Tolerance = Tolerance()) -> np.ndarray:
+    """Orthonormal basis of the numerical range, as columns."""
+    U, s, _ = svd(M)
+    return U[:, :_count_above_cut(s, tol)]
 
 
 def pinv(M, tol: Tolerance = Tolerance()) -> np.ndarray:
     """Moore-Penrose pseudo-inverse with the shared relative rank cut."""
     A = _as_matrix(M)
     U, s, Vh = _full_svd(A)
-    cut = tol.rank_tol * (float(s[0]) if s.size else 0.0)
-    rank = int(np.count_nonzero(s > cut))
-    if rank == 0:
+    r = _count_above_cut(s, tol)
+    if r == 0:
         return np.zeros((A.shape[1], A.shape[0]), dtype=complex)
-    inv = 1.0 / s[:rank]
-    return (Vh[:rank].conj().T * inv) @ U[:, :rank].conj().T
+    inv = 1.0 / s[:r]
+    return (Vh[:r].conj().T * inv) @ U[:, :r].conj().T
 
 
-def svd(M, tol: Tolerance = Tolerance()):
+def svd(M):
     """Thin SVD ``(U, s, V)`` with ``M = U @ diag(s) @ V.conj().T``.
 
-    Singular values come back nonincreasing and nonnegative.  ``tol`` is
-    accepted for interface uniformity; no thresholding is applied here.
+    Singular values come back nonincreasing and nonnegative; no
+    thresholding is applied here.
     """
-    del tol
     A = _as_matrix(M)
     try:
         U, s, Vh = np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     return U, s, Vh.conj().T
+
+
+def conditioned_svd(M, tol: Tolerance, cond_cap: float):
+    """Thin SVD of a square matrix that must be safely invertible: raises
+    ``NotInvertible`` when the rank cut drops a direction and
+    ``IllConditioned`` when the condition number exceeds ``cond_cap``."""
+    U, s, V = svd(M)
+    if _count_above_cut(s, tol) < s.size:
+        raise NotInvertible("matrix is numerically singular")
+    if s.size and s[0] / s[-1] > cond_cap:
+        raise IllConditioned(
+            f"condition number {s[0] / s[-1]:.3e} exceeds cap {cond_cap:.0e}")
+    return U, s, V

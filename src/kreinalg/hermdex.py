@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densela import Tolerance, herm_eig, norm_within, svd
-from .errors import (DimensionMismatch, IllConditioned, NotCongruent,
-                     NotInvertible, NotSelfadjoint)
-from .krein import (IndexTriple, KOperator, KreinSpace, hilbert_space,
-                    is_selfadjoint)
+from .densela import Tolerance, conditioned_svd, norm_within
+from .errors import (DimensionMismatch, NotCongruent, NotInvertible,
+                     NotSelfadjoint)
+from .krein import (IndexTriple, KOperator, hilbert_space, is_selfadjoint,
+                    selfadjoint_split)
 
 __all__ = [
     "COND_CAP",
@@ -32,6 +32,7 @@ __all__ = [
     "transport",
     "to_hilbert",
     "canonical_form",
+    "require_equal_dims",
     "is_congruent",
     "build_congruence",
 ]
@@ -76,41 +77,14 @@ def make_congruence(X: KOperator, tol: Tolerance = Tolerance()) -> Congruence:
         raise DimensionMismatch(
             f"congruence must map between equal dimensions, got "
             f"{X.domain.dim} -> {X.codomain.dim}")
-    n = X.domain.dim
-    if n == 0:
-        inv = KOperator(X.codomain, X.domain, np.zeros((0, 0), dtype=complex))
-        return Congruence(X, inv, tol)
-    U, s, V = svd(X.matrix, tol)
-    if s[-1] <= tol.rank_tol * s[0]:
-        raise NotInvertible("operator is numerically singular")
-    if s[0] / s[-1] > COND_CAP:
-        raise IllConditioned(
-            f"condition number {s[0] / s[-1]:.3e} exceeds cap {COND_CAP:.0e}")
+    U, s, V = conditioned_svd(X.matrix, tol, COND_CAP)
     inv_mat = (V / s) @ U.conj().T
     return Congruence(X, KOperator(X.codomain, X.domain, inv_mat), tol)
 
 
 def hermitian_indices(C: KOperator, tol: Tolerance = Tolerance()) -> IndexTriple:
     """(h_plus, h_minus, h_zero) via the inertia of J C."""
-    if not is_selfadjoint(C, tol):
-        raise NotSelfadjoint("hermitian indices are defined for selfadjoint operators")
-    JC = C.domain.J @ C.matrix
-    w = herm_eig(0.5 * (JC + JC.conj().T), tol).eigenvalues
-    band = tol.rank_tol * (float(np.max(np.abs(w))) if w.size else 0.0)
-    h_plus = int(np.count_nonzero(w > band))
-    h_minus = int(np.count_nonzero(w < -band))
-    return IndexTriple(h_plus, h_minus, w.size - h_plus - h_minus)
-
-
-def _check_condition(X: KOperator, tol: Tolerance):
-    if X.domain.dim == 0:
-        return
-    _, s, _ = svd(X.matrix, tol)
-    if s[-1] <= tol.rank_tol * s[0]:
-        raise NotInvertible("congruence factor is numerically singular")
-    if s[0] / s[-1] > COND_CAP:
-        raise IllConditioned(
-            f"condition number {s[0] / s[-1]:.3e} exceeds cap {COND_CAP:.0e}")
+    return IndexTriple(*selfadjoint_split(C, tol, "the hermitian index triple").counts)
 
 
 def transport(B: KOperator, X: Congruence, tol: Tolerance = Tolerance()) -> KOperator:
@@ -119,7 +93,7 @@ def transport(B: KOperator, X: Congruence, tol: Tolerance = Tolerance()) -> KOpe
         raise DimensionMismatch("operator does not act on the congruence codomain")
     if not is_selfadjoint(B, tol):
         raise NotSelfadjoint("transport expects a selfadjoint operator")
-    _check_condition(X.X, tol)
+    conditioned_svd(X.X.matrix, tol, COND_CAP)
     H, K = X.X.domain, X.X.codomain
     A = H.J @ X.X.matrix.conj().T @ K.J @ B.matrix @ X.X.matrix
     return KOperator(H, H, A)
@@ -151,19 +125,14 @@ def canonical_form(C: KOperator, tol: Tolerance = Tolerance()) -> CanonicalForm:
     descending, then negative ones by ascending magnitude, then the
     kernel band.
     """
-    if not is_selfadjoint(C, tol):
-        raise NotSelfadjoint("canonical form requires a selfadjoint operator")
+    split = selfadjoint_split(C, tol, "canonical form")
     H = C.domain
     n = H.dim
-    JC = H.J @ C.matrix
-    eig = herm_eig(0.5 * (JC + JC.conj().T), tol)
-    w, W = eig.eigenvalues, eig.eigenvectors
-    band = tol.rank_tol * (float(np.max(np.abs(w))) if w.size else 0.0)
-    pos = [i for i in range(n) if w[i] > band]
-    neg = [i for i in range(n) if w[i] < -band]
-    ker = [i for i in range(n) if -band <= w[i] <= band]
-    pos.sort(key=lambda i: -w[i])
-    neg.sort(key=lambda i: -w[i])          # ascending magnitude for negatives
+    w, W = split.eigenvalues, split.eigenvectors
+    pos = sorted(np.flatnonzero(split.plus), key=lambda i: -w[i])
+    # ascending magnitude for negatives
+    neg = sorted(np.flatnonzero(split.minus), key=lambda i: -w[i])
+    ker = list(np.flatnonzero(split.zero))
     perm = pos + neg + ker
     p, q, z = len(pos), len(neg), len(ker)
 
@@ -182,24 +151,29 @@ def canonical_form(C: KOperator, tol: Tolerance = Tolerance()) -> CanonicalForm:
                          D=KOperator(E, E, D_mat), X=X)
 
 
-def is_congruent(A: KOperator, B: KOperator, tol: Tolerance = Tolerance()) -> bool:
-    """True iff A and B share their index triple (equal finite dimensions)."""
+def require_equal_dims(A: KOperator, B: KOperator):
+    """Raise ``DimensionMismatch`` unless A and B act on equal dimensions."""
     if A.domain.dim != B.domain.dim:
         raise DimensionMismatch(
             "congruence classification requires equal dimensions, got "
             f"{A.domain.dim} and {B.domain.dim}")
+
+
+def is_congruent(A: KOperator, B: KOperator, tol: Tolerance = Tolerance()) -> bool:
+    """True iff A and B share their index triple (equal finite dimensions)."""
+    require_equal_dims(A, B)
     return hermitian_indices(A, tol) == hermitian_indices(B, tol)
 
 
 def build_congruence(A: KOperator, B: KOperator,
                      tol: Tolerance = Tolerance()) -> Congruence:
     """Explicit X with A = X* B X, composed through the canonical forms."""
-    if not is_congruent(A, B, tol):
-        raise NotCongruent(
-            f"index triples differ: {tuple(hermitian_indices(A, tol))} vs "
-            f"{tuple(hermitian_indices(B, tol))}")
+    require_equal_dims(A, B)
     ca = canonical_form(A, tol)
     cb = canonical_form(B, tol)
+    if ca.indices != cb.indices:
+        raise NotCongruent(
+            f"index triples differ: {tuple(ca.indices)} vs {tuple(cb.indices)}")
     X_mat = cb.X.X_inv.matrix @ ca.X.X.matrix
     X_inv_mat = ca.X.X_inv.matrix @ cb.X.X.matrix
     return Congruence(KOperator(A.domain, B.domain, X_mat),

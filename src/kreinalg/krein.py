@@ -20,8 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .densela import Tolerance, inertia, norm_within, spectral_norm, svd
-from .errors import DimensionMismatch, InputError, NotSymmetry
+from .densela import (SpectralSplit, Tolerance, inertia, norm_within, range_basis,
+                      spectral_norm, spectral_split)
+from .errors import DimensionMismatch, InputError, NotSelfadjoint, NotSymmetry
 
 __all__ = [
     "KreinSpace",
@@ -36,6 +37,7 @@ __all__ = [
     "k_adjoint",
     "c_inner",
     "is_selfadjoint",
+    "selfadjoint_split",
     "make_subspace",
     "classify_subspace",
     "c_orthogonal",
@@ -151,11 +153,25 @@ def c_inner(C: KOperator, f, g) -> complex:
     return complex(g.conj() @ (C.domain.J @ (C.matrix @ f)))
 
 
-def is_selfadjoint(C: KOperator, tol: Tolerance = Tolerance()) -> bool:
-    """True iff C = C*, equivalently iff J C is Hermitian within tolerance."""
+def _hermitian_representative(C: KOperator, tol: Tolerance):
+    # (J C, whether J C is Hermitian within tolerance)
     _require_endomorphism(C)
     JC = C.domain.J @ C.matrix
-    return norm_within(JC - JC.conj().T, tol.residual_tol, C.matrix)
+    return JC, norm_within(JC - JC.conj().T, tol.residual_tol, C.matrix)
+
+
+def is_selfadjoint(C: KOperator, tol: Tolerance = Tolerance()) -> bool:
+    """True iff C = C*, equivalently iff J C is Hermitian within tolerance."""
+    return _hermitian_representative(C, tol)[1]
+
+
+def selfadjoint_split(C: KOperator, tol: Tolerance, what: str) -> SpectralSplit:
+    """Spectral split of J C; raises ``NotSelfadjoint`` naming ``what``
+    unless C is selfadjoint.  Every engine reads its bands from here."""
+    JC, ok = _hermitian_representative(C, tol)
+    if not ok:
+        raise NotSelfadjoint(f"{what} requires a selfadjoint operator")
+    return spectral_split(0.5 * (JC + JC.conj().T), tol)
 
 
 def make_subspace(H: KreinSpace, vectors, tol: Tolerance = Tolerance()) -> Subspace:
@@ -164,12 +180,7 @@ def make_subspace(H: KreinSpace, vectors, tol: Tolerance = Tolerance()) -> Subsp
     if V.ndim != 2 or V.shape[0] != H.dim:
         raise DimensionMismatch(
             f"spanning columns of shape {V.shape} in a {H.dim}-dimensional space")
-    if V.shape[1] == 0:
-        return Subspace(H, np.zeros((H.dim, 0), dtype=complex))
-    U, s, _ = svd(V, tol)
-    cut = tol.rank_tol * (float(s[0]) if s.size else 0.0)
-    rank = int(np.count_nonzero(s > cut))
-    return Subspace(H, U[:, :rank])
+    return Subspace(H, range_basis(V, tol))
 
 
 def _gram(C: KOperator, M: Subspace, N: Subspace) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densela import (Tolerance, herm_eig, norm_within, null_basis, pinv, psd_sqrt,
-                      spectral_norm, svd)
+                      rank, spectral_norm)
 from .errors import (ContractionOverflow, DegenerateProjection, DimensionMismatch,
                      Incompatible, InputError, NotContraction, NotSemidefinite)
 from .krein import (KOperator, KreinSpace, Subspace, SubspaceClass,
@@ -75,13 +75,6 @@ def canonical_frames(H: KreinSpace, tol: Tolerance = Tolerance()):
     return V[:, w > 0.0], V[:, w < 0.0]
 
 
-def _component_rank(P: np.ndarray, tol: Tolerance) -> int:
-    if min(P.shape) == 0:
-        return 0
-    _, s, _ = svd(P, tol)
-    return int(np.count_nonzero(s > tol.rank_tol * s[0]))
-
-
 def graph_rep(S: Subspace, sign: str, tol: Tolerance = Tolerance()) -> GraphRep:
     """Graph representation of a semidefinite subspace.
 
@@ -108,7 +101,7 @@ def graph_rep(S: Subspace, sign: str, tol: Tolerance = Tolerance()) -> GraphRep:
     P = own.conj().T @ S.basis
     cross = other.conj().T @ S.basis
     m = S.dim
-    if _component_rank(P, tol) != m:
+    if rank(P, tol) != m:
         raise DegenerateProjection("coordinate projection of the subspace drops rank")
     M = make_subspace(hilbert_space(own.shape[1]), P, tol)
     angle = cross @ pinv(P, tol) @ M.basis

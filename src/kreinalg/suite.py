@@ -13,7 +13,8 @@ import numpy as np
 from .bkfact import BKFactorization, bk_factorize, bk_verify, keyth_verify, \
     SignatureFactorization
 from .decomp import decompose, projections, validate
-from .densela import Tolerance, herm_eig, norm_within, psd_sqrt, spectral_norm
+from .densela import (Tolerance, norm_within, psd_sqrt, rank, spectral_norm,
+                      spectral_split)
 from .errors import InputError
 from .genrand import (GenConfig, gen_injective_factor, gen_invertible,
                       gen_selfadjoint, gen_space, gen_space_with_split,
@@ -278,20 +279,13 @@ def keyth_battery(seed: int, count: int = 300, dim_max: int = 8,
         ok = ok and check_compatibility(gp, gm, tol)
         ext = phillips_extend(gp, gm, tol)
         G = ext.G
-        dens_p = _rank(gp.M.basis - G.conj().T @ (G @ gp.M.basis), tol)
-        dens_m = _rank(gm.M.basis - G @ (G.conj().T @ gm.M.basis), tol)
+        dens_p = rank(gp.M.basis - G.conj().T @ (G @ gp.M.basis), tol)
+        dens_m = rank(gm.M.basis - G @ (G.conj().T @ gm.M.basis), tol)
         ok = ok and dens_p == pA and dens_m == qA
         if not ok:
             failures += 1
     return {"name": "keyth_pipeline", "cases": count, "failures": failures,
             "passed": failures == 0}
-
-
-def _rank(A: np.ndarray, tol: Tolerance) -> int:
-    if min(A.shape) == 0:
-        return 0
-    s = np.linalg.svd(A, compute_uv=False)
-    return int(np.count_nonzero(s > tol.rank_tol * s[0])) if s.size else 0
 
 
 def phillips_battery(seed: int, count: int = 300, dim_max: int = 8,
@@ -377,15 +371,14 @@ def identities_battery(seed: int, count: int = 500, dim_max: int = 8,
         n = int(rng.integers(1, dim_max + 1))
         H = hilbert_space(n)
         D = gen_selfadjoint(GenConfig(s2, kernel_prob=0.3), H)
-        eig = herm_eig(D.matrix, tol)
-        w, V = eig.eigenvalues, eig.eigenvectors
-        band = tol.rank_tol * (float(np.max(np.abs(w))) if w.size else 0.0)
-        nz = np.abs(w) > band
+        split = spectral_split(D.matrix, tol)
+        w, V = split.eigenvalues, split.eigenvectors
+        nz = split.plus | split.minus
         J_D = (V[:, nz] * np.sign(w[nz])) @ V[:, nz].conj().T
         root = psd_sqrt((V * np.abs(w)) @ V.conj().T, tol)
         scale = max(1.0, spectral_norm(D.matrix))
         r1 = spectral_norm(root @ J_D @ root - D.matrix) / scale
-        B_plus, B_minus = V[:, w > band], V[:, w < -band]
+        B_plus, B_minus = V[:, split.plus], V[:, split.minus]
         P_plus = B_plus @ B_plus.conj().T
         P_minus = B_minus @ B_minus.conj().T
         rscale = max(1.0, spectral_norm(root))

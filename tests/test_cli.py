@@ -126,6 +126,8 @@ def test_exit_code_input_error(capsys, tmp_path):
         "digits": "1" * 5000,
         "nesting": "[" * 100000,
         "not_utf8": b"\xff\xfe",
+        "non_square": json.dumps({"rows": 2, "cols": 3, "data": [[0.0, 0.0]] * 6}),
+        "huge_rows": json.dumps({"rows": 10 ** 10, "cols": 0, "data": []}),
     }
     for name, text in hostile.items():
         path = tmp_path / f"{name}.json"
@@ -152,6 +154,18 @@ def test_tolerance_flag_applies(capsys, tmp_path):
     code, rep = run_machine(capsys, ["indices", "-i", f,
                                      "--tol-rank", "1e-4", "--machine"])
     assert rep["indices"] == [1, 0, 1]
+
+
+def test_pair_tolerance_is_settled_before_spaces(capsys, tmp_path):
+    # J^2 - I is off by about 1e-6: rejected at the default residual_tol,
+    # accepted at the 1e-5 that B's problem file sets for both operands
+    s = write(tmp_path / "j.json", matrix_to_obj(J2 * (1.0 + 5e-7)))
+    a = write(tmp_path / "a.json", matrix_to_obj(np.eye(2)))
+    b = write(tmp_path / "b.json", {"operator": matrix_to_obj(np.eye(2)),
+                                    "tolerance": {"residual_tol": 1e-5}})
+    code, rep = run_machine(capsys, ["congruent", a, b, "--space", s, "--machine"])
+    assert code == 0 and rep["congruent"]
+    assert main(["congruent", a, a, "--space", s]) == 3
 
 
 def test_property_suite_small(capsys):

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 import kreinalg.densela as densela
 from kreinalg.densela import (Tolerance, herm_eig, inertia, norm_within,
-                              null_basis, pinv, psd_sqrt, spectral_norm, svd)
+                              null_basis, pinv, psd_sqrt, rank, spectral_norm,
+                              spectral_split, svd)
 from kreinalg.errors import InputError, NotHermitian, NotPSD
 
 # sqrt of [[2,1],[1,2]] by hand: eigenpairs (3, (1,1)/sqrt2), (1, (1,-1)/sqrt2)
@@ -80,6 +81,44 @@ def test_inertia_negation_swaps(diag):
     p, m, z = inertia(M)
     assert inertia(-M) == (m, p, z)
     assert p + m + z == len(diag)
+
+
+@pytest.mark.parametrize("diag,scale,expected", [
+    ([4.0, -9.0, 0.0], None, (1, 1, 1)),
+    ([1.0, 1e-10], None, (1, 0, 1)),            # exactly at the band: zero
+    ([2.0, -2e-10, 3e-10], None, (2, 0, 1)),    # at -band zero, above it plus
+    ([1.0, 1e-9], None, (2, 0, 0)),
+    ([1.0, 1e-9], 100.0, (1, 0, 1)),            # scale widens the band
+    ([1.0, 1e-9], 0.5, (2, 0, 0)),              # a smaller scale does not narrow it
+    ([], None, (0, 0, 0)),
+])
+def test_spectral_split_bands(diag, scale, expected):
+    M = np.diag(np.array(diag, dtype=float))
+    split = spectral_split(M, scale=scale)
+    w = split.eigenvalues
+    own = float(np.max(np.abs(w))) if w.size else 0.0
+    assert split.band == Tolerance().rank_tol * max(own, scale or 0.0)
+    # the three masks partition the spectrum
+    masks = np.stack([split.plus, split.minus, split.zero])
+    assert masks.dtype == bool and (masks.sum(axis=0) == 1).all()
+    assert (w[split.plus] > split.band).all() and (w[split.minus] < -split.band).all()
+    assert split.counts == expected == inertia(M, scale=scale)
+    assert split.counts == tuple(int(m.sum()) for m in masks)
+
+
+@pytest.mark.parametrize("M,expected", [
+    (np.zeros((3, 0)), 0),
+    (np.zeros((0, 3)), 0),
+    (np.zeros((0, 0)), 0),
+    (np.zeros((2, 2)), 0),
+    (np.eye(3), 3),
+    (np.diag([1.0, 1e-6]), 2),
+    (np.diag([1.0, 1e-10]), 1),                 # at the cut: dropped
+    (np.ones((4, 3)), 1),
+])
+def test_rank(M, expected):
+    assert rank(M) == expected
+    assert null_basis(M).shape[1] == M.shape[1] - expected
 
 
 def test_psd_sqrt_oracle():

@@ -30,6 +30,13 @@ CASES = {
                  "--machine"],
     "property-suite": ["property-suite", "--seed", "20260822", "--count", "3",
                        "--machine"],
+    # operand loading: matrix files, --space, tolerance flags
+    "indices-hilbert": ["indices", "-i", "hermitian8.json", "--machine"],
+    "factorize-space": ["factorize", "-i", "operator8.json", "--space",
+                        "symmetry8.json", "--machine"],
+    "congruent-no": ["congruent", "problem8.json", "other8.json", "--machine"],
+    "congruent-tol-res": ["congruent", "problem8.json", "pair8_b.json",
+                          "--tol-res", "1e-6", "--machine"],
 }
 
 
@@ -82,6 +89,32 @@ def write_inputs() -> None:
     write("space8.json", matrix_to_obj(S.J))
     write("plus8.json", matrix_to_obj(plus))
     write("minus8.json", matrix_to_obj(minus))
+    write_loader_inputs()
+
+
+def write_loader_inputs() -> None:
+    """Matrix-file operands for the loader cases: problem8's operator and
+    symmetry as separate files, its Hermitian representative J C for
+    Hilbert mode, and a kernel-free operator on a (4, 4) space that is
+    not congruent to it."""
+    sys.path.insert(0, str(SRC))
+    from kreinalg.genrand import GenConfig, gen_selfadjoint, gen_space_with_split
+    from kreinalg.serial import dump_json, load_json, matrix_from_obj, matrix_to_obj
+
+    def write(name, obj):
+        (GOLDEN / name).write_text(dump_json(obj) + "\n")
+
+    problem = load_json(GOLDEN / "problem8.json")
+    J = matrix_from_obj(problem["space"]["J"])
+    C = matrix_from_obj(problem["operator"])
+    write("operator8.json", matrix_to_obj(C))
+    write("symmetry8.json", matrix_to_obj(J))
+    JC = J @ C
+    write("hermitian8.json", matrix_to_obj(0.5 * (JC + JC.conj().T)))
+    H = gen_space_with_split(GenConfig(807), 4, 4)
+    D = gen_selfadjoint(GenConfig(808, kernel_prob=0.0), H)
+    write("other8.json", {"space": {"J": matrix_to_obj(H.J)},
+                          "operator": matrix_to_obj(D.matrix)})
 
 
 if __name__ == "__main__":

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from kreinalg.errors import DimensionMismatch, NotSymmetry
+from kreinalg.bkfact import bk_factorize
+from kreinalg.decomp import Decomposition, decompose, validate
+from kreinalg.densela import Tolerance
+from kreinalg.errors import DimensionMismatch, NotSelfadjoint, NotSymmetry
+from kreinalg.hermdex import canonical_form, hermitian_indices
 from kreinalg.krein import (IndexTriple, KOperator, Subspace, SubspaceClass,
                             c_inner, c_orthogonal, classify_subspace,
                             hilbert_space, identity_op, is_selfadjoint,
@@ -73,6 +77,22 @@ def test_is_selfadjoint(k2):
     assert is_selfadjoint(KOperator(k2, k2, np.array([[0, 1], [-1, 0]], dtype=complex)))
     assert not is_selfadjoint(KOperator(k2, k2, np.array([[0, 1], [1, 0]], dtype=complex)))
     assert is_selfadjoint(identity_op(k2))
+
+
+def _validate_coordinate_split(C, tol):
+    H = C.domain
+    e = np.eye(H.dim, dtype=complex)
+    return validate(C, Decomposition(Subspace(H, e[:, :1]), Subspace(H, e[:, 1:]),
+                                     Subspace(H, e[:, :0])), tol)
+
+
+@pytest.mark.parametrize("engine", [hermitian_indices, canonical_form, decompose,
+                                    _validate_coordinate_split, bk_factorize])
+def test_engines_share_the_selfadjoint_check(k2, engine):
+    # J C = [[0, 1], [-1, 0]] is not Hermitian
+    C = KOperator(k2, k2, np.array([[0, 1], [1, 0]], dtype=complex))
+    with pytest.raises(NotSelfadjoint, match="requires a selfadjoint operator"):
+        engine(C, Tolerance())
 
 
 def test_c_inner_hermitian_symmetry(k2):
