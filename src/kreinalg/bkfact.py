@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densela import (Tolerance, inertia, norm_within, null_basis, rank,
-                      spectral_norm)
+from .densela import Tolerance, norm_within, null_basis, rank, spectral_norm
 from .errors import DimensionMismatch, NotSymmetry, PreconditionFailed
 from .hermdex import hermitian_indices
-from .krein import (KOperator, KreinSpace, k_adjoint, is_selfadjoint,
+from .krein import (KOperator, KreinSpace, k_adjoint, is_selfadjoint, make_space,
                     selfadjoint_split, space_indices)
 
 __all__ = [
@@ -52,8 +51,8 @@ class BKFactorization:
 class SignatureFactorization:
     """C = T^H J_A T with J_A a signature operator on a Hilbert space.
 
-    K_space must be Euclidean and J_A selfadjoint and unitary, both
-    within ``tol.residual_tol``.
+    K_space must be Euclidean within ``tol.residual_tol``, and J_A a
+    symmetry of the same dimension as validated by ``make_space``.
     """
 
     K_space: KreinSpace
@@ -62,14 +61,11 @@ class SignatureFactorization:
     tol: Tolerance = Tolerance()
 
     def __post_init__(self):
-        t = self.tol.residual_tol
-        n = self.K_space.dim
-        if not norm_within(self.K_space.J - np.eye(n), t):
+        if not norm_within(self.K_space.J - np.eye(self.K_space.dim),
+                           self.tol.residual_tol):
             raise NotSymmetry("signature factorizations live over a Hilbert space")
-        M = self.J_A.matrix
-        if not (norm_within(M - M.conj().T, t, M, floor=1.0)
-                and norm_within(M @ M - np.eye(n), t, M, floor=1.0, power=2)):
-            raise NotSymmetry("operator is not selfadjoint and unitary")
+        if make_space(self.J_A.matrix, self.tol).dim != self.K_space.dim:
+            raise DimensionMismatch("signature operator does not act on K_space")
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,8 +156,8 @@ def keyth_verify(C: KOperator, S: SignatureFactorization,
     r = rank(S.T.matrix, tol)
     ker_trivial, range_dense = r == H.dim, r == S.K_space.dim
     h_C = hermitian_indices(C, tol)
-    pj, qj, zj = inertia(S.J_A.matrix, tol)
-    index_equality = (h_C.h_plus, h_C.h_minus) == (pj, qj) and zj == 0
+    pj, qj = space_indices(KreinSpace(S.K_space.dim, S.J_A.matrix), tol)
+    index_equality = (h_C.h_plus, h_C.h_minus) == (pj, qj)
     return {
         "reconstruction_residual": float(residual),
         "kernel_trivial": bool(ker_trivial),

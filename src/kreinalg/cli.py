@@ -42,12 +42,20 @@ def _merge_tolerance(args, file_tol: Tolerance | None) -> Tolerance:
     return Tolerance(rank_tol=rank, residual_tol=res)
 
 
-def _load_space_flag(args, n: int, tol: Tolerance) -> KreinSpace:
-    J = matrix_from_obj(load_json(args.space), "space symmetry")
-    if J.shape != (n, n):
-        raise DimensionMismatch(
-            f"symmetry is {J.shape[0]}x{J.shape[1]}, operator needs {n}x{n}")
-    return make_space(J, tol)
+def _space_flag(args, tol: Tolerance) -> KreinSpace | None:
+    """The --space symmetry, read and validated once per command."""
+    return None if args.space is None else make_space(
+        matrix_from_obj(load_json(args.space), "space symmetry"), tol)
+
+
+def _operand_space(flag: KreinSpace | None, J, n: int, tol: Tolerance) -> KreinSpace:
+    """An n-dimensional operand's space: --space, else its own J, else Hilbert."""
+    if flag is not None:
+        if flag.dim != n:
+            raise DimensionMismatch(
+                f"symmetry is {flag.dim}x{flag.dim}, operator needs {n}x{n}")
+        return flag
+    return make_space(J, tol) if J is not None else hilbert_space(n)
 
 
 def _read_operand(path) -> tuple:
@@ -69,15 +77,10 @@ def _load_operators(args, *paths) -> tuple[list[KOperator], Tolerance]:
     parsed = [_read_operand(path) for path in paths]
     tol = _merge_tolerance(args, next(
         (file_tol for _, _, file_tol in parsed if file_tol is not None), None))
+    flag = _space_flag(args, tol)
     ops = []
     for J, M, _ in parsed:
-        n = M.shape[0]
-        if args.space is not None:
-            space = _load_space_flag(args, n, tol)
-        elif J is not None:
-            space = make_space(J, tol)
-        else:
-            space = hilbert_space(n)
+        space = _operand_space(flag, J, M.shape[0], tol)
         ops.append(KOperator(space, space, M))
     return ops, tol
 
@@ -152,7 +155,7 @@ def cmd_factorize(args) -> int:
     (C,), tol = _load_operators(args, args.input)
     F = bk_factorize(C, tol)
     rep = bk_verify(C, F, tol)
-    ip, im = space_indices(F.A_space, tol) if F.A_space.dim else (0, 0)
+    ip, im = rep["factor_space_indices"]
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "factorize",
@@ -224,10 +227,9 @@ def cmd_phillips(args) -> int:
     if Bm.shape[0] != n:
         raise DimensionMismatch(
             f"basis row counts differ: {n} vs {Bm.shape[0]}")
-    if args.space is not None:
-        space = _load_space_flag(args, n, tol)
-    else:
-        space = hilbert_space(n)
+    if args.space is None and not (Bp.shape[1] or Bm.shape[1]):
+        raise InputError("without --space a basis needs a column to fix the dimension")
+    space = _operand_space(_space_flag(args, tol), None, n, tol)
     Sp = make_subspace(space, Bp, tol)
     Sm = make_subspace(space, Bm, tol)
     gp = graph_rep(Sp, "plus", tol)
@@ -300,10 +302,10 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--space", metavar="FILE",
-                   help="JSON matrix file with the fundamental symmetry J "
-                        "(default: identity)")
+def _add_common(p: argparse.ArgumentParser, space: bool = True) -> None:
+    if space:
+        p.add_argument("--space", metavar="FILE", help="JSON matrix file with the "
+                       "fundamental symmetry J (default: identity)")
     p.add_argument("--tol-rank", type=float, default=None, metavar="T",
                    help="rank decision tolerance")
     p.add_argument("--tol-res", type=float, default=None, metavar="T",
@@ -361,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cases per battery (default: per-battery sizes)")
     p.add_argument("--dim-max", type=int, default=8,
                    help="largest random dimension (default 8)")
-    _add_common(p)
+    _add_common(p, space=False)
     p.set_defaults(func=cmd_property_suite)
 
     return ap

@@ -33,6 +33,8 @@ __all__ = [
     "make_space",
     "hilbert_space",
     "space_indices",
+    "signature_split",
+    "same_space",
     "identity_op",
     "k_adjoint",
     "c_inner",
@@ -118,12 +120,18 @@ def hilbert_space(n: int) -> KreinSpace:
     return KreinSpace(dim=n, J=np.eye(n, dtype=complex))
 
 
+def signature_split(H: KreinSpace, tol: Tolerance = Tolerance()) -> SpectralSplit:
+    """Spectral split of J into its +1 and -1 eigenspaces, the one source of
+    a space's signature; raises ``NotSymmetry`` on a zero band."""
+    split = spectral_split(H.J, tol)
+    if split.counts[2]:
+        raise NotSymmetry("fundamental symmetry has a numerically zero eigenvalue")
+    return split
+
+
 def space_indices(H: KreinSpace, tol: Tolerance = Tolerance()) -> tuple[int, int]:
     """(ind_plus, ind_minus): dimensions of the +1 and -1 eigenspaces of J."""
-    n_plus, n_minus, n_zero = inertia(H.J, tol)
-    if n_zero:
-        raise NotSymmetry("fundamental symmetry has a numerically zero eigenvalue")
-    return n_plus, n_minus
+    return signature_split(H, tol).counts[:2]
 
 
 def identity_op(H: KreinSpace) -> KOperator:
@@ -136,8 +144,13 @@ def k_adjoint(A: KOperator) -> KOperator:
     return KOperator(domain=A.codomain, codomain=A.domain, matrix=adj)
 
 
+def same_space(a: KreinSpace, b: KreinSpace) -> bool:
+    """True iff a and b have the same dimension and the same symmetry."""
+    return a.dim == b.dim and np.array_equal(a.J, b.J)
+
+
 def _require_endomorphism(C: KOperator):
-    if C.domain.dim != C.codomain.dim or not np.array_equal(C.domain.J, C.codomain.J):
+    if not same_space(C.domain, C.codomain):
         raise DimensionMismatch("operator must act on a single space")
 
 

@@ -20,12 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densela import (Tolerance, herm_eig, norm_within, null_basis, pinv, psd_sqrt,
-                      rank, spectral_norm)
+from .densela import (Tolerance, norm_within, null_basis, pinv, psd_sqrt, rank,
+                      spectral_norm)
 from .errors import (ContractionOverflow, DegenerateProjection, DimensionMismatch,
                      Incompatible, InputError, NotContraction, NotSemidefinite)
-from .krein import (KOperator, KreinSpace, Subspace, SubspaceClass,
-                    classify_subspace, hilbert_space, identity_op, make_subspace)
+from .krein import (KreinSpace, Subspace, SubspaceClass, classify_subspace,
+                    hilbert_space, identity_op, make_subspace, same_space,
+                    signature_split)
 
 __all__ = [
     "GraphRep",
@@ -70,9 +71,9 @@ class MaximalPair:
 
 def canonical_frames(H: KreinSpace, tol: Tolerance = Tolerance()):
     """Orthonormal eigenframes (U_plus, U_minus) of the symmetry J."""
-    eig = herm_eig(H.J, tol)
-    w, V = eig.eigenvalues, eig.eigenvectors
-    return V[:, w > 0.0], V[:, w < 0.0]
+    split = signature_split(H, tol)
+    V = split.eigenvectors
+    return V[:, split.plus], V[:, split.minus]
 
 
 def graph_rep(S: Subspace, sign: str, tol: Tolerance = Tolerance()) -> GraphRep:
@@ -118,10 +119,6 @@ def represented(rep: GraphRep, tol: Tolerance = Tolerance()) -> Subspace:
     return make_subspace(rep.space, cols, tol)
 
 
-def _same_space(a: KreinSpace, b: KreinSpace) -> bool:
-    return a.dim == b.dim and np.array_equal(a.J, b.J)
-
-
 def check_compatibility(Gp: GraphRep, Gm: GraphRep,
                         tol: Tolerance = Tolerance()) -> bool:
     """True iff the two represented subspaces are orthogonal in the space.
@@ -132,14 +129,14 @@ def check_compatibility(Gp: GraphRep, Gm: GraphRep,
     """
     if Gp.sign != "plus" or Gm.sign != "minus":
         raise InputError("expected a plus representation and a minus representation")
-    if not _same_space(Gp.space, Gm.space):
+    if not same_space(Gp.space, Gm.space):
         raise DimensionMismatch("graph representations live in different spaces")
     block = Gm.angle.conj().T @ Gp.M.basis - Gm.M.basis.conj().T @ Gp.angle
     return norm_within(block, tol.residual_tol)
 
 
-def _graph_pair(G: np.ndarray, H: KreinSpace, tol: Tolerance):
-    U_plus, U_minus = canonical_frames(H, tol)
+def _graph_pair(G: np.ndarray, H: KreinSpace, U_plus: np.ndarray,
+                U_minus: np.ndarray, tol: Tolerance):
     plus_cols = U_plus + U_minus @ G
     minus_cols = U_plus @ G.conj().T + U_minus
     return (make_subspace(H, plus_cols, tol), make_subspace(H, minus_cols, tol))
@@ -187,7 +184,8 @@ def phillips_extend(Gp: GraphRep, Gm: GraphRep,
     if not norm_within(G, 1.0 + 10.0 * tol.residual_tol):
         raise ContractionOverflow(
             f"assembled contraction has norm {spectral_norm(G):.12f}")
-    plus, minus = _graph_pair(G, H, tol)
+    # check_compatibility has put Gp and Gm on one space: reuse its frames
+    plus, minus = _graph_pair(G, H, Gp.U_plus, Gp.U_minus, tol)
     return MaximalPair(G=G, G_tilde_plus=plus, G_tilde_minus=minus, space=H)
 
 
@@ -205,4 +203,4 @@ def maximal_subspaces(G, A_space: KreinSpace, tol: Tolerance = Tolerance()):
             f"contraction shape {G.shape} does not match the split ({q}, {p})")
     if not norm_within(G, 1.0 + tol.residual_tol):
         raise NotContraction(f"operator norm {spectral_norm(G):.12f} exceeds 1")
-    return _graph_pair(G, A_space, tol)
+    return _graph_pair(G, A_space, U_plus, U_minus, tol)

@@ -177,6 +177,9 @@ def test_signature_factorization_validates():
     with pytest.raises(NotSymmetry):
         SignatureFactorization(K_space=E, J_A=op(E, np.diag([1.0, 2.0])),
                                T=op(E, np.eye(2)))
+    with pytest.raises(DimensionMismatch):    # a symmetry of the wrong size
+        SignatureFactorization(K_space=E, J_A=op(hilbert_space(3), np.eye(3)),
+                               T=op(E, np.eye(2)))
 
 
 def test_signature_factorization_uses_caller_tolerance():

@@ -51,6 +51,9 @@ def test_indices_space_flag_overrides(capsys, tmp_path):
     code, rep = run_machine(capsys, ["indices", "-i", f, "--space", s, "--machine"])
     assert code == 0
     assert rep["indices"] == [1, 1, 0]
+    s3 = write(tmp_path / "j3.json", matrix_to_obj(np.diag([1.0, -1.0, 1.0])))
+    assert main(["indices", "-i", f, "--space", s3]) == 3   # wrong size
+    assert "operator needs 2x2" in capsys.readouterr().err
 
 
 def test_indices_human_output(capsys, c2_file):
@@ -110,6 +113,20 @@ def test_phillips_incompatible_exit_code(capsys, tmp_path):
     s = write(tmp_path / "j.json", matrix_to_obj(J2))
     assert main(["phillips", p, m, "--space", s]) == 3
     assert "orthogonal" in capsys.readouterr().err
+    s3 = write(tmp_path / "j3.json", matrix_to_obj(np.diag([1.0, -1.0, 1.0])))
+    assert main(["phillips", p, m, "--space", s3]) == 3     # wrong size
+    assert "operator needs 2x2" in capsys.readouterr().err
+
+
+def test_phillips_dimension_needs_an_input(capsys, tmp_path):
+    # zero-column bases fix no dimension: without --space nothing bounds
+    # "rows", with --space the symmetry's size does
+    empty = write(tmp_path / "e.json", {"rows": 10 ** 10, "cols": 0, "data": []})
+    assert main(["phillips", empty, empty]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    s = write(tmp_path / "j.json", matrix_to_obj(J2))
+    assert main(["phillips", empty, empty, "--space", s]) == 3
 
 
 def test_exit_code_input_error(capsys, tmp_path):
@@ -156,15 +173,25 @@ def test_tolerance_flag_applies(capsys, tmp_path):
     assert rep["indices"] == [1, 0, 1]
 
 
-def test_pair_tolerance_is_settled_before_spaces(capsys, tmp_path):
+def test_pair_tolerance_is_settled_before_spaces(capsys, tmp_path, monkeypatch):
     # J^2 - I is off by about 1e-6: rejected at the default residual_tol,
     # accepted at the 1e-5 that B's problem file sets for both operands
+    import kreinalg.cli as cli
     s = write(tmp_path / "j.json", matrix_to_obj(J2 * (1.0 + 5e-7)))
     a = write(tmp_path / "a.json", matrix_to_obj(np.eye(2)))
     b = write(tmp_path / "b.json", {"operator": matrix_to_obj(np.eye(2)),
                                     "tolerance": {"residual_tol": 1e-5}})
+    calls = []
+    for name in ("load_json", "make_space"):
+        def counted(arg, *rest, _f=getattr(cli, name), _name=name):
+            calls.append((_name, arg))
+            return _f(arg, *rest)
+        monkeypatch.setattr(cli, name, counted)
     code, rep = run_machine(capsys, ["congruent", a, b, "--space", s, "--machine"])
     assert code == 0 and rep["congruent"]
+    # the symmetry is read and validated once for both operands
+    assert calls.count(("load_json", s)) == 1
+    assert [n for n, _ in calls].count("make_space") == 1
     assert main(["congruent", a, a, "--space", s]) == 3
 
 
@@ -181,6 +208,12 @@ def test_property_suite_rejects_negative_count(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_property_suite_has_no_space_flag(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["property-suite", "--space", str(tmp_path / "j.json"), "--count", "0"])
+    assert exc.value.code == 2
 
 
 def test_property_suite_env_seed(capsys, monkeypatch):

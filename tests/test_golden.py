@@ -34,6 +34,8 @@ CASES = {
     "indices-hilbert": ["indices", "-i", "hermitian8.json", "--machine"],
     "factorize-space": ["factorize", "-i", "operator8.json", "--space",
                         "symmetry8.json", "--machine"],
+    "congruent-space": ["congruent", "operator8.json", "operator8.json", "--space",
+                        "symmetry8.json", "--machine"],
     "congruent-no": ["congruent", "problem8.json", "other8.json", "--machine"],
     "congruent-tol-res": ["congruent", "problem8.json", "pair8_b.json",
                           "--tol-res", "1e-6", "--machine"],

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from kreinalg.errors import (DimensionMismatch, Incompatible, InputError,
-                             NotContraction, NotSemidefinite)
-from kreinalg.krein import (SubspaceClass, classify_subspace, hilbert_space,
-                            identity_op, make_space, make_subspace)
+                             NotContraction, NotSemidefinite, NotSymmetry)
+from kreinalg.genrand import GenConfig, gen_space_with_split
+from kreinalg.krein import (KreinSpace, SubspaceClass, classify_subspace,
+                            hilbert_space, identity_op, make_space, make_subspace,
+                            space_indices)
 from kreinalg.phillips import (canonical_frames, check_compatibility,
                                graph_rep, maximal_subspaces, phillips_extend,
                                represented)
@@ -23,6 +25,16 @@ def test_canonical_frames_split():
     assert Up.shape == (2, 1) and Um.shape == (2, 1)
     assert np.allclose(H.J @ Up, Up, atol=1e-12)
     assert np.allclose(H.J @ Um, -Um, atol=1e-12)
+    # the frame widths are the space's indices, read from the same split
+    for seed, p, q in ((11, 3, 2), (12, 0, 4), (13, 5, 0)):
+        S = gen_space_with_split(GenConfig(seed), p, q)
+        Up, Um = canonical_frames(S)
+        assert (Up.shape[1], Um.shape[1]) == space_indices(S) == (p, q)
+    # a zero eigenvalue is no signature: both readers reject it
+    degenerate = KreinSpace(2, np.diag([1.0, 0.0]).astype(complex))
+    for reader in (space_indices, canonical_frames):
+        with pytest.raises(NotSymmetry):
+            reader(degenerate)
 
 
 def test_graph_rep_roundtrip():
