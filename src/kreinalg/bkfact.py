@@ -14,7 +14,7 @@ inner product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,20 +52,24 @@ class SignatureFactorization:
     """C = T^H J_A T with J_A a signature operator on a Hilbert space.
 
     K_space must be Euclidean within ``tol.residual_tol``, and J_A a
-    symmetry of the same dimension as validated by ``make_space``.
+    symmetry of the same dimension as validated by ``make_space``;
+    ``A_space`` is the Krein space that validation returns.
     """
 
     K_space: KreinSpace
     J_A: KOperator
     T: KOperator
     tol: Tolerance = Tolerance()
+    A_space: KreinSpace = field(init=False)
 
     def __post_init__(self):
         if not norm_within(self.K_space.J - np.eye(self.K_space.dim),
                            self.tol.residual_tol):
             raise NotSymmetry("signature factorizations live over a Hilbert space")
-        if make_space(self.J_A.matrix, self.tol).dim != self.K_space.dim:
+        A_space = make_space(self.J_A.matrix, self.tol)
+        if A_space.dim != self.K_space.dim:
             raise DimensionMismatch("signature operator does not act on K_space")
+        object.__setattr__(self, "A_space", A_space)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +117,7 @@ def bk_verify(C: KOperator, F: BKFactorization, tol: Tolerance = Tolerance()) ->
     c_norm = spectral_norm(C.matrix)
     residual = spectral_norm(diff) / c_norm if c_norm > 0 else spectral_norm(diff)
     injective = null_basis(F.A.matrix, tol).shape[1] == 0
-    ind = space_indices(F.A_space, tol)
+    ind = space_indices(F.A_space)
     idx = hermitian_indices(C, tol)
     index_equality = (ind[0] == idx.h_plus and ind[1] == idx.h_minus
                       and F.A_space.dim == idx.h_plus + idx.h_minus)
@@ -156,7 +160,7 @@ def keyth_verify(C: KOperator, S: SignatureFactorization,
     r = rank(S.T.matrix, tol)
     ker_trivial, range_dense = r == H.dim, r == S.K_space.dim
     h_C = hermitian_indices(C, tol)
-    pj, qj = space_indices(KreinSpace(S.K_space.dim, S.J_A.matrix), tol)
+    pj, qj = space_indices(S.A_space)
     index_equality = (h_C.h_plus, h_C.h_minus) == (pj, qj)
     return {
         "reconstruction_residual": float(residual),

@@ -15,6 +15,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from .bkfact import bk_factorize, bk_verify
 from .decomp import decompose, projections, validate
 from .densela import Tolerance, spectral_norm
@@ -99,7 +101,7 @@ def _print_indices_line(label: str, triple) -> None:
 def cmd_indices(args) -> int:
     (C,), tol = _load_operators(args, args.input)
     idx = hermitian_indices(C, tol)
-    ip, im = space_indices(C.domain, tol)
+    ip, im = space_indices(C.domain)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "indices",
@@ -168,13 +170,9 @@ def cmd_factorize(args) -> int:
         "factor": matrix_to_obj(F.A.matrix),
         "verify": rep,
     }
-    if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
-        _write_json(os.path.join(args.out, "factor_space.json"),
-                    matrix_to_obj(F.A_space.J))
-        _write_json(os.path.join(args.out, "factor.json"),
-                    matrix_to_obj(F.A.matrix))
-        _write_json(os.path.join(args.out, "verify.json"), rep)
+    _write_outputs(args.out, {"factor_space": report["factor_space"]["J"],
+                              "factor": report["factor"],
+                              "verify": report["verify"]})
 
     def render(r):
         fs = r["factor_space"]
@@ -244,14 +242,8 @@ def cmd_phillips(args) -> int:
         "maximal_minus": matrix_to_obj(ext.G_tilde_minus.basis),
         "dims": {"plus": ext.G_tilde_plus.dim, "minus": ext.G_tilde_minus.dim},
     }
-    if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
-        _write_json(os.path.join(args.out, "contraction.json"),
-                    matrix_to_obj(ext.G))
-        _write_json(os.path.join(args.out, "maximal_plus.json"),
-                    matrix_to_obj(ext.G_tilde_plus.basis))
-        _write_json(os.path.join(args.out, "maximal_minus.json"),
-                    matrix_to_obj(ext.G_tilde_minus.basis))
+    _write_outputs(args.out, {key: report[key] for key in
+                              ("contraction", "maximal_plus", "maximal_minus")})
 
     def render(r):
         print(f"contraction norm: {r['contraction_norm']:.6f}")
@@ -296,10 +288,18 @@ def cmd_property_suite(args) -> int:
     return 0 if report["passed"] else 1
 
 
-def _write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(obj))
-        fh.write("\n")
+def _write_outputs(out_dir: str | None, files: dict) -> None:
+    """Write each report entry to ``out_dir/<name>.json`` (skipped without --out)."""
+    if out_dir is None:
+        return
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for name, obj in files.items():
+            with open(os.path.join(out_dir, f"{name}.json"), "w", encoding="utf-8") as fh:
+                fh.write(dump_json(obj))
+                fh.write("\n")
+    except OSError as exc:
+        raise InputError(f"cannot write to {out_dir}: {exc}") from exc
 
 
 def _add_common(p: argparse.ArgumentParser, space: bool = True) -> None:
@@ -372,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):     # non-finite values are checked, not warned of
+            return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -33,7 +34,6 @@ __all__ = [
     "make_space",
     "hilbert_space",
     "space_indices",
-    "signature_split",
     "same_space",
     "identity_op",
     "k_adjoint",
@@ -52,6 +52,17 @@ class KreinSpace:
 
     dim: int
     J: np.ndarray
+
+    @cached_property
+    def signature(self) -> SpectralSplit:
+        """The fundamental decomposition: the split of J's Hermitian part into
+        its +1 and -1 eigenspaces, taken once per space; a zero band raises
+        ``NotSymmetry``.  No tolerance enters: a symmetry `make_space` accepts
+        has every eigenvalue near +1 or -1, far outside any valid band."""
+        split = spectral_split(0.5 * (self.J + self.J.conj().T))
+        if split.counts[2]:
+            raise NotSymmetry("fundamental symmetry has a numerically zero eigenvalue")
+        return split
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,18 +131,9 @@ def hilbert_space(n: int) -> KreinSpace:
     return KreinSpace(dim=n, J=np.eye(n, dtype=complex))
 
 
-def signature_split(H: KreinSpace, tol: Tolerance = Tolerance()) -> SpectralSplit:
-    """Spectral split of J into its +1 and -1 eigenspaces, the one source of
-    a space's signature; raises ``NotSymmetry`` on a zero band."""
-    split = spectral_split(H.J, tol)
-    if split.counts[2]:
-        raise NotSymmetry("fundamental symmetry has a numerically zero eigenvalue")
-    return split
-
-
-def space_indices(H: KreinSpace, tol: Tolerance = Tolerance()) -> tuple[int, int]:
+def space_indices(H: KreinSpace) -> tuple[int, int]:
     """(ind_plus, ind_minus): dimensions of the +1 and -1 eigenspaces of J."""
-    return signature_split(H, tol).counts[:2]
+    return H.signature.counts[:2]
 
 
 def identity_op(H: KreinSpace) -> KOperator:

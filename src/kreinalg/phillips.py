@@ -10,8 +10,8 @@ the central Parrott completion, which keeps the norm at the level
 forced by the fixed row and column.
 
 Every space is first rotated so its symmetry is diag(+1..., -1...);
-the rotation is recorded in the canonical frames and undone whenever a
-subspace is handed back in ambient coordinates.
+the rotation is the space's cached signature split, read through the
+canonical frames and undone whenever a subspace is handed back.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import (ContractionOverflow, DegenerateProjection, DimensionMismatc
                      Incompatible, InputError, NotContraction, NotSemidefinite)
 from .krein import (KreinSpace, Subspace, SubspaceClass, classify_subspace,
                     hilbert_space, identity_op, make_subspace, same_space,
-                    signature_split)
+                    space_indices)
 
 __all__ = [
     "GraphRep",
@@ -47,16 +47,12 @@ class GraphRep:
     ``M`` lives in the positive component (sign "plus") or in the
     modulus of the negative one (sign "minus"); ``angle`` maps M's basis
     vectors to their cross components, one column per basis vector.
-    ``U_plus``/``U_minus`` are the canonical frames of the ambient
-    space, kept so the represented subspace can be rebuilt exactly.
     """
 
     sign: str
     M: Subspace
     angle: np.ndarray
     space: KreinSpace
-    U_plus: np.ndarray
-    U_minus: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,9 +65,9 @@ class MaximalPair:
     space: KreinSpace
 
 
-def canonical_frames(H: KreinSpace, tol: Tolerance = Tolerance()):
+def canonical_frames(H: KreinSpace):
     """Orthonormal eigenframes (U_plus, U_minus) of the symmetry J."""
-    split = signature_split(H, tol)
+    split = H.signature
     V = split.eigenvectors
     return V[:, split.plus], V[:, split.minus]
 
@@ -97,7 +93,7 @@ def graph_rep(S: Subspace, sign: str, tol: Tolerance = Tolerance()) -> GraphRep:
     if cls not in allowed:
         raise NotSemidefinite(f"subspace classifies as {cls.value}, not {sign}-semidefinite")
 
-    U_plus, U_minus = canonical_frames(H, tol)
+    U_plus, U_minus = canonical_frames(H)
     own, other = (U_plus, U_minus) if sign == "plus" else (U_minus, U_plus)
     P = own.conj().T @ S.basis
     cross = other.conj().T @ S.basis
@@ -106,17 +102,14 @@ def graph_rep(S: Subspace, sign: str, tol: Tolerance = Tolerance()) -> GraphRep:
         raise DegenerateProjection("coordinate projection of the subspace drops rank")
     M = make_subspace(hilbert_space(own.shape[1]), P, tol)
     angle = cross @ pinv(P, tol) @ M.basis
-    return GraphRep(sign=sign, M=M, angle=angle, space=H,
-                    U_plus=U_plus, U_minus=U_minus)
+    return GraphRep(sign=sign, M=M, angle=angle, space=H)
 
 
 def represented(rep: GraphRep, tol: Tolerance = Tolerance()) -> Subspace:
     """The subspace of the ambient space encoded by a graph representation."""
-    if rep.sign == "plus":
-        cols = rep.U_plus @ rep.M.basis + rep.U_minus @ rep.angle
-    else:
-        cols = rep.U_minus @ rep.M.basis + rep.U_plus @ rep.angle
-    return make_subspace(rep.space, cols, tol)
+    U_plus, U_minus = canonical_frames(rep.space)
+    own, other = (U_plus, U_minus) if rep.sign == "plus" else (U_minus, U_plus)
+    return make_subspace(rep.space, own @ rep.M.basis + other @ rep.angle, tol)
 
 
 def check_compatibility(Gp: GraphRep, Gm: GraphRep,
@@ -135,8 +128,8 @@ def check_compatibility(Gp: GraphRep, Gm: GraphRep,
     return norm_within(block, tol.residual_tol)
 
 
-def _graph_pair(G: np.ndarray, H: KreinSpace, U_plus: np.ndarray,
-                U_minus: np.ndarray, tol: Tolerance):
+def _graph_pair(G: np.ndarray, H: KreinSpace, tol: Tolerance):
+    U_plus, U_minus = canonical_frames(H)
     plus_cols = U_plus + U_minus @ G
     minus_cols = U_plus @ G.conj().T + U_minus
     return (make_subspace(H, plus_cols, tol), make_subspace(H, minus_cols, tol))
@@ -184,8 +177,7 @@ def phillips_extend(Gp: GraphRep, Gm: GraphRep,
     if not norm_within(G, 1.0 + 10.0 * tol.residual_tol):
         raise ContractionOverflow(
             f"assembled contraction has norm {spectral_norm(G):.12f}")
-    # check_compatibility has put Gp and Gm on one space: reuse its frames
-    plus, minus = _graph_pair(G, H, Gp.U_plus, Gp.U_minus, tol)
+    plus, minus = _graph_pair(G, H, tol)
     return MaximalPair(G=G, G_tilde_plus=plus, G_tilde_minus=minus, space=H)
 
 
@@ -196,11 +188,10 @@ def maximal_subspaces(G, A_space: KreinSpace, tol: Tolerance = Tolerance()):
     of the space and they are orthogonal to each other by construction.
     """
     G = np.asarray(G, dtype=complex)
-    U_plus, U_minus = canonical_frames(A_space, tol)
-    p, q = U_plus.shape[1], U_minus.shape[1]
+    p, q = space_indices(A_space)
     if G.shape != (q, p):
         raise DimensionMismatch(
             f"contraction shape {G.shape} does not match the split ({q}, {p})")
     if not norm_within(G, 1.0 + tol.residual_tol):
         raise NotContraction(f"operator norm {spectral_norm(G):.12f} exceeds 1")
-    return _graph_pair(G, A_space, U_plus, U_minus, tol)
+    return _graph_pair(G, A_space, tol)

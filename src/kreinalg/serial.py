@@ -66,7 +66,10 @@ def matrix_from_obj(obj, what: str = "matrix") -> np.ndarray:
             raise InputError(f"{what}: entry {k} does not fit in a double") from None
     if rows * cols and not np.isfinite(out).all():
         raise InputError(f"{what}: entries must be finite")
-    return out.reshape(rows, cols)
+    try:
+        return out.reshape(rows, cols)
+    except ValueError:      # an empty shape with a dimension numpy cannot index
+        raise InputError(f"{what}: {rows} x {cols} is too large a shape") from None
 
 
 def problem_from_obj(obj) -> tuple[np.ndarray | None, np.ndarray, Tolerance]:

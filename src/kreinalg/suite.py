@@ -16,13 +16,13 @@ from .decomp import decompose, projections, validate
 from .densela import (Tolerance, norm_within, psd_sqrt, rank, spectral_norm,
                       spectral_split)
 from .errors import InputError
-from .genrand import (GenConfig, gen_injective_factor, gen_invertible,
-                      gen_selfadjoint, gen_space, gen_space_with_split,
-                      haar_unitary, j_unitary)
+from .genrand import (GenConfig, complex_gaussian, gen_injective_factor,
+                      gen_invertible, gen_selfadjoint, gen_space,
+                      gen_space_with_split, haar_unitary, j_unitary)
 from .hermdex import build_congruence, canonical_form, hermitian_indices, \
     is_congruent, transport
-from .krein import (KOperator, hilbert_space, k_adjoint, make_space,
-                    make_subspace, space_indices)
+from .krein import (KOperator, hilbert_space, k_adjoint, make_subspace,
+                    space_indices)
 from .phillips import (canonical_frames, check_compatibility, graph_rep,
                        phillips_extend, represented)
 
@@ -268,8 +268,8 @@ def keyth_battery(seed: int, count: int = 300, dim_max: int = 8,
         report = keyth_verify(C, fact, tol)
         ok = report["passed"]
 
-        A_kre = make_space(J_A, tol)
-        pA, qA = space_indices(A_kre, tol)
+        A_kre = fact.A_space
+        pA, qA = space_indices(A_kre)
         dec = decompose(C, tol)
         Sp = make_subspace(A_kre, T_mat @ dec.M_plus.basis, tol)
         Sm = make_subspace(A_kre, T_mat @ dec.M_minus.basis, tol)
@@ -301,7 +301,7 @@ def phillips_battery(seed: int, count: int = 300, dim_max: int = 8,
         q = n - p
         s1 = _seeds(seed, 7, 10 ** 6 + i, 1)[0]
         A_kre = gen_space_with_split(GenConfig(s1), p, q)
-        U_plus, U_minus = canonical_frames(A_kre, tol)
+        U_plus, U_minus = canonical_frames(A_kre)
         G0 = _random_contraction(rng, q, p, 0.95)
         mp = int(rng.integers(0, p + 1))
         mm = int(rng.integers(0, q + 1))
@@ -341,9 +341,7 @@ def _random_contraction(rng: np.random.Generator, rows: int, cols: int,
                         cap: float) -> np.ndarray:
     if rows == 0 or cols == 0:
         return np.zeros((rows, cols), dtype=complex)
-    Z = (rng.standard_normal((rows, cols))
-         + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
-    U, _, Vh = np.linalg.svd(Z, full_matrices=False)
+    U, _, Vh = np.linalg.svd(complex_gaussian(rng, rows, cols), full_matrices=False)
     s = rng.uniform(0.0, cap, min(rows, cols))
     return (U * s) @ Vh
 

@@ -192,3 +192,9 @@ def test_signature_factorization_uses_caller_tolerance():
     loose = Tolerance(residual_tol=1e-5)
     S = SignatureFactorization(K_space=E, J_A=J_A, T=op(E, np.eye(2)), tol=loose)
     assert S.tol == loose
+    # J_A was validated once, under S.tol: checking the factorization at
+    # the default tolerance reads that space and does not re-check J_A
+    rep = keyth_verify(op(E, np.diag([1.0, -1.0])), S)
+    assert rep["signature_indices"] == [1, 1] and rep["index_equality"]
+    assert not rep["passed"]                 # the 1e-6 shows in the residual
+

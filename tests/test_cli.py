@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -77,10 +78,11 @@ def test_factorize_writes_outputs(capsys, c2_file, tmp_path):
     assert code == 0
     assert rep["verify"]["passed"]
     assert rep["factor_space"]["ind_plus"] == 1
-    for name in ("factor.json", "factor_space.json", "verify.json"):
-        assert (out_dir / name).exists()
-    stored = json.loads((out_dir / "verify.json").read_text())
-    assert stored["passed"]
+    # each file is its report entry, written in the report's own rendering
+    for name, entry in (("factor_space", rep["factor_space"]["J"]),
+                        ("factor", rep["factor"]), ("verify", rep["verify"])):
+        assert (out_dir / f"{name}.json").read_text() == dump_json(entry) + "\n"
+    assert json.loads((out_dir / "verify.json").read_text())["passed"]
 
 
 def test_congruent_verdicts(capsys, tmp_path):
@@ -105,6 +107,24 @@ def test_phillips_half_pair(capsys, tmp_path):
     assert G["data"][0][0] == pytest.approx(0.5, abs=1e-12)
     assert abs(G["data"][0][1]) < 1e-12
     assert rep["dims"] == {"plus": 1, "minus": 1}
+
+
+def test_phillips_writes_outputs(capsys, tmp_path):
+    p = write(tmp_path / "p.json", matrix_to_obj(np.array([[1.0], [0.5]])))
+    m = write(tmp_path / "m.json", matrix_to_obj(np.array([[0.5], [1.0]])))
+    s = write(tmp_path / "j.json", matrix_to_obj(J2))
+    out_dir = tmp_path / "ext"
+    code, rep = run_machine(capsys, ["phillips", p, m, "--space", s,
+                                     "--out", str(out_dir), "--machine"])
+    assert code == 0
+    for name in ("contraction", "maximal_plus", "maximal_minus"):
+        assert (out_dir / f"{name}.json").read_text() == dump_json(rep[name]) + "\n"
+    # an unwritable --out is an input error with a one-line message
+    capsys.readouterr()
+    blocked = str(out_dir / "contraction.json")          # a file, not a directory
+    assert main(["phillips", p, m, "--space", s, "--out", blocked]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
 
 
 def test_phillips_incompatible_exit_code(capsys, tmp_path):
@@ -145,12 +165,19 @@ def test_exit_code_input_error(capsys, tmp_path):
         "not_utf8": b"\xff\xfe",
         "non_square": json.dumps({"rows": 2, "cols": 3, "data": [[0.0, 0.0]] * 6}),
         "huge_rows": json.dumps({"rows": 10 ** 10, "cols": 0, "data": []}),
+        "unindexable_rows": json.dumps({"rows": 2 ** 62, "cols": 0, "data": []}),
+        "huge_int_rows": json.dumps({"rows": 10 ** 400, "cols": 0, "data": []}),
+        "overflowing_symmetry": json.dumps(
+            {"operator": matrix_to_obj(np.eye(2)),
+             "space": {"J": matrix_to_obj(np.diag([1e300, -1.0]))}}),
     }
     for name, text in hostile.items():
         path = tmp_path / f"{name}.json"
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
         capsys.readouterr()
-        assert main(["indices", "-i", str(path)]) == 2, name
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # a printed warning is a second line
+            assert main(["indices", "-i", str(path)]) == 2, name
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, name
 

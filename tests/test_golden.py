@@ -28,6 +28,8 @@ CASES = {
     "congruent": ["congruent", "problem8.json", "pair8_b.json", "--machine"],
     "phillips": ["phillips", "plus8.json", "minus8.json", "--space", "space8.json",
                  "--machine"],
+    # no --space: the Hilbert space's frames come from the identity
+    "phillips-hilbert": ["phillips", "plus8.json", "empty8.json", "--machine"],
     "property-suite": ["property-suite", "--seed", "20260822", "--count", "3",
                        "--machine"],
     # operand loading: matrix files, --space, tolerance flags
@@ -97,8 +99,8 @@ def write_inputs() -> None:
 def write_loader_inputs() -> None:
     """Matrix-file operands for the loader cases: problem8's operator and
     symmetry as separate files, its Hermitian representative J C for
-    Hilbert mode, and a kernel-free operator on a (4, 4) space that is
-    not congruent to it."""
+    Hilbert mode, a kernel-free operator on a (4, 4) space that is not
+    congruent to it, and an empty basis of 8-vectors."""
     sys.path.insert(0, str(SRC))
     from kreinalg.genrand import GenConfig, gen_selfadjoint, gen_space_with_split
     from kreinalg.serial import dump_json, load_json, matrix_from_obj, matrix_to_obj
@@ -117,6 +119,7 @@ def write_loader_inputs() -> None:
     D = gen_selfadjoint(GenConfig(808, kernel_prob=0.0), H)
     write("other8.json", {"space": {"J": matrix_to_obj(H.J)},
                           "operator": matrix_to_obj(D.matrix)})
+    write("empty8.json", {"rows": 8, "cols": 0, "data": []})
 
 
 if __name__ == "__main__":

@@ -30,11 +30,36 @@ def test_canonical_frames_split():
         S = gen_space_with_split(GenConfig(seed), p, q)
         Up, Um = canonical_frames(S)
         assert (Up.shape[1], Um.shape[1]) == space_indices(S) == (p, q)
-    # a zero eigenvalue is no signature: both readers reject it
+    # both readers take the one split cached on the space
+    assert S.signature is S.signature
+    assert np.array_equal(Up, S.signature.eigenvectors[:, S.signature.plus])
+    # a zero eigenvalue is no signature: both readers reject it, every time
     degenerate = KreinSpace(2, np.diag([1.0, 0.0]).astype(complex))
-    for reader in (space_indices, canonical_frames):
+    for reader in (space_indices, canonical_frames, space_indices):
         with pytest.raises(NotSymmetry):
             reader(degenerate)
+
+
+def test_symmetry_is_split_once_per_space(monkeypatch):
+    import kreinalg.densela as densela
+    H = make_space(J4)
+    splits = []
+    herm_eig = densela.herm_eig
+
+    def counted(M, *rest):
+        if np.shape(M) == H.J.shape and np.allclose(M, H.J):
+            splits.append(M)
+        return herm_eig(M, *rest)
+
+    monkeypatch.setattr(densela, "herm_eig", counted)
+    gp = graph_rep(make_subspace(H, col(1.0, 0.0, 0.5, 0.5)), "plus")
+    gm = graph_rep(make_subspace(H, col(0.5, 0.5, 1.0, 0.0)), "minus")
+    ext = phillips_extend(gp, gm)
+    represented(gp)
+    represented(gm)
+    maximal_subspaces(ext.G, H)
+    assert canonical_frames(H)[0].shape[1] == 2 and space_indices(H) == (2, 2)
+    assert len(splits) == 1
 
 
 def test_graph_rep_roundtrip():

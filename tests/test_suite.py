@@ -1,9 +1,11 @@
 import json
+import sys
 
 import pytest
 
 from kreinalg.suite import (DEFAULT_COUNTS, bk_converse_battery,
-                            bk_roundtrip_battery, run_property_suite)
+                            bk_roundtrip_battery, keyth_battery,
+                            run_property_suite)
 
 
 def test_report_shape_and_determinism():
@@ -41,6 +43,27 @@ def test_converse_battery_refactorizations():
     assert rep["passed"]
     assert rep["refactorizations"] == 5
     assert rep["refactorization_failures"] == 0
+
+
+def test_keyth_battery_validates_each_symmetry_once(monkeypatch):
+    import kreinalg.bkfact as bkfact
+    import kreinalg.krein as krein
+    spaces, read = [], []
+    make_space, space_indices = krein.make_space, krein.space_indices
+
+    def counted(J, *rest):
+        spaces.append(make_space(J, *rest))
+        return spaces[-1]
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("kreinalg")]:
+        if getattr(mod, "make_space", None) is make_space:
+            monkeypatch.setattr(mod, "make_space", counted)
+    monkeypatch.setattr(bkfact, "space_indices",
+                        lambda H: read.append(H) or space_indices(H))
+    assert keyth_battery(9, count=6)["passed"]
+    assert len(spaces) == 6
+    # keyth_verify reads the space its SignatureFactorization validated
+    assert len(read) == 6 and all(a is b for a, b in zip(read, spaces))
 
 
 @pytest.fixture(scope="module")
