@@ -27,8 +27,7 @@ from .hermdex import (build_congruence, hermitian_indices, require_equal_dims,
 from .krein import (KOperator, KreinSpace, hilbert_space, make_space,
                     make_subspace, space_indices)
 from .phillips import graph_rep, phillips_extend
-from .serial import (dump_json, load_json, matrix_from_obj, matrix_to_obj,
-                     problem_from_obj)
+from .serial import load_json, matrix_from_obj, problem_from_obj, write_json
 from .suite import run_property_suite
 
 __all__ = ["main", "main_entry", "build_parser"]
@@ -89,7 +88,7 @@ def _load_operators(args, *paths) -> tuple[list[KOperator], Tolerance]:
 
 def _emit(report: dict, args, render) -> None:
     if args.machine:
-        print(dump_json(report))
+        write_json(report, sys.stdout)
     else:
         render(report)
 
@@ -128,14 +127,14 @@ def cmd_decompose(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": "decompose",
         "bases": {
-            "plus": matrix_to_obj(dec.M_plus.basis),
-            "minus": matrix_to_obj(dec.M_minus.basis),
-            "zero": matrix_to_obj(dec.M_zero.basis),
+            "plus": dec.M_plus.basis,
+            "minus": dec.M_minus.basis,
+            "zero": dec.M_zero.basis,
         },
         "projections": {
-            "plus": matrix_to_obj(P.Q_plus.matrix),
-            "minus": matrix_to_obj(P.Q_minus.matrix),
-            "zero": matrix_to_obj(P.Q_zero.matrix),
+            "plus": P.Q_plus.matrix,
+            "minus": P.Q_minus.matrix,
+            "zero": P.Q_zero.matrix,
         },
         "validation": rep,
     }
@@ -165,9 +164,9 @@ def cmd_factorize(args) -> int:
             "dim": F.A_space.dim,
             "ind_plus": ip,
             "ind_minus": im,
-            "J": matrix_to_obj(F.A_space.J),
+            "J": F.A_space.J,
         },
-        "factor": matrix_to_obj(F.A.matrix),
+        "factor": F.A.matrix,
         "verify": rep,
     }
     _write_outputs(args.out, {"factor_space": report["factor_space"]["J"],
@@ -202,7 +201,7 @@ def cmd_congruent(args) -> int:
         X = build_congruence(A, B, tol)
         resid = spectral_norm(A.matrix - transport(B, X, tol).matrix)
         scale = max(spectral_norm(A.matrix), spectral_norm(B.matrix))
-        report["X"] = matrix_to_obj(X.X.matrix)
+        report["X"] = X.X.matrix
         report["residual"] = float(resid / scale if scale > 0 else resid)
 
     def render(r):
@@ -236,10 +235,10 @@ def cmd_phillips(args) -> int:
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "phillips",
-        "contraction": matrix_to_obj(ext.G),
+        "contraction": ext.G,
         "contraction_norm": float(spectral_norm(ext.G)),
-        "maximal_plus": matrix_to_obj(ext.G_tilde_plus.basis),
-        "maximal_minus": matrix_to_obj(ext.G_tilde_minus.basis),
+        "maximal_plus": ext.G_tilde_plus.basis,
+        "maximal_minus": ext.G_tilde_minus.basis,
         "dims": {"plus": ext.G_tilde_plus.dim, "minus": ext.G_tilde_minus.dim},
     }
     _write_outputs(args.out, {key: report[key] for key in
@@ -296,8 +295,7 @@ def _write_outputs(out_dir: str | None, files: dict) -> None:
         os.makedirs(out_dir, exist_ok=True)
         for name, obj in files.items():
             with open(os.path.join(out_dir, f"{name}.json"), "w", encoding="utf-8") as fh:
-                fh.write(dump_json(obj))
-                fh.write("\n")
+                write_json(obj, fh)
     except OSError as exc:
         raise InputError(f"cannot write to {out_dir}: {exc}") from exc
 

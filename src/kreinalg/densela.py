@@ -50,6 +50,7 @@ __all__ = [
     "norm_within",
     "herm_eig",
     "spectral_split",
+    "band_split",
     "inertia",
     "psd_sqrt",
     "rank",
@@ -206,7 +207,12 @@ def spectral_split(M, tol: Tolerance = Tolerance(),
     round-off (a Gram matrix of a neutral subspace, say) so noise does
     not masquerade as signature.
     """
-    eig = herm_eig(M, tol)
+    return band_split(herm_eig(M, tol), tol, scale)
+
+
+def band_split(eig: HermEig, tol: Tolerance = Tolerance(),
+               scale: float | None = None) -> SpectralSplit:
+    """The sign bands of :func:`spectral_split` over a known eigendecomposition."""
     w = eig.eigenvalues
     own = float(np.max(np.abs(w))) if w.size else 0.0
     band = tol.rank_tol * max(own, scale if scale is not None else 0.0)

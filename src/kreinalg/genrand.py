@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, InputError
 from .hermdex import Congruence
@@ -103,6 +102,7 @@ def j_unitary(rng: np.random.Generator, J: np.ndarray, clamp: float = 2.0) -> np
     norm = np.linalg.norm(S, 2)
     if norm > clamp:
         S *= clamp / norm
+    import scipy.linalg     # here alone, so the command line starts without scipy
     return scipy.linalg.expm(S)
 
 

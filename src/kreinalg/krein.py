@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .densela import (SpectralSplit, Tolerance, inertia, norm_within, range_basis,
-                      spectral_norm, spectral_split)
+from .densela import (HermEig, SpectralSplit, Tolerance, band_split, inertia,
+                      norm_within, range_basis, spectral_norm, spectral_split)
 from .errors import DimensionMismatch, InputError, NotSelfadjoint, NotSymmetry
 
 __all__ = [
@@ -127,8 +127,12 @@ def make_space(J, tol: Tolerance = Tolerance()) -> KreinSpace:
 
 
 def hilbert_space(n: int) -> KreinSpace:
-    """The Euclidean space of dimension n (J = I)."""
-    return KreinSpace(dim=n, J=np.eye(n, dtype=complex))
+    """The Euclidean space of dimension n (J = I).  Its signature is seeded
+    with what ``eigh(I)`` returns, every eigenvalue 1 and eigenvectors I,
+    so it is never eigendecomposed."""
+    H = KreinSpace(dim=n, J=np.eye(n, dtype=complex))
+    vars(H)["signature"] = band_split(HermEig(np.ones(n), np.eye(n, dtype=complex)))
+    return H
 
 
 def space_indices(H: KreinSpace) -> tuple[int, int]:

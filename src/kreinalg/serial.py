@@ -4,6 +4,9 @@ Complex entries travel as [re, im] pairs, row-major, so files are
 locale-proof and round-trip bit-exactly.  A problem file carries an
 operator, an optional space (J defaults to the identity, Hilbert mode),
 and optional tolerance overrides.
+
+Reports hold their matrices as arrays; the writer renders them one at a
+time, so at most one matrix exists as Python lists or text.
 """
 
 from __future__ import annotations
@@ -21,12 +24,13 @@ __all__ = [
     "problem_from_obj",
     "load_json",
     "dump_json",
+    "write_json",
 ]
 
 
 def matrix_to_obj(M) -> dict:
     A = np.asarray(M, dtype=complex)
-    data = [[float(x.real), float(x.imag)] for x in A.reshape(-1)]
+    data = np.stack([A.real, A.imag], -1).reshape(-1, 2).tolist()
     return {"rows": int(A.shape[0]), "cols": int(A.shape[1]), "data": data}
 
 
@@ -115,6 +119,39 @@ def load_json(path):
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
 
 
+def _matrix_default(value):
+    if isinstance(value, np.ndarray):
+        return matrix_to_obj(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"),
+                      default=_matrix_default)
+
+
+def _chunks(obj):
+    """The canonical text of ``obj`` in pieces: a dict is walked key by key,
+    any other value (an array, or a list with its arrays) is one piece."""
+    if isinstance(obj, dict):
+        yield "{"
+        for k, key in enumerate(sorted(obj)):
+            yield f"{',' if k else ''}{_dumps(key)}:"
+            yield from _chunks(obj[key])
+        yield "}"
+    else:
+        yield _dumps(obj)
+
+
 def dump_json(obj) -> str:
-    """Canonical single-document rendering: sorted keys, no whitespace drift."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Canonical single-document rendering: sorted keys, no whitespace drift.
+    An array anywhere in ``obj`` renders as its :func:`matrix_to_obj` object."""
+    return "".join(_chunks(obj))
+
+
+def write_json(obj, fh) -> None:
+    """Write :func:`dump_json` of ``obj`` and a newline to ``fh``, piece by
+    piece, so that a report's matrices are rendered one at a time."""
+    for chunk in _chunks(obj):
+        fh.write(chunk)
+    fh.write("\n")

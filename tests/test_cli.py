@@ -275,6 +275,14 @@ def test_machine_reports_are_byte_stable_subprocess(tmp_path):
     assert a.stdout.strip()
 
 
+def test_cli_starts_without_scipy():
+    # scipy serves only the generators' matrix exponential
+    code = "import sys, kreinalg.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"
+
+
 def test_large_dimension_smoke(capsys, tmp_path):
     # n = 64: indices and factorization agree at the dimension cap
     from kreinalg.genrand import GenConfig, gen_selfadjoint, gen_space_with_split

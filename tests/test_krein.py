@@ -38,6 +38,31 @@ def test_hilbert_space():
     assert hilbert_space(0).dim == 0
 
 
+@pytest.mark.parametrize("n", [0, 1, 5, 64])
+def test_hilbert_space_signature_is_seeded(monkeypatch, n):
+    import kreinalg.densela as densela
+    from kreinalg.phillips import canonical_frames
+    # the seed is exactly the split an eigendecomposition of I gives
+    split = densela.spectral_split(np.eye(n, dtype=complex))
+    calls = []
+    herm_eig = densela.herm_eig
+
+    def counted(M, *rest):
+        calls.append(M)
+        return herm_eig(M, *rest)
+
+    monkeypatch.setattr(densela, "herm_eig", counted)
+    assert space_indices(hilbert_space(n)) == (n, 0)
+    U_plus, U_minus = canonical_frames(hilbert_space(n))
+    assert calls == []
+    seeded = hilbert_space(n).signature
+    for field in ("eigenvalues", "eigenvectors", "plus", "minus", "zero"):
+        got, want = getattr(seeded, field), getattr(split, field)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert (seeded.band, seeded.counts) == (split.band, split.counts)
+    assert np.array_equal(U_plus, np.eye(n)) and U_minus.shape == (n, 0)
+
+
 def test_space_indices(k2):
     assert space_indices(k2) == (1, 1)
     assert space_indices(make_space(np.diag([1.0, 1.0, -1.0]))) == (2, 1)
