@@ -13,23 +13,23 @@ from .densela import (HermEig, Tolerance, herm_eig, inertia, null_basis,
 from .errors import (ContractionOverflow, DegenerateProjection,
                      DimensionMismatch, IllConditioned, Incompatible,
                      InputError, KreinError, NoConvergence, NotCongruent,
-                     NotContraction, NotDirect, NotHermitian, NotInvertible,
-                     NotPSD, NotSelfadjoint, NotSemidefinite, NotSymmetry,
+                     NotDirect, NotHermitian, NotInvertible, NotPSD,
+                     NotSelfadjoint, NotSemidefinite, NotSymmetry,
                      NumericalError, PreconditionError, PreconditionFailed)
 from .krein import (IndexTriple, KOperator, KreinSpace, Subspace,
-                    SubspaceClass, c_inner, c_orthogonal, classify_subspace,
+                    SubspaceClass, c_orthogonal, classify_subspace,
                     hilbert_space, identity_op, is_selfadjoint, k_adjoint,
                     make_space, make_subspace, space_indices)
 from .hermdex import (CanonicalForm, Congruence, build_congruence,
                       canonical_form, hermitian_indices, is_congruent,
-                      make_congruence, to_hilbert, transport)
+                      transport)
 from .decomp import Decomposition, DecompositionProjections, decompose, \
     projections, validate
-from .bkfact import (BKFactorization, ContainedSpace, SignatureFactorization,
-                     bk_factorize, bk_verify, contained_space, keyth_verify)
+from .bkfact import (BKFactorization, SignatureFactorization, bk_factorize,
+                     bk_verify, keyth_verify)
 from .phillips import (GraphRep, MaximalPair, canonical_frames,
-                       check_compatibility, graph_rep, maximal_subspaces,
-                       phillips_extend, represented)
+                       check_compatibility, graph_rep, phillips_extend,
+                       represented)
 from .genrand import (GenConfig, complex_gaussian, gen_injective_factor,
                       gen_invertible, gen_selfadjoint, gen_space,
                       gen_space_with_split, haar_unitary, j_unitary)
@@ -44,22 +44,20 @@ __all__ = [
     "NotHermitian", "NotPSD", "NotSymmetry", "NotSelfadjoint",
     "NotInvertible", "IllConditioned", "NotCongruent", "NotDirect",
     "NotSemidefinite", "DegenerateProjection", "Incompatible",
-    "NotContraction", "DimensionMismatch", "PreconditionFailed",
+    "DimensionMismatch", "PreconditionFailed",
     "NoConvergence", "ContractionOverflow",
     "KreinSpace", "KOperator", "Subspace", "IndexTriple", "SubspaceClass",
     "make_space", "hilbert_space", "space_indices", "identity_op",
-    "k_adjoint", "c_inner", "is_selfadjoint", "make_subspace",
+    "k_adjoint", "is_selfadjoint", "make_subspace",
     "classify_subspace", "c_orthogonal",
-    "Congruence", "CanonicalForm", "make_congruence", "hermitian_indices",
-    "transport", "to_hilbert", "canonical_form", "is_congruent",
-    "build_congruence",
+    "Congruence", "CanonicalForm", "hermitian_indices", "transport",
+    "canonical_form", "is_congruent", "build_congruence",
     "Decomposition", "DecompositionProjections", "decompose", "validate",
     "projections",
-    "BKFactorization", "SignatureFactorization", "ContainedSpace",
-    "bk_factorize", "bk_verify", "keyth_verify", "contained_space",
+    "BKFactorization", "SignatureFactorization", "bk_factorize",
+    "bk_verify", "keyth_verify",
     "GraphRep", "MaximalPair", "canonical_frames", "graph_rep",
     "represented", "check_compatibility", "phillips_extend",
-    "maximal_subspaces",
     "GenConfig", "complex_gaussian", "haar_unitary", "j_unitary",
     "gen_space", "gen_space_with_split", "gen_selfadjoint",
     "gen_invertible", "gen_injective_factor",

@@ -7,9 +7,7 @@ the hermitian indices of C.  `bk_factorize` builds one canonical such
 factorization from the spectral bands of the Hilbert representative
 J C; `bk_verify` checks an arbitrary candidate, which is exactly the
 converse direction.  `keyth_verify` handles the signature-operator
-variant C = T^H J_A T on a Hilbert space, and `contained_space`
-repackages the factorization as the range of A carrying the transferred
-inner product.
+variant C = T^H J_A T on a Hilbert space.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densela import Tolerance, norm_within, null_basis, rank, spectral_norm
+from .densela import Tolerance, norm_within, rank, spectral_norm
 from .errors import DimensionMismatch, NotSymmetry, PreconditionFailed
 from .hermdex import hermitian_indices
 from .krein import (KOperator, KreinSpace, k_adjoint, is_selfadjoint, make_space,
@@ -27,11 +25,9 @@ from .krein import (KOperator, KreinSpace, k_adjoint, is_selfadjoint, make_space
 __all__ = [
     "BKFactorization",
     "SignatureFactorization",
-    "ContainedSpace",
     "bk_factorize",
     "bk_verify",
     "keyth_verify",
-    "contained_space",
 ]
 
 _UNIQUENESS_NOTE = ("factorizations of a fixed operator differ only by a "
@@ -72,14 +68,6 @@ class SignatureFactorization:
         object.__setattr__(self, "A_space", A_space)
 
 
-@dataclass(frozen=True, eq=False)
-class ContainedSpace:
-    """ran A with the inner product that makes the inclusion an isomorphism."""
-
-    basis: np.ndarray
-    gram: np.ndarray
-
-
 def bk_factorize(C: KOperator, tol: Tolerance = Tolerance()) -> BKFactorization:
     """Canonical factorization C = A A* with ker A = {0}.
 
@@ -116,7 +104,7 @@ def bk_verify(C: KOperator, F: BKFactorization, tol: Tolerance = Tolerance()) ->
     diff = C.matrix - F.A.matrix @ A_star.matrix
     c_norm = spectral_norm(C.matrix)
     residual = spectral_norm(diff) / c_norm if c_norm > 0 else spectral_norm(diff)
-    injective = null_basis(F.A.matrix, tol).shape[1] == 0
+    injective = rank(F.A.matrix, tol) == F.A.domain.dim
     ind = space_indices(F.A_space)
     idx = hermitian_indices(C, tol)
     index_equality = (ind[0] == idx.h_plus and ind[1] == idx.h_minus
@@ -147,7 +135,7 @@ def keyth_verify(C: KOperator, S: SignatureFactorization,
         failures.append("operator space is not a Hilbert space")
     if not is_selfadjoint(C, tol):
         failures.append("operator is not selfadjoint")
-    elif null_basis(C.matrix, tol).shape[1] != 0:
+    elif (h_C := hermitian_indices(C, tol)).h_zero != 0:
         failures.append("operator has a nontrivial kernel")
     if failures:
         raise PreconditionFailed(failures)
@@ -159,7 +147,6 @@ def keyth_verify(C: KOperator, S: SignatureFactorization,
     residual = spectral_norm(C.matrix - recon) / c_norm if c_norm > 0 else 0.0
     r = rank(S.T.matrix, tol)
     ker_trivial, range_dense = r == H.dim, r == S.K_space.dim
-    h_C = hermitian_indices(C, tol)
     pj, qj = space_indices(S.A_space)
     index_equality = (h_C.h_plus, h_C.h_minus) == (pj, qj)
     return {
@@ -172,23 +159,3 @@ def keyth_verify(C: KOperator, S: SignatureFactorization,
         "passed": bool(residual <= tol.residual_tol and ker_trivial
                        and range_dense and index_equality),
     }
-
-
-def contained_space(C: KOperator, tol: Tolerance = Tolerance()) -> ContainedSpace:
-    """ran A as a subspace of H carrying the factor-space inner product.
-
-    Basis columns are Euclidean-orthonormal in H; the Gram matrix is the
-    pulled-back factor-space inner product on that basis, so its inertia
-    reproduces the hermitian indices of C and the inclusion map is an
-    isomorphism onto the factor space.
-    """
-    F = bk_factorize(C, tol)
-    A = F.A.matrix
-    r = F.A_space.dim
-    if r == 0:
-        return ContainedSpace(basis=np.zeros((C.domain.dim, 0), dtype=complex),
-                              gram=np.zeros((0, 0), dtype=complex))
-    Q, R = np.linalg.qr(A)
-    R_inv = np.linalg.solve(R, np.eye(r, dtype=complex))
-    G = R_inv.conj().T @ F.A_space.J @ R_inv
-    return ContainedSpace(basis=Q, gram=0.5 * (G + G.conj().T))

@@ -260,19 +260,14 @@ def _resolve_seed(args) -> int:
     if env is None:
         return 0
     try:
-        value = int(env, 10)
+        return int(env, 10)
     except ValueError:
         raise InputError(f"KREIN_SEED is not a decimal integer: {env!r}")
-    if not 0 <= value < 2 ** 64:
-        raise InputError("KREIN_SEED must fit in an unsigned 64-bit integer")
-    return value
 
 
 def cmd_property_suite(args) -> int:
     tol = _merge_tolerance(args, None)
-    seed = _resolve_seed(args)
-    count = args.count if args.count is not None else None
-    report = run_property_suite(seed, count, args.dim_max, tol)
+    report = run_property_suite(_resolve_seed(args), args.count, args.dim_max, tol)
     report["schema_version"] = SCHEMA_VERSION
     report["command"] = "property-suite"
 

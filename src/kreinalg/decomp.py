@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densela import Tolerance, norm_within, null_basis, rank, spectral_norm, svd
+from .densela import Tolerance, norm_within, rank, spectral_norm, svd
 from .errors import DimensionMismatch, NotDirect
 from .hermdex import hermitian_indices
 from .krein import (KOperator, Subspace, SubspaceClass, c_orthogonal,
@@ -79,10 +79,9 @@ def validate(C: KOperator, dec: Decomposition, tol: Tolerance = Tolerance()) -> 
 
     cls_plus = classify_subspace(C, mp, tol)
     cls_minus = classify_subspace(C, mm, tol)
-    kernel_dim = null_basis(C.matrix, tol).shape[1]
     kernel_part = C.matrix @ mz.basis
     kernel_residual = spectral_norm(kernel_part)
-    kernel_ok = (mz.dim == kernel_dim
+    kernel_ok = (mz.dim == idx.h_zero
                  and norm_within(kernel_part, tol.residual_tol, C.matrix, floor=1.0))
     sign_ok = ((mp.dim == 0 or cls_plus == SubspaceClass.STRICTLY_POSITIVE)
                and (mm.dim == 0 or cls_minus == SubspaceClass.STRICTLY_NEGATIVE)

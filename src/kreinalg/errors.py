@@ -73,10 +73,6 @@ class Incompatible(PreconditionError):
     """Graph pair is not orthogonal, so no joint extension exists."""
 
 
-class NotContraction(PreconditionError):
-    """Operator expected to be a contraction has norm above 1."""
-
-
 class DimensionMismatch(PreconditionError):
     """Operands live on spaces of different dimensions."""
 

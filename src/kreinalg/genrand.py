@@ -43,6 +43,8 @@ _KIND_FACTOR = 4
 
 # Nonzero eigenvalue magnitudes of generated Hermitian representatives.
 _EIG_LO, _EIG_HI = 0.1, 3.0
+# Condition-number cap of generated invertible maps and injective factors.
+_COND_CAP = 1e3
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,6 @@ class GenConfig:
 
     seed: int
     dim_range: tuple[int, int] = (1, 8)
-    cond_cap: float = 1e3
     kernel_prob: float = 0.0
 
     def __post_init__(self):
@@ -60,8 +61,6 @@ class GenConfig:
         lo, hi = self.dim_range
         if not (0 <= lo <= hi <= 64):
             raise InputError(f"dim_range must sit inside [0, 64], got {self.dim_range}")
-        if self.cond_cap < 1.0:
-            raise InputError("cond_cap must be at least 1")
         if not (0.0 <= self.kernel_prob <= 1.0):
             raise InputError("kernel_prob must lie in [0, 1]")
 
@@ -155,7 +154,7 @@ def gen_selfadjoint(cfg: GenConfig, H: KreinSpace) -> KOperator:
 
 
 def gen_invertible(cfg: GenConfig, H: KreinSpace, K: KreinSpace) -> Congruence:
-    """Random invertible map H -> K with condition number at most cond_cap."""
+    """Random invertible map H -> K with condition number at most _COND_CAP."""
     if H.dim != K.dim:
         raise DimensionMismatch(
             f"invertible maps need equal dimensions, got {H.dim} and {K.dim}")
@@ -165,7 +164,7 @@ def gen_invertible(cfg: GenConfig, H: KreinSpace, K: KreinSpace) -> Congruence:
         empty = np.zeros((0, 0), dtype=complex)
         return Congruence(KOperator(H, K, empty), KOperator(K, H, empty))
     U, _, Vh = np.linalg.svd(complex_gaussian(rng, n, n))
-    root = np.sqrt(cfg.cond_cap)
+    root = np.sqrt(_COND_CAP)
     s = np.sort(rng.uniform(1.0 / root, root, n))[::-1]
     X = (U * s) @ Vh
     X_inv = (Vh.conj().T / s) @ U.conj().T
@@ -175,7 +174,7 @@ def gen_invertible(cfg: GenConfig, H: KreinSpace, K: KreinSpace) -> Congruence:
 def gen_injective_factor(cfg: GenConfig, A_space: KreinSpace, H: KreinSpace) -> KOperator:
     """Random full-column-rank factor from A_space into H.
 
-    Smallest singular value stays at or above 1/cond_cap, so injectivity
+    Smallest singular value stays at or above 1/_COND_CAP, so injectivity
     is numerically unambiguous.
     """
     if A_space.dim > H.dim:
@@ -186,6 +185,6 @@ def gen_injective_factor(cfg: GenConfig, A_space: KreinSpace, H: KreinSpace) -> 
     if r == 0:
         return KOperator(A_space, H, np.zeros((n, 0), dtype=complex))
     U, _, Vh = np.linalg.svd(complex_gaussian(rng, n, r), full_matrices=False)
-    s = np.sort(rng.uniform(1.0 / cfg.cond_cap, 1.5, r))[::-1]
+    s = np.sort(rng.uniform(1.0 / _COND_CAP, 1.5, r))[::-1]
     A = (U * s) @ Vh
     return KOperator(A_space, H, A)

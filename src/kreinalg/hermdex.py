@@ -27,10 +27,8 @@ __all__ = [
     "COND_CAP",
     "Congruence",
     "CanonicalForm",
-    "make_congruence",
     "hermitian_indices",
     "transport",
-    "to_hilbert",
     "canonical_form",
     "require_equal_dims",
     "is_congruent",
@@ -71,17 +69,6 @@ class CanonicalForm:
     X: Congruence
 
 
-def make_congruence(X: KOperator, tol: Tolerance = Tolerance()) -> Congruence:
-    """Wrap an invertible operator, computing and validating its inverse."""
-    if X.domain.dim != X.codomain.dim:
-        raise DimensionMismatch(
-            f"congruence must map between equal dimensions, got "
-            f"{X.domain.dim} -> {X.codomain.dim}")
-    U, s, V = conditioned_svd(X.matrix, tol, COND_CAP)
-    inv_mat = (V / s) @ U.conj().T
-    return Congruence(X, KOperator(X.codomain, X.domain, inv_mat), tol)
-
-
 def hermitian_indices(C: KOperator, tol: Tolerance = Tolerance()) -> IndexTriple:
     """(h_plus, h_minus, h_zero) via the inertia of J C."""
     return IndexTriple(*selfadjoint_split(C, tol, "the hermitian index triple").counts)
@@ -97,23 +84,6 @@ def transport(B: KOperator, X: Congruence, tol: Tolerance = Tolerance()) -> KOpe
     H, K = X.X.domain, X.X.codomain
     A = H.J @ X.X.matrix.conj().T @ K.J @ B.matrix @ X.X.matrix
     return KOperator(H, H, A)
-
-
-def to_hilbert(C: KOperator, tol: Tolerance = Tolerance()):
-    """Congruent Hilbert-space representative.
-
-    Returns (D, X) with D = J C on the Euclidean space of the same
-    coordinates and X the identity coordinate congruence, so C = X* D X
-    holds by the inner-product convention with no extra conditioning.
-    """
-    if not is_selfadjoint(C, tol):
-        raise NotSelfadjoint("Hilbert representative requires a selfadjoint operator")
-    H = C.domain
-    E = hilbert_space(H.dim)
-    D = KOperator(E, E, H.J @ C.matrix)
-    eye = np.eye(H.dim, dtype=complex)
-    X = Congruence(KOperator(H, E, eye), KOperator(E, H, eye), tol)
-    return D, X
 
 
 def canonical_form(C: KOperator, tol: Tolerance = Tolerance()) -> CanonicalForm:

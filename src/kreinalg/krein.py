@@ -37,7 +37,6 @@ __all__ = [
     "same_space",
     "identity_op",
     "k_adjoint",
-    "c_inner",
     "is_selfadjoint",
     "selfadjoint_split",
     "make_subspace",
@@ -158,18 +157,6 @@ def same_space(a: KreinSpace, b: KreinSpace) -> bool:
 def _require_endomorphism(C: KOperator):
     if not same_space(C.domain, C.codomain):
         raise DimensionMismatch("operator must act on a single space")
-
-
-def c_inner(C: KOperator, f, g) -> complex:
-    """The C-inner product <f, g>_C = <Cf, g> = g^H J C f."""
-    _require_endomorphism(C)
-    f = np.asarray(f, dtype=complex).reshape(-1)
-    g = np.asarray(g, dtype=complex).reshape(-1)
-    if f.shape[0] != C.domain.dim or g.shape[0] != C.domain.dim:
-        raise DimensionMismatch(
-            f"vectors of length {f.shape[0]}, {g.shape[0]} on a "
-            f"{C.domain.dim}-dimensional space")
-    return complex(g.conj() @ (C.domain.J @ (C.matrix @ f)))
 
 
 def _hermitian_representative(C: KOperator, tol: Tolerance):

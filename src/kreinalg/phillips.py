@@ -23,10 +23,9 @@ import numpy as np
 from .densela import (Tolerance, norm_within, null_basis, pinv, psd_sqrt, rank,
                       spectral_norm)
 from .errors import (ContractionOverflow, DegenerateProjection, DimensionMismatch,
-                     Incompatible, InputError, NotContraction, NotSemidefinite)
+                     Incompatible, InputError, NotSemidefinite)
 from .krein import (KreinSpace, Subspace, SubspaceClass, classify_subspace,
-                    hilbert_space, identity_op, make_subspace, same_space,
-                    space_indices)
+                    hilbert_space, identity_op, make_subspace, same_space)
 
 __all__ = [
     "GraphRep",
@@ -36,7 +35,6 @@ __all__ = [
     "represented",
     "check_compatibility",
     "phillips_extend",
-    "maximal_subspaces",
 ]
 
 
@@ -128,13 +126,6 @@ def check_compatibility(Gp: GraphRep, Gm: GraphRep,
     return norm_within(block, tol.residual_tol)
 
 
-def _graph_pair(G: np.ndarray, H: KreinSpace, tol: Tolerance):
-    U_plus, U_minus = canonical_frames(H)
-    plus_cols = U_plus + U_minus @ G
-    minus_cols = U_plus @ G.conj().T + U_minus
-    return (make_subspace(H, plus_cols, tol), make_subspace(H, minus_cols, tol))
-
-
 def phillips_extend(Gp: GraphRep, Gm: GraphRep,
                     tol: Tolerance = Tolerance()) -> MaximalPair:
     """Extend an orthogonal semidefinite pair to a maximal orthogonal pair.
@@ -177,21 +168,7 @@ def phillips_extend(Gp: GraphRep, Gm: GraphRep,
     if not norm_within(G, 1.0 + 10.0 * tol.residual_tol):
         raise ContractionOverflow(
             f"assembled contraction has norm {spectral_norm(G):.12f}")
-    plus, minus = _graph_pair(G, H, tol)
+    U_plus, U_minus = canonical_frames(H)
+    plus = make_subspace(H, U_plus + U_minus @ G, tol)
+    minus = make_subspace(H, U_plus @ G.conj().T + U_minus, tol)
     return MaximalPair(G=G, G_tilde_plus=plus, G_tilde_minus=minus, space=H)
-
-
-def maximal_subspaces(G, A_space: KreinSpace, tol: Tolerance = Tolerance()):
-    """The two maximal graph subspaces of a contraction.
-
-    Returns (plus graph, minus graph); their dimensions are the indices
-    of the space and they are orthogonal to each other by construction.
-    """
-    G = np.asarray(G, dtype=complex)
-    p, q = space_indices(A_space)
-    if G.shape != (q, p):
-        raise DimensionMismatch(
-            f"contraction shape {G.shape} does not match the split ({q}, {p})")
-    if not norm_within(G, 1.0 + tol.residual_tol):
-        raise NotContraction(f"operator norm {spectral_norm(G):.12f} exceeds 1")
-    return _graph_pair(G, A_space, tol)

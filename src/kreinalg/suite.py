@@ -404,6 +404,8 @@ _BATTERIES = [
 def run_property_suite(seed: int, count: int | None = None, dim_max: int = 8,
                        tol: Tolerance = Tolerance()) -> dict:
     """Run every battery; `count` overrides each battery's default size."""
+    if not 0 <= seed < 2 ** 64:
+        raise InputError("seed must be an unsigned 64-bit integer")
     if count is not None and count < 0:
         raise InputError(f"count must be nonnegative, got {count}")
     reports = []

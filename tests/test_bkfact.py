@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from kreinalg.bkfact import (BKFactorization, SignatureFactorization,
-                             bk_factorize, bk_verify, contained_space,
-                             keyth_verify)
+                             bk_factorize, bk_verify, keyth_verify)
 from kreinalg.densela import Tolerance
 from kreinalg.errors import (DimensionMismatch, NotSelfadjoint, NotSymmetry,
                              PreconditionFailed)
@@ -101,22 +100,6 @@ def test_verify_dimension_mismatch():
         bk_verify(C, F)
 
 
-def test_contained_space_gram_inertia():
-    H, C = c2_example()
-    cs = contained_space(C)
-    assert cs.basis.shape == (2, 2)
-    from kreinalg.densela import inertia
-    assert inertia(cs.gram) == (1, 1, 0)
-
-
-def test_contained_space_with_kernel():
-    H = hilbert_space(3)
-    cs = contained_space(op(H, np.diag([4.0, -9.0, 0.0])))
-    assert cs.basis.shape == (3, 2)
-    from kreinalg.densela import inertia
-    assert inertia(cs.gram) == (1, 1, 0)
-
-
 def sig_fact(n, J_A_diag, T_mat):
     E = hilbert_space(n)
     return E, SignatureFactorization(
@@ -166,6 +149,42 @@ def test_keyth_verify_preconditions():
     singular = op(E, np.diag([1.0, 0.0]))
     with pytest.raises(PreconditionFailed, match="kernel"):
         keyth_verify(singular, S)
+
+
+def test_kernel_counts_come_from_the_split_and_the_rank_cut(monkeypatch):
+    # validate and keyth_verify read dim ker C as h_zero of the one split of
+    # J C; bk_verify decides injectivity by rank; no verifier calls null_basis
+    import kreinalg.densela as densela
+    from kreinalg import bkfact, decomp, phillips
+    null_basis, herm_eig = densela.null_basis, densela.herm_eig
+    calls = []
+
+    def counted_null(*args):
+        calls.append("null")
+        return null_basis(*args)
+
+    def counted_eig(*args):
+        calls.append("eig")
+        return herm_eig(*args)
+
+    # every module that binds the name, so calls from any of them count
+    for mod in (densela, bkfact, decomp, phillips):
+        if hasattr(mod, "null_basis"):
+            monkeypatch.setattr(mod, "null_basis", counted_null)
+    monkeypatch.setattr(densela, "herm_eig", counted_eig)
+
+    H, C = c2_example()
+    dec = decomp.decompose(C)
+    calls.clear()
+    assert decomp.validate(C, dec)["passed"] and "null" not in calls
+    F = bk_factorize(C)
+    calls.clear()
+    assert bk_verify(C, F)["passed"] and "null" not in calls
+    E, S = sig_fact(2, [1.0, -1.0], np.diag([np.sqrt(2.0), np.sqrt(3.0)]))
+    space_indices(S.A_space)                     # the symmetry's own split
+    calls.clear()
+    assert keyth_verify(op(E, np.diag([2.0, -3.0])), S)["passed"]
+    assert calls == ["eig"]
 
 
 def test_signature_factorization_validates():

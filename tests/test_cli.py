@@ -237,6 +237,18 @@ def test_property_suite_rejects_negative_count(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_property_suite_rejects_seed_out_of_range(capsys, monkeypatch, seed):
+    # --seed and KREIN_SEED obey the one range rule of run_property_suite
+    assert main(["property-suite", "--seed", str(seed), "--count", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    monkeypatch.setenv("KREIN_SEED", str(seed))
+    assert main(["property-suite", "--count", "0"]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 def test_property_suite_has_no_space_flag(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["property-suite", "--space", str(tmp_path / "j.json"), "--count", "0"])

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kreinalg.densela as densela
-from kreinalg.densela import (Tolerance, herm_eig, inertia, norm_within,
-                              null_basis, pinv, psd_sqrt, rank, spectral_norm,
-                              spectral_split, svd)
-from kreinalg.errors import InputError, NotHermitian, NotPSD
+from kreinalg.densela import (Tolerance, conditioned_svd, herm_eig, inertia,
+                              norm_within, null_basis, pinv, psd_sqrt, rank,
+                              spectral_norm, spectral_split, svd)
+from kreinalg.errors import (IllConditioned, InputError, NotHermitian,
+                             NotInvertible, NotPSD)
 
 # sqrt of [[2,1],[1,2]] by hand: eigenpairs (3, (1,1)/sqrt2), (1, (1,-1)/sqrt2)
 SQRT3P1_HALF = 1.3660254037844386
@@ -119,6 +120,33 @@ def test_spectral_split_bands(diag, scale, expected):
 def test_rank(M, expected):
     assert rank(M) == expected
     assert null_basis(M).shape[1] == M.shape[1] - expected
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 7), st.integers(0, 7),
+       st.integers(0, 7))
+def test_rank_and_null_basis_share_the_cut(seed, m, n, r):
+    # tall, wide and empty shapes; rank-deficient whenever r < min(m, n)
+    rng = np.random.default_rng(seed)
+    r = min(r, m, n)
+    A = random_complex(rng, m, r) @ random_complex(rng, r, n)
+    assert rank(A) == A.shape[1] - null_basis(A).shape[1]
+
+
+def test_conditioned_svd_rejects_singular():
+    with pytest.raises(NotInvertible):
+        conditioned_svd(np.diag([1.0, 0.0]), Tolerance(), 1e8)
+
+
+def test_conditioned_svd_rejects_ill_conditioned():
+    with pytest.raises(IllConditioned):
+        conditioned_svd(np.diag([1.0, 1e-9]), Tolerance(), 1e8)
+
+
+def test_conditioned_svd_passes_identity():
+    U, s, V = conditioned_svd(np.eye(3), Tolerance(), 1e8)
+    assert np.array_equal(s, np.ones(3))
+    assert np.allclose((U * s) @ V.conj().T, np.eye(3), atol=1e-12)
 
 
 def test_psd_sqrt_oracle():

@@ -15,7 +15,7 @@ from kreinalg.krein import is_selfadjoint, space_indices
     {"seed": 2 ** 64},
     {"seed": 1, "dim_range": (5, 3)},
     {"seed": 1, "dim_range": (0, 65)},
-    {"seed": 1, "cond_cap": 0.5},
+    {"seed": 1, "kernel_prob": -0.5},
     {"seed": 1, "kernel_prob": 1.5},
 ])
 def test_config_rejects(kwargs):

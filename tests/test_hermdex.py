@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from kreinalg.errors import (DimensionMismatch, IllConditioned, NotCongruent,
-                             NotInvertible, NotSelfadjoint)
+from kreinalg.errors import (DimensionMismatch, NotCongruent, NotInvertible,
+                             NotSelfadjoint)
 from kreinalg.densela import Tolerance
 from kreinalg.hermdex import (Congruence, build_congruence, canonical_form,
-                              hermitian_indices, is_congruent,
-                              make_congruence, to_hilbert, transport)
+                              hermitian_indices, is_congruent, transport)
 from kreinalg.krein import (IndexTriple, KOperator, hilbert_space, identity_op,
                             k_adjoint, make_space)
 
@@ -76,7 +75,7 @@ def test_transport_preserves_indices():
     C = op(H, [[0, 1], [-1, 0]])
     K = hilbert_space(2)
     M = np.array([[2.0, 1.0], [0.0, 1.0]], dtype=complex)
-    X = make_congruence(KOperator(K, H, M))
+    X = Congruence(KOperator(K, H, M), KOperator(H, K, np.linalg.inv(M)))
     A = transport(C, X)
     assert hermitian_indices(A) == hermitian_indices(C)
     # and the pulled back operator is selfadjoint on the new space
@@ -86,36 +85,8 @@ def test_transport_preserves_indices():
 def test_transport_identity_roundtrip():
     H = hilbert_space(2)
     C = op(H, [[2.0, 0], [0, -1.0]])
-    X = make_congruence(identity_op(H))
+    X = Congruence(identity_op(H), identity_op(H))
     assert np.allclose(transport(C, X).matrix, C.matrix)
-
-
-def test_make_congruence_rejects_singular():
-    H = hilbert_space(2)
-    with pytest.raises(NotInvertible):
-        make_congruence(op(H, np.diag([1.0, 0.0])))
-
-
-def test_make_congruence_rejects_ill_conditioned():
-    H = hilbert_space(2)
-    with pytest.raises(IllConditioned):
-        make_congruence(op(H, np.diag([1.0, 1e-9])))
-
-
-def test_make_congruence_rejects_rectangular():
-    with pytest.raises(DimensionMismatch):
-        make_congruence(KOperator(hilbert_space(2), hilbert_space(3),
-                                  np.zeros((3, 2))))
-
-
-def test_to_hilbert():
-    H = make_space(J2)
-    C = op(H, [[0, 1], [-1, 0]])
-    D, X = to_hilbert(C)
-    assert np.array_equal(D.domain.J, np.eye(2))
-    assert np.allclose(D.matrix, H.J @ C.matrix)
-    assert hermitian_indices(D) == hermitian_indices(C)
-    assert np.allclose(transport(D, X).matrix, C.matrix, atol=1e-12)
 
 
 def test_is_congruent_hilbert_counterexample():
@@ -172,7 +143,5 @@ def test_congruence_builders_pass_tolerance():
     tol = Tolerance(rank_tol=1e-9, residual_tol=1e-6)
     H = make_space(J2)
     C = op(H, [[0, 1], [-1, 0]])
-    assert make_congruence(identity_op(H), tol).tol == tol
-    assert to_hilbert(C, tol)[1].tol == tol
     assert canonical_form(C, tol).X.tol == tol
     assert build_congruence(C, C, tol).tol == tol

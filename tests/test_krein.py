@@ -7,7 +7,7 @@ from kreinalg.densela import Tolerance
 from kreinalg.errors import DimensionMismatch, NotSelfadjoint, NotSymmetry
 from kreinalg.hermdex import canonical_form, hermitian_indices
 from kreinalg.krein import (IndexTriple, KOperator, Subspace, SubspaceClass,
-                            c_inner, c_orthogonal, classify_subspace,
+                            c_orthogonal, classify_subspace,
                             hilbert_space, identity_op, is_selfadjoint,
                             k_adjoint, make_space, make_subspace,
                             space_indices)
@@ -118,15 +118,6 @@ def test_engines_share_the_selfadjoint_check(k2, engine):
     C = KOperator(k2, k2, np.array([[0, 1], [1, 0]], dtype=complex))
     with pytest.raises(NotSelfadjoint, match="requires a selfadjoint operator"):
         engine(C, Tolerance())
-
-
-def test_c_inner_hermitian_symmetry(k2):
-    C = KOperator(k2, k2, np.array([[0, 1], [-1, 0]], dtype=complex))
-    f = np.array([1.0, 2.0j])
-    g = np.array([0.5, -1.0])
-    assert c_inner(C, f, g) == pytest.approx(np.conj(c_inner(C, g, f)))
-    with pytest.raises(DimensionMismatch):
-        c_inner(C, np.ones(3), g)
 
 
 def test_make_subspace_orthonormalizes(k2):

@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
 
-from kreinalg.errors import (DimensionMismatch, Incompatible, InputError,
-                             NotContraction, NotSemidefinite, NotSymmetry)
+from kreinalg.errors import Incompatible, InputError, NotSemidefinite, NotSymmetry
 from kreinalg.genrand import GenConfig, gen_space_with_split
 from kreinalg.krein import (KreinSpace, SubspaceClass, classify_subspace,
-                            hilbert_space, identity_op, make_space, make_subspace,
-                            space_indices)
+                            identity_op, make_space, make_subspace, space_indices)
 from kreinalg.phillips import (canonical_frames, check_compatibility,
-                               graph_rep, maximal_subspaces, phillips_extend,
-                               represented)
+                               graph_rep, phillips_extend, represented)
 
 J2 = np.diag([1.0, -1.0]).astype(complex)
 J4 = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
@@ -54,10 +51,9 @@ def test_symmetry_is_split_once_per_space(monkeypatch):
     monkeypatch.setattr(densela, "herm_eig", counted)
     gp = graph_rep(make_subspace(H, col(1.0, 0.0, 0.5, 0.5)), "plus")
     gm = graph_rep(make_subspace(H, col(0.5, 0.5, 1.0, 0.0)), "minus")
-    ext = phillips_extend(gp, gm)
+    phillips_extend(gp, gm)
     represented(gp)
     represented(gm)
-    maximal_subspaces(ext.G, H)
     assert canonical_frames(H)[0].shape[1] == 2 and space_indices(H) == (2, 2)
     assert len(splits) == 1
 
@@ -161,27 +157,3 @@ def test_extension_restrictions_hold():
     assert np.allclose(ext.G @ gp.M.basis, gp.angle, atol=1e-10)
     assert np.allclose(ext.G.conj().T @ gm.M.basis, gm.angle, atol=1e-10)
 
-
-def test_maximal_subspaces_from_contraction():
-    H = make_space(J2)
-    plus, minus = maximal_subspaces(np.array([[0.5]]), H)
-    assert plus.dim == 1 and minus.dim == 1
-    C = identity_op(H)
-    assert classify_subspace(C, plus) == SubspaceClass.STRICTLY_POSITIVE
-    gram = minus.basis.conj().T @ H.J @ plus.basis
-    assert np.allclose(gram, 0.0, atol=1e-12)
-
-
-def test_maximal_subspaces_validation():
-    H = make_space(J2)
-    with pytest.raises(NotContraction):
-        maximal_subspaces(np.array([[1.1]]), H)
-    with pytest.raises(DimensionMismatch):
-        maximal_subspaces(np.zeros((2, 1)), H)
-
-
-def test_maximal_subspaces_hilbert_degenerate():
-    # no negative component: the plus graph is everything
-    H = hilbert_space(2)
-    plus, minus = maximal_subspaces(np.zeros((0, 2)), H)
-    assert plus.dim == 2 and minus.dim == 0
