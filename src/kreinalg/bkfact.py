@@ -102,7 +102,7 @@ def bk_verify(C: KOperator, F: BKFactorization, tol: Tolerance = Tolerance()) ->
         raise DimensionMismatch("factor does not map into the operator's space")
     A_star = k_adjoint(F.A)
     diff = C.matrix - F.A.matrix @ A_star.matrix
-    c_norm = spectral_norm(C.matrix)
+    c_norm = C.norm
     residual = spectral_norm(diff) / c_norm if c_norm > 0 else spectral_norm(diff)
     injective = rank(F.A.matrix, tol) == F.A.domain.dim
     ind = space_indices(F.A_space)
@@ -143,7 +143,7 @@ def keyth_verify(C: KOperator, S: SignatureFactorization,
         raise DimensionMismatch("factor does not map the operator space into K")
 
     recon = S.T.matrix.conj().T @ S.J_A.matrix @ S.T.matrix
-    c_norm = spectral_norm(C.matrix)
+    c_norm = C.norm
     residual = spectral_norm(C.matrix - recon) / c_norm if c_norm > 0 else 0.0
     r = rank(S.T.matrix, tol)
     ker_trivial, range_dense = r == H.dim, r == S.K_space.dim

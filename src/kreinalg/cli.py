@@ -200,7 +200,7 @@ def cmd_congruent(args) -> int:
     if report["congruent"]:
         X = build_congruence(A, B, tol)
         resid = spectral_norm(A.matrix - transport(B, X, tol).matrix)
-        scale = max(spectral_norm(A.matrix), spectral_norm(B.matrix))
+        scale = max(A.norm, B.norm)
         report["X"] = X.X.matrix
         report["residual"] = float(resid / scale if scale > 0 else resid)
 

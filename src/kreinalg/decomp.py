@@ -7,16 +7,19 @@ signed parts are C-strictly definite, the kernel part spans ker C, and
 the dimensions reproduce the hermitian indices.  `validate` re-checks
 all of that for an arbitrary candidate decomposition (they are not
 unique), and `projections` inverts the concatenated basis to produce
-the associated orthogonal-sum projections Q.
+the associated orthogonal-sum projections Q.  Both read the singular
+values of that basis from the decomposition, which takes them once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .densela import Tolerance, norm_within, rank, spectral_norm, svd
+from .densela import (Tolerance, count_above_cut, norm_within, rank,
+                      spectral_norm, svd)
 from .errors import DimensionMismatch, NotDirect
 from .hermdex import hermitian_indices
 from .krein import (KOperator, Subspace, SubspaceClass, c_orthogonal,
@@ -37,6 +40,16 @@ class Decomposition:
     M_minus: Subspace
     M_zero: Subspace
 
+    def stacked(self) -> np.ndarray:
+        """The three bases side by side, [M_plus M_minus M_zero]."""
+        return np.hstack([self.M_plus.basis, self.M_minus.basis, self.M_zero.basis])
+
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """Singular values of the stacked basis, nonincreasing, taken once
+        per decomposition; like the bases, never to be mutated."""
+        return svd(self.stacked())[1]
+
 
 @dataclass(frozen=True, eq=False)
 class DecompositionProjections:
@@ -50,9 +63,12 @@ def decompose(C: KOperator, tol: Tolerance = Tolerance()) -> Decomposition:
     split = selfadjoint_split(C, tol, "decomposition")
     H = C.domain
     V = split.eigenvectors
-    return Decomposition(M_plus=Subspace(H, V[:, split.plus]),
-                         M_minus=Subspace(H, V[:, split.minus]),
-                         M_zero=Subspace(H, V[:, split.zero]))
+    # eigenvalues ascend, so each band is a range of columns: the bases are
+    # read-only views of C's cached eigenvectors, not copies
+    _, q, z = split.counts
+    return Decomposition(M_plus=Subspace(H, V[:, q + z:]),
+                         M_minus=Subspace(H, V[:, :q]),
+                         M_zero=Subspace(H, V[:, q:q + z]))
 
 
 def _pair_direct(A: Subspace, B: Subspace, tol: Tolerance) -> bool:
@@ -97,14 +113,13 @@ def validate(C: KOperator, dec: Decomposition, tol: Tolerance = Tolerance()) -> 
 
     dims_ok = (mp.dim, mm.dim, mz.dim) == tuple(idx)
 
-    stacked = np.hstack([mp.basis, mm.basis, mz.basis])
-    if stacked.shape[1] == 0:
+    k = mp.dim + mm.dim + mz.dim
+    if k == 0:
         min_sv = 1.0 if H.dim == 0 else 0.0
         direct = H.dim == 0
     else:
-        _, s, _ = svd(stacked)
-        min_sv = float(s[-1]) if stacked.shape[1] <= H.dim else 0.0
-        direct = stacked.shape[1] == H.dim and min_sv > tol.rank_tol
+        min_sv = float(dec.singular_values[-1]) if k <= H.dim else 0.0
+        direct = k == H.dim and min_sv > tol.rank_tol
 
     report = {
         "sign_conditions": bool(sign_ok),
@@ -131,8 +146,8 @@ def projections(C: KOperator, dec: Decomposition,
     """
     H = C.domain
     mp, mm, mz = dec.M_plus, dec.M_minus, dec.M_zero
-    B = np.hstack([mp.basis, mm.basis, mz.basis])
-    if B.shape[1] != H.dim or rank(B, tol) != H.dim:
+    B = dec.stacked()
+    if B.shape[1] != H.dim or count_above_cut(dec.singular_values, tol) != H.dim:
         raise NotDirect("decomposition parts do not span the space directly")
     if H.dim == 0:
         E = np.zeros((0, 0), dtype=complex)

@@ -12,9 +12,9 @@ SVD.  All of them share a single two-knob :class:`Tolerance`:
   operand norms.
 
 Every relative ``rank_tol`` decision is made in one of two places:
-eigenvalues are split into plus/minus/zero bands by
-:func:`spectral_split`, and singular values are cut by the helper
-behind :func:`rank`.
+eigenvalues are split into plus/minus/zero bands by :func:`band_split`
+(behind :func:`spectral_split`), and singular values are cut by
+:func:`count_above_cut` (behind :func:`rank`).
 
 Every yes/no residual check ``||R||_2 <= t * scale(||S||_2)`` goes
 through :func:`norm_within`, which decides it cheap-first from the
@@ -54,6 +54,7 @@ __all__ = [
     "inertia",
     "psd_sqrt",
     "rank",
+    "count_above_cut",
     "null_basis",
     "range_basis",
     "pinv",
@@ -175,11 +176,14 @@ def norm_within(R, t: float, S=None, floor: float = 0.0, power: int = 1) -> bool
 def _require_hermitian(A: np.ndarray, tol: Tolerance) -> np.ndarray:
     if A.shape[0] != A.shape[1]:
         raise NotHermitian(f"matrix is not square: shape {A.shape}")
-    if not norm_within(A - A.conj().T, tol.residual_tol, A):
+    A_H = A.conj().T
+    if not norm_within(A - A_H, tol.residual_tol, A):
         raise NotHermitian("matrix deviates from its conjugate transpose "
                            "beyond residual tolerance")
     # Work with the Hermitian part so LAPACK sees an exactly symmetric input.
-    return 0.5 * (A + A.conj().T)
+    H = A + A_H
+    H *= 0.5
+    return H
 
 
 def herm_eig(M, tol: Tolerance = Tolerance()) -> HermEig:
@@ -246,14 +250,15 @@ def psd_sqrt(M, tol: Tolerance = Tolerance(), scale: float | None = None) -> np.
     return 0.5 * (R + R.conj().T)
 
 
-def _count_above_cut(s: np.ndarray, tol: Tolerance) -> int:
-    # singular values nonincreasing; the cut is relative to the largest
+def count_above_cut(s: np.ndarray, tol: Tolerance) -> int:
+    """The rank cut: how many of the nonincreasing singular values ``s``
+    exceed ``rank_tol`` times the largest."""
     return int(np.count_nonzero(s > tol.rank_tol * s[0])) if s.size else 0
 
 
 def rank(M, tol: Tolerance = Tolerance()) -> int:
     """Numerical rank: singular values above ``rank_tol`` times the largest."""
-    return _count_above_cut(svd(M)[1], tol)
+    return count_above_cut(svd(M)[1], tol)
 
 
 def _full_svd(A: np.ndarray):
@@ -273,20 +278,20 @@ def null_basis(M, tol: Tolerance = Tolerance()) -> np.ndarray:
     """
     A = _as_matrix(M)
     _, s, Vh = _full_svd(A)
-    return Vh[_count_above_cut(s, tol):].conj().T
+    return Vh[count_above_cut(s, tol):].conj().T
 
 
 def range_basis(M, tol: Tolerance = Tolerance()) -> np.ndarray:
     """Orthonormal basis of the numerical range, as columns."""
     U, s, _ = svd(M)
-    return U[:, :_count_above_cut(s, tol)]
+    return U[:, :count_above_cut(s, tol)]
 
 
 def pinv(M, tol: Tolerance = Tolerance()) -> np.ndarray:
     """Moore-Penrose pseudo-inverse with the shared relative rank cut."""
     A = _as_matrix(M)
     U, s, Vh = _full_svd(A)
-    r = _count_above_cut(s, tol)
+    r = count_above_cut(s, tol)
     if r == 0:
         return np.zeros((A.shape[1], A.shape[0]), dtype=complex)
     inv = 1.0 / s[:r]
@@ -312,7 +317,7 @@ def conditioned_svd(M, tol: Tolerance, cond_cap: float):
     ``NotInvertible`` when the rank cut drops a direction and
     ``IllConditioned`` when the condition number exceeds ``cond_cap``."""
     U, s, V = svd(M)
-    if _count_above_cut(s, tol) < s.size:
+    if count_above_cut(s, tol) < s.size:
         raise NotInvertible("matrix is numerically singular")
     if s.size and s[0] / s[-1] > cond_cap:
         raise IllConditioned(

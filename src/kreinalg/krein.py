@@ -21,8 +21,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .densela import (HermEig, SpectralSplit, Tolerance, band_split, inertia,
-                      norm_within, range_basis, spectral_norm, spectral_split)
+from .densela import (HermEig, SpectralSplit, Tolerance, band_split, herm_eig,
+                      inertia, norm_within, range_basis, spectral_norm,
+                      spectral_split)
 from .errors import DimensionMismatch, InputError, NotSelfadjoint, NotSymmetry
 
 __all__ = [
@@ -66,7 +67,11 @@ class KreinSpace:
 
 @dataclass(frozen=True, eq=False)
 class KOperator:
-    """A matrix acting from ``domain`` to ``codomain``."""
+    """A matrix acting from ``domain`` to ``codomain``.
+
+    Like a space's J, the matrix must not be mutated after construction:
+    the cached properties below are read from it once.
+    """
 
     domain: KreinSpace
     codomain: KreinSpace
@@ -79,6 +84,27 @@ class KOperator:
                 f"operator shape {mat.shape} does not match spaces "
                 f"({self.codomain.dim}, {self.domain.dim})")
         object.__setattr__(self, "matrix", mat)
+
+    @cached_property
+    def hermitian_eig(self) -> HermEig:
+        """Eigendecomposition of the Hermitian part of J C, taken once per
+        operator; every band cut of `selfadjoint_split` reads it.  No
+        tolerance enters: the Hermitian part is exactly Hermitian, and
+        whether C is selfadjoint is decided by the caller.  Its arrays are
+        read-only: every engine shares them."""
+        _require_endomorphism(self)
+        JC = self.domain.J @ self.matrix
+        JC += JC.conj().T
+        JC *= 0.5
+        eig = herm_eig(JC)
+        eig.eigenvalues.flags.writeable = False
+        eig.eigenvectors.flags.writeable = False
+        return eig
+
+    @cached_property
+    def norm(self) -> float:
+        """The spectral norm of the matrix, taken once per operator."""
+        return spectral_norm(self.matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,9 +154,10 @@ def make_space(J, tol: Tolerance = Tolerance()) -> KreinSpace:
 def hilbert_space(n: int) -> KreinSpace:
     """The Euclidean space of dimension n (J = I).  Its signature is seeded
     with what ``eigh(I)`` returns, every eigenvalue 1 and eigenvectors I,
-    so it is never eigendecomposed."""
-    H = KreinSpace(dim=n, J=np.eye(n, dtype=complex))
-    vars(H)["signature"] = band_split(HermEig(np.ones(n), np.eye(n, dtype=complex)))
+    so it is never eigendecomposed; J and the eigenvectors are one array."""
+    eye = np.eye(n, dtype=complex)
+    H = KreinSpace(dim=n, J=eye)
+    vars(H)["signature"] = band_split(HermEig(np.ones(n), eye))
     return H
 
 
@@ -140,7 +167,10 @@ def space_indices(H: KreinSpace) -> tuple[int, int]:
 
 
 def identity_op(H: KreinSpace) -> KOperator:
-    return KOperator(H, H, np.eye(H.dim, dtype=complex))
+    """The identity on H, its 2-norm seeded (1, or 0 on the zero space)."""
+    op = KOperator(H, H, np.eye(H.dim, dtype=complex))
+    vars(op)["norm"] = 1.0 if H.dim else 0.0
+    return op
 
 
 def k_adjoint(A: KOperator) -> KOperator:
@@ -159,25 +189,27 @@ def _require_endomorphism(C: KOperator):
         raise DimensionMismatch("operator must act on a single space")
 
 
-def _hermitian_representative(C: KOperator, tol: Tolerance):
-    # (J C, whether J C is Hermitian within tolerance)
+def _jc_hermitian(C: KOperator, tol: Tolerance) -> bool:
+    # whether J C is Hermitian within tolerance
     _require_endomorphism(C)
     JC = C.domain.J @ C.matrix
-    return JC, norm_within(JC - JC.conj().T, tol.residual_tol, C.matrix)
+    JC -= JC.conj().T
+    return norm_within(JC, tol.residual_tol, C.matrix)
 
 
 def is_selfadjoint(C: KOperator, tol: Tolerance = Tolerance()) -> bool:
     """True iff C = C*, equivalently iff J C is Hermitian within tolerance."""
-    return _hermitian_representative(C, tol)[1]
+    return _jc_hermitian(C, tol)
 
 
 def selfadjoint_split(C: KOperator, tol: Tolerance, what: str) -> SpectralSplit:
     """Spectral split of J C; raises ``NotSelfadjoint`` naming ``what``
-    unless C is selfadjoint.  Every engine reads its bands from here."""
-    JC, ok = _hermitian_representative(C, tol)
-    if not ok:
+    unless C is selfadjoint under ``tol``, checked on every call.  The bands
+    follow ``tol`` too; the eigendecomposition is C's cached one.  Every
+    engine reads its bands from here."""
+    if not _jc_hermitian(C, tol):
         raise NotSelfadjoint(f"{what} requires a selfadjoint operator")
-    return spectral_split(0.5 * (JC + JC.conj().T), tol)
+    return band_split(C.hermitian_eig, tol)
 
 
 def make_subspace(H: KreinSpace, vectors, tol: Tolerance = Tolerance()) -> Subspace:
@@ -208,7 +240,7 @@ def classify_subspace(C: KOperator, M: Subspace,
     G = 0.5 * (G + G.conj().T)
     # band against the ambient operator norm: the Gram of a neutral
     # subspace cancels to round-off, its own norm is no yardstick
-    p, q, z = inertia(G, tol, scale=spectral_norm(C.matrix))
+    p, q, z = inertia(G, tol, scale=C.norm)
     if p and q:
         return SubspaceClass.INDEFINITE
     if p:

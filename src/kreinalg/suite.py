@@ -102,7 +102,7 @@ def sylvester_battery(seed: int, count: int = 500, dim_max: int = 8,
                 A = transport(B, X, tol)
             else:
                 A = gen_selfadjoint(GenConfig(s2, kernel_prob=0.3), Ha)
-        scale = max(spectral_norm(A.matrix), spectral_norm(B.matrix), 1e-300)
+        scale = max(A.norm, B.norm, 1e-300)
         if is_congruent(A, B, tol):
             X2 = build_congruence(A, B, tol)
             resid = spectral_norm(A.matrix - transport(B, X2, tol).matrix) / scale
@@ -156,7 +156,7 @@ def decomposition_battery(seed: int, count: int = 1000, dim_max: int = 8,
         resid = 0.0
         total = np.zeros((H.dim, H.dim), dtype=complex)
         for Q in (P.Q_plus, P.Q_minus, P.Q_zero):
-            scaleq = max(1.0, spectral_norm(Q.matrix) ** 2)
+            scaleq = max(1.0, Q.norm ** 2)
             resid = max(resid, spectral_norm(Q.matrix @ Q.matrix - Q.matrix) / scaleq)
             total += Q.matrix
         resid = max(resid, spectral_norm(total - eye))
@@ -374,7 +374,7 @@ def identities_battery(seed: int, count: int = 500, dim_max: int = 8,
         nz = split.plus | split.minus
         J_D = (V[:, nz] * np.sign(w[nz])) @ V[:, nz].conj().T
         root = psd_sqrt((V * np.abs(w)) @ V.conj().T, tol)
-        scale = max(1.0, spectral_norm(D.matrix))
+        scale = max(1.0, D.norm)
         r1 = spectral_norm(root @ J_D @ root - D.matrix) / scale
         B_plus, B_minus = V[:, split.plus], V[:, split.minus]
         P_plus = B_plus @ B_plus.conj().T

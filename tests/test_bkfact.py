@@ -155,7 +155,7 @@ def test_kernel_counts_come_from_the_split_and_the_rank_cut(monkeypatch):
     # validate and keyth_verify read dim ker C as h_zero of the one split of
     # J C; bk_verify decides injectivity by rank; no verifier calls null_basis
     import kreinalg.densela as densela
-    from kreinalg import bkfact, decomp, phillips
+    from kreinalg import bkfact, decomp, krein, phillips
     null_basis, herm_eig = densela.null_basis, densela.herm_eig
     calls = []
 
@@ -171,7 +171,8 @@ def test_kernel_counts_come_from_the_split_and_the_rank_cut(monkeypatch):
     for mod in (densela, bkfact, decomp, phillips):
         if hasattr(mod, "null_basis"):
             monkeypatch.setattr(mod, "null_basis", counted_null)
-    monkeypatch.setattr(densela, "herm_eig", counted_eig)
+    for mod in (densela, krein):
+        monkeypatch.setattr(mod, "herm_eig", counted_eig)
 
     H, C = c2_example()
     dec = decomp.decompose(C)

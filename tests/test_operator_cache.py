@@ -1,0 +1,158 @@
+"""Each operator is eigendecomposed once and its 2-norm taken once.
+
+`KOperator.hermitian_eig` and `KOperator.norm` are cached; these tests
+count the kernels behind them across the engines and check that the
+caches never carry one call's tolerance into another.
+"""
+
+import numpy as np
+import pytest
+
+import kreinalg.densela as densela
+from kreinalg import bkfact, cli, decomp, krein, phillips, suite
+from kreinalg.bkfact import bk_factorize, bk_verify
+from kreinalg.decomp import decompose, projections, validate
+from kreinalg.densela import Tolerance, spectral_norm
+from kreinalg.errors import NotSelfadjoint
+from kreinalg.genrand import (GenConfig, gen_invertible, gen_selfadjoint,
+                              gen_space_with_split)
+from kreinalg.hermdex import (build_congruence, canonical_form,
+                              hermitian_indices, transport)
+from kreinalg.krein import (KOperator, hilbert_space, identity_op, make_space,
+                            make_subspace, selfadjoint_split)
+from kreinalg.phillips import graph_rep
+
+# every module that binds each kernel name, so calls from any of them count
+_BINDERS = {
+    "herm_eig": (densela, krein),
+    "spectral_norm": (densela, krein, bkfact, decomp, phillips, cli, suite),
+    "svd": (densela, decomp, suite),
+}
+
+
+def _record(monkeypatch, name, seen=None):
+    """Patch ``name`` wherever it is bound; returns the list its first
+    arguments are appended to (``seen``, or a new one)."""
+    seen = [] if seen is None else seen
+    original = getattr(densela, name)
+
+    def recorded(M, *rest, **kw):
+        seen.append(np.asarray(M))
+        return original(M, *rest, **kw)
+
+    for mod in _BINDERS[name]:
+        if hasattr(mod, name):
+            monkeypatch.setattr(mod, name, recorded)
+    return seen
+
+
+def _count_equal(seen, M) -> int:
+    return sum(a.shape == M.shape and np.array_equal(a, M) for a in seen)
+
+
+def _hermitian_part(C: KOperator) -> np.ndarray:
+    JC = C.domain.J @ C.matrix
+    return 0.5 * (JC + JC.conj().T)
+
+
+def _congruent_pair():
+    # C on a space of signature (4, 3) and B = X* C X on another such space
+    H = gen_space_with_split(GenConfig(11), 4, 3)
+    K = gen_space_with_split(GenConfig(12), 4, 3)
+    C = gen_selfadjoint(GenConfig(13, kernel_prob=1.0), H)
+    B = transport(C, gen_invertible(GenConfig(14), K, H))
+    return C, B
+
+
+def test_each_operator_is_eigendecomposed_once(monkeypatch):
+    C, B = _congruent_pair()
+    seen = _record(monkeypatch, "herm_eig")
+    assert hermitian_indices(C) == canonical_form(C).indices
+    dec = decompose(C)
+    assert validate(C, dec)["passed"]
+    assert bk_verify(C, bk_factorize(C))["passed"]
+    assert hermitian_indices(B) == hermitian_indices(C)
+    build_congruence(C, B)
+    assert _count_equal(seen, _hermitian_part(C)) == 1
+    assert _count_equal(seen, _hermitian_part(B)) == 1
+
+
+def test_operator_norm_is_taken_once(monkeypatch):
+    C, _ = _congruent_pair()
+    seen = _record(monkeypatch, "spectral_norm")
+    assert validate(C, decompose(C))["passed"]
+    assert bk_verify(C, bk_factorize(C))["passed"]
+    assert _count_equal(seen, C.matrix) == 1
+
+
+def test_stacked_basis_is_decomposed_once(monkeypatch):
+    C, _ = _congruent_pair()
+    dec = decompose(C)
+    seen = _record(monkeypatch, "svd")
+    assert validate(C, dec)["direct_sum"]
+    projections(C, dec)
+    assert _count_equal(seen, dec.stacked()) == 1
+
+
+def test_decomposition_bases_are_read_only_views_of_the_cache():
+    C, _ = _congruent_pair()
+    dec = decompose(C)
+    split = selfadjoint_split(C, Tolerance(), "the test")
+    V = C.hermitian_eig.eigenvectors
+    for part, mask in ((dec.M_plus, split.plus), (dec.M_minus, split.minus),
+                       (dec.M_zero, split.zero)):
+        assert part.dim and np.shares_memory(part.basis, V)
+        assert np.array_equal(part.basis, V[:, mask])
+    with pytest.raises(ValueError):
+        dec.M_plus.basis[0, 0] = 0.0
+
+
+def test_graph_rep_takes_no_svd_of_an_identity(monkeypatch):
+    H = make_space(np.diag([1.0, 1.0, 1.0, -1.0, -1.0]))
+    plus = make_subspace(H, np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0],
+                                      [0.5, 0.0], [0.0, 0.25]]))
+    minus = make_subspace(H, np.array([[0.0], [0.0], [0.5], [0.0], [1.0]]))
+    seen = _record(monkeypatch, "svd", _record(monkeypatch, "spectral_norm"))
+    graph_rep(plus, "plus")
+    graph_rep(minus, "minus")
+    for n in range(H.dim + 1):
+        assert _count_equal(seen, np.eye(n)) == 0
+
+
+def test_cache_keeps_the_selfadjointness_check():
+    # a 1e-5 skew in J C passes residual_tol 1e-2 but not the default 1e-8
+    H = make_space(np.diag([1.0, -1.0, 1.0]))
+    M = np.diag([2.0, 1.0, -0.5]).astype(complex)
+    M[0, 1] = 1e-5
+    C = KOperator(H, H, M)
+    assert hermitian_indices(C, Tolerance(residual_tol=1e-2)) == (1, 2, 0)
+    assert "hermitian_eig" in vars(C)
+    with pytest.raises(NotSelfadjoint):
+        hermitian_indices(C, Tolerance())
+    with pytest.raises(NotSelfadjoint):
+        decompose(C, Tolerance())
+
+
+def test_bands_follow_each_calls_rank_tol():
+    # 1e-6 lies inside the zero band at rank_tol 1e-4 and outside at 1e-8
+    H = hilbert_space(3)
+    C = KOperator(H, H, np.diag([1.0, 1e-6, -1.0]))
+    loose, tight = Tolerance(rank_tol=1e-4), Tolerance(rank_tol=1e-8)
+    for tol, want in ((loose, (1, 1, 1)), (tight, (2, 1, 0)), (loose, (1, 1, 1))):
+        assert hermitian_indices(C, tol) == want
+        assert canonical_form(C, tol).indices == want
+        dec = decompose(C, tol)
+        assert (dec.M_plus.dim, dec.M_minus.dim, dec.M_zero.dim) == want
+        assert bk_factorize(C, tol).A_space.dim == want[0] + want[1]
+
+
+def test_identity_norm_seed_is_the_svd_norm():
+    for n in range(71):
+        assert identity_op(hilbert_space(n)).norm == spectral_norm(np.eye(n))
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 64])
+def test_hilbert_space_holds_one_identity(n):
+    H = hilbert_space(n)
+    assert H.signature.eigenvectors is H.J
+    assert n == 0 or np.shares_memory(H.J, H.signature.eigenvectors)
