@@ -8,6 +8,9 @@ without string matching:
   violated (not selfadjoint, not congruent, incompatible pair, ...).
 * ``NumericalError``    -- the mathematics is fine but floating point
   broke down (no convergence, contraction overflow).
+
+Every class survives pickling with its type and message, so an error
+raised in a property-suite worker process re-raises unchanged.
 """
 
 
@@ -83,6 +86,10 @@ class PreconditionFailed(PreconditionError):
     def __init__(self, failures):
         self.failures = list(failures)
         super().__init__("hypotheses failed: " + "; ".join(self.failures))
+
+    def __reduce__(self):
+        # args holds the joined message; rebuild from the list instead
+        return type(self), (self.failures,)
 
 
 # -- numerical family -------------------------------------------------------

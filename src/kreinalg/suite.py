@@ -8,6 +8,8 @@ reports are bit-for-bit reproducible at a fixed seed.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .bkfact import BKFactorization, bk_factorize, bk_verify, keyth_verify, \
@@ -401,17 +403,44 @@ _BATTERIES = [
 ]
 
 
+def _run_battery(task: tuple) -> dict:
+    """Run `task` = (k, (seed, cases, dim_max, tol)) with battery `k`.
+
+    Workers receive the index, not the function, and look it up here.
+    """
+    k, args = task
+    return _BATTERIES[k][1](*args)
+
+
 def run_property_suite(seed: int, count: int | None = None, dim_max: int = 8,
                        tol: Tolerance = Tolerance()) -> dict:
-    """Run every battery; `count` overrides each battery's default size."""
+    """Run every battery; `count` overrides each battery's default size.
+
+    Batteries run in forked worker processes, one per CPU in this
+    process's affinity mask and at most one per battery.  Each battery
+    draws only from its own seeds, and the reports are collected in
+    battery order, so the result does not depend on the worker count.
+    """
     if not 0 <= seed < 2 ** 64:
         raise InputError("seed must be an unsigned 64-bit integer")
     if count is not None and count < 0:
         raise InputError(f"count must be nonnegative, got {count}")
-    reports = []
-    for name, fn in _BATTERIES:
-        cases = DEFAULT_COUNTS[name] if count is None else count
-        reports.append(fn(seed, cases, dim_max, tol))
+    if not 1 <= dim_max <= 64:
+        raise InputError(f"dim_max must lie in [1, 64], got {dim_max}")
+    import multiprocessing
+    # genrand.j_unitary's scipy, loaded before the fork so that the workers
+    # share it instead of each importing it
+    import scipy.linalg  # noqa: F401
+    tasks = [(k, (seed, DEFAULT_COUNTS[name] if count is None else count,
+                  dim_max, tol))
+             for k, (name, _) in enumerate(_BATTERIES)]
+    workers = min(len(tasks), len(os.sched_getaffinity(0)))
+    # fork: workers inherit the loaded modules and the current _BATTERIES
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        # imap re-raises the first failing battery in battery order
+        reports = list(pool.imap(_run_battery, tasks, chunksize=1))
+        pool.close()
+        pool.join()
     return {
         "schema_version": 1,
         "seed": int(seed),

@@ -237,6 +237,19 @@ def test_property_suite_rejects_negative_count(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("dim_max", ["0", "65", "2000"])
+def test_property_suite_rejects_dim_max_out_of_range(capsys, monkeypatch, dim_max):
+    # checked before any worker starts, even with no cases to run
+    import multiprocessing
+    monkeypatch.setattr(multiprocessing.context.ForkContext, "Pool",
+                        lambda *a, **kw: pytest.fail("a pool was started"))
+    assert main(["property-suite", "--dim-max", dim_max, "--count", "0",
+                 "--machine"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
 def test_property_suite_rejects_seed_out_of_range(capsys, monkeypatch, seed):
     # --seed and KREIN_SEED obey the one range rule of run_property_suite
@@ -290,6 +303,14 @@ def test_machine_reports_are_byte_stable_subprocess(tmp_path):
 def test_cli_starts_without_scipy():
     # scipy serves only the generators' matrix exponential
     code = "import sys, kreinalg.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"
+
+
+def test_cli_starts_without_multiprocessing():
+    # only property-suite starts worker processes
+    code = "import sys, kreinalg.cli; print('multiprocessing' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "False"

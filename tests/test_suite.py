@@ -1,8 +1,14 @@
 import json
+import multiprocessing
+import os
 import sys
 
 import pytest
 
+from kreinalg import suite
+from kreinalg.cli import main
+from kreinalg.densela import Tolerance
+from kreinalg.errors import InputError, PreconditionFailed
 from kreinalg.suite import (DEFAULT_COUNTS, bk_converse_battery,
                             bk_roundtrip_battery, keyth_battery,
                             run_property_suite)
@@ -75,3 +81,48 @@ def small_report():
 def test_batteries_pass_small(small_report, name):
     found = {b["name"]: b for b in small_report["batteries"]}[name]
     assert found["passed"], found
+
+
+@pytest.fixture
+def no_workers_left():
+    yield
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("seed, count, dim_max", [(3, 5, 8), (1234, 2, 3), (2 ** 64 - 1, 4, 1)])
+def test_pool_matches_in_process_batteries(no_workers_left, seed, count, dim_max):
+    tol = Tolerance()
+    want = [fn(seed, count, dim_max, tol) for _, fn in suite._BATTERIES]
+    assert run_property_suite(seed, count=count, dim_max=dim_max)["batteries"] == want
+
+
+def test_report_does_not_depend_on_worker_count(no_workers_left, monkeypatch):
+    many = run_property_suite(19, count=6)
+    sizes = []
+    fork_pool = multiprocessing.context.ForkContext.Pool
+
+    def pool(self, processes=None, *rest, **kw):
+        sizes.append(processes)
+        return fork_pool(self, processes, *rest, **kw)
+
+    monkeypatch.setattr(multiprocessing.context.ForkContext, "Pool", pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert run_property_suite(19, count=6) == many
+    assert sizes == [1]
+
+
+@pytest.mark.parametrize("exc, code", [
+    (InputError("battery input out of range"), 2),
+    (PreconditionFailed(["first hypothesis", "second"]), 3)])
+def test_worker_errors_reach_the_exit_code(no_workers_left, monkeypatch, capsys,
+                                           exc, code):
+    def broken(seed, count, dim_max, tol):
+        raise exc
+
+    batteries = list(suite._BATTERIES)
+    batteries[5] = ("keyth_pipeline", broken)
+    monkeypatch.setattr(suite, "_BATTERIES", batteries)
+    assert main(["property-suite", "--seed", "4", "--count", "1", "--machine"]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {exc}\n"
