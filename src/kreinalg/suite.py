@@ -8,10 +8,9 @@ reports are bit-for-bit reproducible at a fixed seed.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
+from ._pool import fork_map
 from .bkfact import BKFactorization, bk_factorize, bk_verify, keyth_verify, \
     SignatureFactorization
 from .decomp import decompose, projections, validate
@@ -427,20 +426,15 @@ def run_property_suite(seed: int, count: int | None = None, dim_max: int = 8,
         raise InputError(f"count must be nonnegative, got {count}")
     if not 1 <= dim_max <= 64:
         raise InputError(f"dim_max must lie in [1, 64], got {dim_max}")
-    import multiprocessing
     # genrand.j_unitary's scipy, loaded before the fork so that the workers
     # share it instead of each importing it
     import scipy.linalg  # noqa: F401
     tasks = [(k, (seed, DEFAULT_COUNTS[name] if count is None else count,
                   dim_max, tol))
              for k, (name, _) in enumerate(_BATTERIES)]
-    workers = min(len(tasks), len(os.sched_getaffinity(0)))
-    # fork: workers inherit the loaded modules and the current _BATTERIES
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        # imap re-raises the first failing battery in battery order
-        reports = list(pool.imap(_run_battery, tasks, chunksize=1))
-        pool.close()
-        pool.join()
+    # forked workers see the current _BATTERIES
+    with fork_map(_run_battery, tasks) as reports:
+        reports = list(reports)
     return {
         "schema_version": 1,
         "seed": int(seed),

@@ -1,5 +1,9 @@
 import io
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from kreinalg import serial
 from kreinalg.densela import Tolerance
 from kreinalg.errors import InputError
 from kreinalg.serial import (dump_json, load_json, matrix_from_obj,
@@ -174,3 +179,164 @@ def test_write_json_renders_one_matrix_at_a_time():
                         "projections": {"m2": mats[2], "m3": mats[3]}})
     # encoding the whole report at once would hold all four as lists and text
     assert four < 1.5 * one
+
+
+def loop_matrix_from_obj(obj, what: str = "matrix") -> np.ndarray:
+    """The per-entry parser that ``matrix_from_obj`` replaced, kept as the
+    reference for its decisions, messages and bits."""
+    if not isinstance(obj, dict):
+        raise InputError(f"{what}: expected an object with rows/cols/data")
+    try:
+        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    except KeyError as exc:
+        raise InputError(f"{what}: missing field {exc}") from exc
+
+    def is_number(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    if not all(is_number(v) and isinstance(v, int) and v >= 0 for v in (rows, cols)):
+        raise InputError(f"{what}: rows/cols must be nonnegative integers")
+    if not isinstance(data, list) or len(data) != rows * cols:
+        raise InputError(f"{what}: data length must be rows*cols = {rows * cols}")
+    out = np.zeros(rows * cols, dtype=complex)
+    for k, pair in enumerate(data):
+        if (not isinstance(pair, list) or len(pair) != 2
+                or not (is_number(pair[0]) and is_number(pair[1]))):
+            raise InputError(f"{what}: entry {k} is not a [re, im] pair")
+        try:
+            out[k] = complex(pair[0], pair[1])
+        except OverflowError:
+            raise InputError(f"{what}: entry {k} does not fit in a double") from None
+    if rows * cols and not np.isfinite(out).all():
+        raise InputError(f"{what}: entries must be finite")
+    return out.reshape(rows, cols)
+
+
+def outcome(parse, obj):
+    """The bits of ``parse(obj)``, or the message of its ``InputError``."""
+    try:
+        M = parse(obj)
+    except InputError as exc:
+        return str(exc)
+    return M.shape, M.view(np.uint64).tobytes()
+
+
+big_ints = st.sampled_from([2 ** 53 + 1, 2 ** 63 + 1, -2 ** 64 - 1, 10 ** 300 + 7,
+                            10 ** 400, -10 ** 400, 2 ** 1024 - 1])
+json_numbers = (st.integers() | big_ints | st.floats()
+                | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0]))
+hostile = st.booleans() | st.none() | st.text(max_size=2) | st.just([1.0, [2.0]])
+entries = st.one_of(
+    st.lists(json_numbers, min_size=2, max_size=2),
+    st.lists(json_numbers | hostile, min_size=2, max_size=2),
+    st.lists(json_numbers, min_size=0, max_size=3),
+    hostile | json_numbers | st.tuples(json_numbers, json_numbers))
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.lists(st.lists(json_numbers, min_size=2, max_size=2), max_size=6)
+       | st.lists(entries, max_size=6))
+@example([[2 ** 53 + 1, 2 ** 63 + 1], [-2 ** 64 - 1, 10 ** 300 + 7]])
+@example([[1, 2], [True, 0]])
+@example([[1, 2], ["1", 0]])
+@example([[1, 2], [None, 0]])
+@example([[1, 2], [10 ** 400, 0]])
+@example([[float("nan"), 0], [1.0, 2]])
+@example([])
+def test_matrix_from_obj_matches_the_per_entry_loop(data):
+    # same array bits, or the same InputError message
+    obj = {"rows": len(data), "cols": 1, "data": data}
+    assert outcome(matrix_from_obj, obj) == outcome(loop_matrix_from_obj, obj)
+
+
+report_arrays = st.one_of(
+    hnp.arrays(complex, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=7),
+               elements=st.builds(complex, doubles, doubles)),
+    hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=7),
+               elements=doubles))
+pooled_reports = st.recursive(
+    scalars | report_arrays,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4),
+                                                                inner, max_size=4),
+    max_leaves=8)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(pooled_reports)
+@example({"a": np.zeros((0, 5)), "b": np.zeros((5, 0), dtype=complex)})
+@example({"row": np.array([[-0.0, 1.5, -2.0]]),
+          "odd": np.arange(21.0).reshape(7, 3) * (1 - 2j),
+          "nested": [np.eye(3), {"in": np.full((5, 1), -0.0)}]})
+def test_pooled_write_json_is_dump_json_and_a_newline(report):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(serial, "_POOL_ENTRIES", 0)
+        mp.setattr(serial, "_BLOCK_ROWS", 2)    # 5- and 7-row arrays end in a part block
+        fh = io.StringIO()
+        write_json(report, fh)
+    assert fh.getvalue() == dump_json(report) + "\n"
+    assert multiprocessing.active_children() == []
+
+
+def _render_pid(block) -> str:
+    return json.dumps([os.getpid()] * block.size)[1:-1]
+
+
+def test_pooled_write_json_renders_in_workers(monkeypatch):
+    monkeypatch.setattr(serial, "_POOL_ENTRIES", 0)
+    monkeypatch.setattr(serial, "_BLOCK_ROWS", 1)
+    monkeypatch.setattr(serial, "_render_rows", _render_pid)
+    fh = io.StringIO()
+    write_json({"m": np.zeros((8, 1))}, fh)
+    pids = set(json.loads(fh.getvalue())["m"]["data"])
+    if len(os.sched_getaffinity(0)) > 1:
+        assert os.getpid() not in pids
+    else:
+        assert pids == {os.getpid()}
+
+
+def test_write_json_on_one_cpu_renders_in_process(monkeypatch):
+    report = {"a": np.arange(12.0).reshape(4, 3) * (1 + 1j), "b": [np.eye(2)], "c": -0.0}
+    monkeypatch.setattr(serial, "_POOL_ENTRIES", 0)
+    monkeypatch.setattr(serial, "_BLOCK_ROWS", 3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(serial, "fork_map", lambda *a: pytest.fail("a pool was started"))
+    fh = io.StringIO()
+    write_json(report, fh)
+    assert fh.getvalue() == dump_json(report) + "\n"
+
+
+class _FailingWriter:
+    def __init__(self, after: int):
+        self.left = after
+
+    def write(self, text: str) -> int:
+        self.left -= 1
+        if self.left < 0:
+            raise OSError("disk full")
+        return len(text)
+
+
+def test_no_worker_outlives_a_failed_pooled_write(monkeypatch):
+    monkeypatch.setattr(serial, "_POOL_ENTRIES", 0)
+    monkeypatch.setattr(serial, "_BLOCK_ROWS", 1)
+    report = {"m": np.ones((40, 3)), "n": np.ones((40, 3))}
+    with pytest.raises(OSError, match="disk full"):
+        write_json(report, _FailingWriter(after=10))
+    assert multiprocessing.active_children() == []
+    write_json(report, _Discard())
+    assert multiprocessing.active_children() == []
+
+
+def test_pooled_write_json_prints_a_prefix_once():
+    # a worker forked with the prefix still in the stdout buffer would
+    # flush it a second time when it exits
+    code = ("import sys, numpy as np\n"
+            "from kreinalg import serial\n"
+            "serial._POOL_ENTRIES, serial._BLOCK_ROWS = 0, 1\n"
+            "print('prefix')\n"
+            "serial.write_json({'m': np.eye(6)}, sys.stdout)\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    prefix, report = done.stdout.split("\n", 1)
+    assert prefix == "prefix" and "prefix" not in report
+    assert report == dump_json({"m": np.eye(6)}) + "\n"
