@@ -7,8 +7,8 @@ C-strictly positive and negative subspaces, and h_zero = dim ker C.
 The triple is a complete congruence invariant for selfadjoint operators
 on spaces of equal finite dimension, and this module makes both halves
 of that statement executable: a classifier (`is_congruent`) and an
-explicit constructor (`build_congruence`) routed through a canonical
-form C = X* D X with D a signed diagonal.
+explicit constructor (`build_congruence`) routed through the frames X
+of the canonical forms C = X* D X with D a signed diagonal.
 """
 
 from __future__ import annotations
@@ -86,39 +86,30 @@ def transport(B: KOperator, X: Congruence, tol: Tolerance = Tolerance()) -> KOpe
     return KOperator(H, H, A)
 
 
-def canonical_form(C: KOperator, tol: Tolerance = Tolerance()) -> CanonicalForm:
-    """Signed-diagonal form C = X* D X, D = diag(I, -I, 0).
-
-    Built from the eigendecomposition of J C: eigenvectors are scaled by
-    |eigenvalue|^(1/2) on the nonzero bands (kernel directions keep unit
-    scale so X stays invertible).  Ordering: positive eigenvalues
-    descending, then negative ones by ascending magnitude, then the
-    kernel band.
-    """
+def _frame(C: KOperator, tol: Tolerance):
+    """C's index triple and the frame of its canonical form: X = S W* and
+    X_inv = W S^-1, with W the eigenvectors of J C in band order and S their
+    |eigenvalue|^(1/2) scales (1 on the kernel, so X stays invertible)."""
     split = selfadjoint_split(C, tol, "canonical form")
-    H = C.domain
-    n = H.dim
-    w, W = split.eigenvalues, split.eigenvectors
-    pos = sorted(np.flatnonzero(split.plus), key=lambda i: -w[i])
-    # ascending magnitude for negatives
-    neg = sorted(np.flatnonzero(split.minus), key=lambda i: -w[i])
-    ker = list(np.flatnonzero(split.zero))
-    perm = pos + neg + ker
-    p, q, z = len(pos), len(neg), len(ker)
+    w = split.eigenvalues
+    # positives descending, then negatives by ascending magnitude, ties in
+    # index order; the kernel band last
+    nz = np.flatnonzero(~split.zero)
+    perm = np.concatenate([nz[np.argsort(-w[nz], kind="stable")],
+                           np.flatnonzero(split.zero)])
+    W = split.eigenvectors[:, perm]
+    scale = np.where(split.zero[perm], 1.0, np.sqrt(np.abs(w[perm])))
+    return IndexTriple(*split.counts), scale[:, None] * W.conj().T, W * (1.0 / scale)
 
-    Wp = W[:, perm]
-    scale = np.ones(n)
-    nz = p + q
-    scale[:nz] = np.sqrt(np.abs(w[perm][:nz]))
-    X_mat = scale[:, None] * Wp.conj().T
-    X_inv_mat = Wp * (1.0 / scale)
 
-    E = hilbert_space(n)
-    D_mat = np.zeros((n, n), dtype=complex)
-    np.fill_diagonal(D_mat, [1.0] * p + [-1.0] * q + [0.0] * z)
-    X = Congruence(KOperator(H, E, X_mat), KOperator(E, H, X_inv_mat), tol)
-    return CanonicalForm(indices=IndexTriple(p, q, z),
-                         D=KOperator(E, E, D_mat), X=X)
+def canonical_form(C: KOperator, tol: Tolerance = Tolerance()) -> CanonicalForm:
+    """Signed-diagonal form C = X* D X, D = diag(I, -I, 0), from the
+    eigendecomposition of J C (see :func:`_frame` for the order and scales)."""
+    indices, X, X_inv = _frame(C, tol)
+    H, E = C.domain, hilbert_space(C.domain.dim)
+    D = np.diag(np.repeat([1.0, -1.0, 0.0], indices).astype(complex))
+    return CanonicalForm(indices, KOperator(E, E, D),
+                         Congruence(KOperator(H, E, X), KOperator(E, H, X_inv), tol))
 
 
 def require_equal_dims(A: KOperator, B: KOperator):
@@ -137,14 +128,11 @@ def is_congruent(A: KOperator, B: KOperator, tol: Tolerance = Tolerance()) -> bo
 
 def build_congruence(A: KOperator, B: KOperator,
                      tol: Tolerance = Tolerance()) -> Congruence:
-    """Explicit X with A = X* B X, composed through the canonical forms."""
+    """Explicit X with A = X* B X, composed through the canonical frames."""
     require_equal_dims(A, B)
-    ca = canonical_form(A, tol)
-    cb = canonical_form(B, tol)
-    if ca.indices != cb.indices:
-        raise NotCongruent(
-            f"index triples differ: {tuple(ca.indices)} vs {tuple(cb.indices)}")
-    X_mat = cb.X.X_inv.matrix @ ca.X.X.matrix
-    X_inv_mat = ca.X.X_inv.matrix @ cb.X.X.matrix
-    return Congruence(KOperator(A.domain, B.domain, X_mat),
-                      KOperator(B.domain, A.domain, X_inv_mat), tol)
+    ia, Xa, Xa_inv = _frame(A, tol)
+    ib, Xb, Xb_inv = _frame(B, tol)
+    if ia != ib:
+        raise NotCongruent(f"index triples differ: {tuple(ia)} vs {tuple(ib)}")
+    return Congruence(KOperator(A.domain, B.domain, Xb_inv @ Xa),
+                      KOperator(B.domain, A.domain, Xa_inv @ Xb), tol)

@@ -152,10 +152,11 @@ def _render_rows(block) -> str:
 
 
 def _pieces(obj):
-    """The canonical text of ``obj`` in pieces: a dict is walked key by key,
-    an array is its matrix object with the data left as row blocks for
-    :func:`_render_rows`, any other value (a list and its arrays) is text."""
-    if isinstance(obj, dict):
+    """The canonical text of ``obj`` in pieces: a dict with string keys is
+    walked key by key, an array is its matrix object with the data left as
+    row blocks for :func:`_render_rows`, any other value (a list and its
+    arrays, a dict with other keys) is text."""
+    if isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
         yield "{"
         for k, key in enumerate(sorted(obj)):
             yield f"{',' if k else ''}{_dumps(key)}:"

@@ -20,7 +20,7 @@ from .errors import InputError
 from .genrand import (GenConfig, complex_gaussian, gen_injective_factor,
                       gen_invertible, gen_selfadjoint, gen_space,
                       gen_space_with_split, haar_unitary, j_unitary)
-from .hermdex import build_congruence, canonical_form, hermitian_indices, \
+from .hermdex import _frame, build_congruence, hermitian_indices, \
     is_congruent, transport
 from .krein import (KOperator, hilbert_space, k_adjoint, make_subspace,
                     space_indices)
@@ -127,15 +127,15 @@ def _best_alignment_residual(A, B, sub_seed: int, tol: Tolerance) -> float:
     """Smallest ||A - X* B X|| over random and canonically aligned X."""
     Ha, Kb = A.domain, B.domain
     n = Ha.dim
-    ca = canonical_form(A, tol)
-    cb = canonical_form(B, tol)
+    Xa = _frame(A, tol)[1]
+    Xb_inv = _frame(B, tol)[2]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=sub_seed)))
     best = float("inf")
     for k in range(_NEG_RESTARTS):
         if k % 2 == 0:
             X = gen_invertible(GenConfig(_seeds(sub_seed, 99, k, 1)[0]), Ha, Kb).X.matrix
         else:
-            X = cb.X.X_inv.matrix @ haar_unitary(rng, n) @ ca.X.X.matrix
+            X = Xb_inv @ haar_unitary(rng, n) @ Xa
         cand = Ha.J @ X.conj().T @ Kb.J @ B.matrix @ X
         best = min(best, spectral_norm(A.matrix - cand))
     return best

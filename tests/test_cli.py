@@ -1,4 +1,7 @@
 import json
+import multiprocessing
+import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -6,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from kreinalg import serial
 from kreinalg.cli import main
 from kreinalg.serial import dump_json, matrix_to_obj
 
@@ -61,6 +65,26 @@ def test_indices_human_output(capsys, c2_file):
     assert main(["indices", "-i", c2_file]) == 0
     out = capsys.readouterr().out
     assert "h+ = 1" in out and "h- = 1" in out
+
+
+_TEST_PID = os.getpid()
+
+
+def _render_and_die(block) -> str:
+    if os.getpid() == _TEST_PID:
+        raise AssertionError("rendered in the test process")
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_dead_report_worker_exits_1(capsys, monkeypatch, c2_file):
+    monkeypatch.setattr(serial, "_POOL_ENTRIES", 0)
+    monkeypatch.setattr(serial, "_render_rows", _render_and_die)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert main(["decompose", "-i", c2_file, "--machine"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert multiprocessing.active_children() == []
 
 
 def test_decompose(capsys, c2_file):
@@ -240,8 +264,8 @@ def test_property_suite_rejects_negative_count(capsys):
 @pytest.mark.parametrize("dim_max", ["0", "65", "2000"])
 def test_property_suite_rejects_dim_max_out_of_range(capsys, monkeypatch, dim_max):
     # checked before any worker starts, even with no cases to run
-    import multiprocessing
-    monkeypatch.setattr(multiprocessing.context.ForkContext, "Pool",
+    from concurrent.futures import ProcessPoolExecutor
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__",
                         lambda *a, **kw: pytest.fail("a pool was started"))
     assert main(["property-suite", "--dim-max", dim_max, "--count", "0",
                  "--machine"]) == 2

@@ -3,7 +3,9 @@ import pytest
 
 from kreinalg.errors import (DimensionMismatch, NotCongruent, NotInvertible,
                              NotSelfadjoint)
+from kreinalg import hermdex
 from kreinalg.densela import Tolerance
+from kreinalg.genrand import GenConfig, gen_invertible, gen_selfadjoint, gen_space
 from kreinalg.hermdex import (Congruence, build_congruence, canonical_form,
                               hermitian_indices, is_congruent, transport)
 from kreinalg.krein import (IndexTriple, KOperator, hilbert_space, identity_op,
@@ -52,13 +54,16 @@ def test_canonical_form_diagonal_oracle():
     assert np.allclose(X @ Xi, np.eye(3), atol=1e-12)
 
 
-def test_canonical_form_ordering():
+@pytest.mark.parametrize("eigenvalues, scales", [
+    ([5.0, 2.0, -1.0, -4.0], [np.sqrt(5.0), np.sqrt(2.0), 1.0, 2.0]),
+    # tied eigenvalues keep their index order within a band
+    ([2.0, 2.0, -3.0, -3.0, 0.0, 0.0], np.sqrt([2.0, 2.0, 3.0, 3.0, 1.0, 1.0])),
+])
+def test_canonical_form_ordering(eigenvalues, scales):
     # positives descending, negatives by ascending magnitude, kernel last
-    H = hilbert_space(4)
-    cf = canonical_form(op(H, np.diag([5.0, 2.0, -1.0, -4.0])))
-    assert np.allclose(np.abs(cf.X.X.matrix),
-                       np.diag([np.sqrt(5.0), np.sqrt(2.0), 1.0, 2.0]),
-                       atol=1e-12)
+    H = hilbert_space(len(eigenvalues))
+    cf = canonical_form(op(H, np.diag(eigenvalues)))
+    assert np.allclose(np.abs(cf.X.X.matrix), np.diag(scales), atol=1e-12)
 
 
 def test_canonical_form_reconstructs():
@@ -145,3 +150,44 @@ def test_congruence_builders_pass_tolerance():
     C = op(H, [[0, 1], [-1, 0]])
     assert canonical_form(C, tol).X.tol == tol
     assert build_congruence(C, C, tol).tol == tol
+
+
+def _congruent_pairs():
+    H6 = hilbert_space(6)
+    yield (op(H6, np.diag([2.0, 2.0, -3.0, -3.0, 0.0, 0.0])),      # ties and a kernel
+           op(H6, np.diag([-3.0, 0.0, 2.0, -3.0, 0.0, 2.0])))
+    H0 = hilbert_space(0)
+    yield op(H0, np.zeros((0, 0))), op(H0, np.zeros((0, 0)))
+    yield op(make_space(J2), [[0, 1], [-1, 0]]), op(hilbert_space(2), np.diag([3.0, -5.0]))
+    for seed in (5, 6, 7):
+        Ha, Kb = gen_space(GenConfig(seed, (6, 6))), gen_space(GenConfig(seed + 10, (6, 6)))
+        B = gen_selfadjoint(GenConfig(seed + 20, kernel_prob=1.0), Kb)
+        X = gen_invertible(GenConfig(seed + 30), Ha, Kb)
+        yield transport(B, X), B
+
+
+@pytest.mark.parametrize("A, B", list(_congruent_pairs()))
+def test_build_congruence_composes_the_canonical_forms(A, B):
+    # bit for bit the composition X_B^-1 X_A of the two canonical frames
+    ca, cb = canonical_form(A), canonical_form(B)
+    X = build_congruence(A, B)
+    assert np.array_equal(X.X.matrix, cb.X.X_inv.matrix @ ca.X.X.matrix)
+    assert np.array_equal(X.X_inv.matrix, ca.X.X_inv.matrix @ cb.X.X.matrix)
+
+
+def test_build_congruence_checks_one_inverse_and_no_canonical_form(monkeypatch):
+    H = make_space(J2)
+    A, B = op(H, [[0, 1], [-1, 0]]), op(hilbert_space(2), np.diag([3.0, -5.0]))
+    calls = {"check": 0}
+    check = Congruence.__post_init__
+
+    def counted(self):
+        calls["check"] += 1
+        check(self)
+
+    monkeypatch.setattr(Congruence, "__post_init__", counted)
+    for name in ("hilbert_space", "canonical_form"):
+        monkeypatch.setattr(hermdex, name,
+                            lambda *a, name=name, **kw: pytest.fail(f"{name} was called"))
+    build_congruence(A, B)
+    assert calls["check"] == 1

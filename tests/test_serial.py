@@ -340,3 +340,39 @@ def test_pooled_write_json_prints_a_prefix_once():
     prefix, report = done.stdout.split("\n", 1)
     assert prefix == "prefix" and "prefix" not in report
     assert report == dump_json({"m": np.eye(6)}) + "\n"
+
+
+@pytest.mark.parametrize("report", [
+    {1: 2, 3: {4: 5}},
+    {10: "ten", 9: [{-1: None}]},
+    {1.5: [1.0], -2.0: {0.5: 2}},
+    {True: 1, False: {0: None}},
+    {None: {"k": 1}},
+    {"s": {1: {"t": 2}}, "u": [{2: 3}], "v": {}},
+])
+def test_non_string_keys_render_as_json(report):
+    want = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    assert dump_json(report) == want
+    fh = io.StringIO()
+    write_json(report, fh)
+    assert fh.getvalue() == want + "\n"
+
+
+def test_a_dead_worker_raises_instead_of_hanging():
+    # a worker killed mid-task, say by the OOM killer, ends the map with
+    # KreinError, and no other worker is left behind
+    code = ("import multiprocessing, os, signal\n"
+            "from kreinalg._pool import fork_map\n"
+            "from kreinalg.errors import KreinError\n"
+            "def task(k):\n"
+            "    if k == 3:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return k\n"
+            "try:\n"
+            "    with fork_map(task, list(range(8))) as results:\n"
+            "        list(results)\n"
+            "except KreinError as exc:\n"
+            "    print(type(exc).__name__, multiprocessing.active_children())\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=10)
+    assert done.stdout == "KreinError []\n"

@@ -2,6 +2,7 @@ import json
 import multiprocessing
 import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -99,13 +100,13 @@ def test_pool_matches_in_process_batteries(no_workers_left, seed, count, dim_max
 def test_report_does_not_depend_on_worker_count(no_workers_left, monkeypatch):
     many = run_property_suite(19, count=6)
     sizes = []
-    fork_pool = multiprocessing.context.ForkContext.Pool
+    init = ProcessPoolExecutor.__init__
 
-    def pool(self, processes=None, *rest, **kw):
-        sizes.append(processes)
-        return fork_pool(self, processes, *rest, **kw)
+    def pool(self, max_workers=None, *rest, **kw):
+        sizes.append(max_workers)
+        init(self, max_workers, *rest, **kw)
 
-    monkeypatch.setattr(multiprocessing.context.ForkContext, "Pool", pool)
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__", pool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert run_property_suite(19, count=6) == many
     assert sizes == [1]
