@@ -20,8 +20,7 @@ import numpy as np
 from .bkfact import bk_factorize, bk_verify
 from .decomp import decompose, projections, validate
 from .densela import Tolerance, spectral_norm
-from .errors import (DimensionMismatch, InputError, KreinError,
-                     NumericalError, PreconditionError)
+from .errors import DimensionMismatch, InputError, KreinError, PreconditionError
 from .hermdex import (build_congruence, hermitian_indices, require_equal_dims,
                       transport)
 from .krein import (KOperator, KreinSpace, hilbert_space, make_space,
@@ -268,7 +267,6 @@ def _resolve_seed(args) -> int:
 def cmd_property_suite(args) -> int:
     tol = _merge_tolerance(args, None)
     report = run_property_suite(_resolve_seed(args), args.count, args.dim_max, tol)
-    report["schema_version"] = SCHEMA_VERSION
     report["command"] = "property-suite"
 
     def render(r):
@@ -367,18 +365,10 @@ def main(argv=None) -> int:
     try:
         with np.errstate(all="ignore"):     # non-finite values are checked, not warned of
             return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except KreinError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return (2 if isinstance(exc, InputError)
+                else 3 if isinstance(exc, PreconditionError) else 1)
 
 
 def main_entry() -> None:

@@ -116,10 +116,10 @@ def validate(C: KOperator, dec: Decomposition, tol: Tolerance = Tolerance()) -> 
     k = mp.dim + mm.dim + mz.dim
     if k == 0:
         min_sv = 1.0 if H.dim == 0 else 0.0
-        direct = H.dim == 0
     else:
         min_sv = float(dec.singular_values[-1]) if k <= H.dim else 0.0
-        direct = k == H.dim and min_sv > tol.rank_tol
+    # the rank cut `projections` applies, so the two never disagree
+    direct = k == H.dim and count_above_cut(dec.singular_values, tol) == H.dim
 
     report = {
         "sign_conditions": bool(sign_ok),

@@ -86,17 +86,26 @@ class KOperator:
         object.__setattr__(self, "matrix", mat)
 
     @cached_property
+    def jc(self) -> np.ndarray:
+        """J C, C's Hilbert-space representative, formed once per operator
+        and read-only: `hermitian_eig`, `is_selfadjoint` and the C-Gram
+        matrices all read it.  Raises ``DimensionMismatch`` unless C acts
+        on a single space."""
+        _require_endomorphism(self)
+        JC = self.domain.J @ self.matrix
+        JC.flags.writeable = False
+        return JC
+
+    @cached_property
     def hermitian_eig(self) -> HermEig:
         """Eigendecomposition of the Hermitian part of J C, taken once per
         operator; every band cut of `selfadjoint_split` reads it.  No
         tolerance enters: the Hermitian part is exactly Hermitian, and
         whether C is selfadjoint is decided by the caller.  Its arrays are
         read-only: every engine shares them."""
-        _require_endomorphism(self)
-        JC = self.domain.J @ self.matrix
-        JC += JC.conj().T
-        JC *= 0.5
-        eig = herm_eig(JC)
+        herm = self.jc + self.jc.conj().T
+        herm *= 0.5
+        eig = herm_eig(herm)
         eig.eigenvalues.flags.writeable = False
         eig.eigenvectors.flags.writeable = False
         return eig
@@ -167,9 +176,13 @@ def space_indices(H: KreinSpace) -> tuple[int, int]:
 
 
 def identity_op(H: KreinSpace) -> KOperator:
-    """The identity on H, its 2-norm seeded (1, or 0 on the zero space)."""
+    """The identity on H, its 2-norm (1, or 0 on the zero space) and its
+    J C (a read-only view of J, which is what ``J @ I`` gives) seeded."""
     op = KOperator(H, H, np.eye(H.dim, dtype=complex))
     vars(op)["norm"] = 1.0 if H.dim else 0.0
+    JC = np.asarray(H.J, dtype=complex).view()
+    JC.flags.writeable = False
+    vars(op)["jc"] = JC
     return op
 
 
@@ -189,17 +202,10 @@ def _require_endomorphism(C: KOperator):
         raise DimensionMismatch("operator must act on a single space")
 
 
-def _jc_hermitian(C: KOperator, tol: Tolerance) -> bool:
-    # whether J C is Hermitian within tolerance
-    _require_endomorphism(C)
-    JC = C.domain.J @ C.matrix
-    JC -= JC.conj().T
-    return norm_within(JC, tol.residual_tol, C.matrix)
-
-
 def is_selfadjoint(C: KOperator, tol: Tolerance = Tolerance()) -> bool:
-    """True iff C = C*, equivalently iff J C is Hermitian within tolerance."""
-    return _jc_hermitian(C, tol)
+    """True iff C = C*, equivalently iff J C is Hermitian within tolerance;
+    decided on every call, under ``tol``, from C's cached J C."""
+    return norm_within(C.jc - C.jc.conj().T, tol.residual_tol, C.matrix)
 
 
 def selfadjoint_split(C: KOperator, tol: Tolerance, what: str) -> SpectralSplit:
@@ -207,7 +213,7 @@ def selfadjoint_split(C: KOperator, tol: Tolerance, what: str) -> SpectralSplit:
     unless C is selfadjoint under ``tol``, checked on every call.  The bands
     follow ``tol`` too; the eigendecomposition is C's cached one.  Every
     engine reads its bands from here."""
-    if not _jc_hermitian(C, tol):
+    if not is_selfadjoint(C, tol):
         raise NotSelfadjoint(f"{what} requires a selfadjoint operator")
     return band_split(C.hermitian_eig, tol)
 
@@ -223,7 +229,7 @@ def make_subspace(H: KreinSpace, vectors, tol: Tolerance = Tolerance()) -> Subsp
 
 def _gram(C: KOperator, M: Subspace, N: Subspace) -> np.ndarray:
     # Entries <m_j, n_i>_C on the two bases.
-    return N.basis.conj().T @ (C.domain.J @ C.matrix) @ M.basis
+    return N.basis.conj().T @ C.jc @ M.basis
 
 
 def classify_subspace(C: KOperator, M: Subspace,
@@ -233,7 +239,6 @@ def classify_subspace(C: KOperator, M: Subspace,
     Decided by the inertia of the C-Gram matrix of M's basis; a strict
     class additionally requires the Gram to have no numerical kernel.
     """
-    _require_endomorphism(C)
     if M.space.dim != C.domain.dim:
         raise DimensionMismatch("subspace does not live in the operator's space")
     G = _gram(C, M, M)
@@ -253,7 +258,6 @@ def classify_subspace(C: KOperator, M: Subspace,
 def c_orthogonal(C: KOperator, M: Subspace, N: Subspace,
                  tol: Tolerance = Tolerance()) -> bool:
     """True iff <m, n>_C vanishes for all m in M, n in N, within tolerance."""
-    _require_endomorphism(C)
     if M.space.dim != C.domain.dim or N.space.dim != C.domain.dim:
         raise DimensionMismatch("subspaces do not live in the operator's space")
     return norm_within(_gram(C, M, N), tol.residual_tol, C.matrix)

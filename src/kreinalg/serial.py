@@ -111,7 +111,9 @@ def problem_from_obj(obj) -> tuple[np.ndarray | None, np.ndarray, Tolerance]:
             raise InputError(
                 f"space.J dimension {J.shape[0]} does not match operator "
                 f"dimension {op.shape[0]}")
-    tol_obj = obj.get("tolerance") or {}
+    tol_obj = obj.get("tolerance")
+    if tol_obj is None:         # a missing field or null: no overrides
+        tol_obj = {}
     if not isinstance(tol_obj, dict):
         raise InputError("tolerance must be an object")
     unknown = set(tol_obj) - {"rank_tol", "residual_tol"}

@@ -9,8 +9,9 @@ import warnings
 import numpy as np
 import pytest
 
-from kreinalg import serial
+from kreinalg import cli, serial
 from kreinalg.cli import main
+from kreinalg.errors import ContractionOverflow
 from kreinalg.serial import dump_json, matrix_to_obj
 
 J2 = np.diag([1.0, -1.0]).astype(complex)
@@ -182,6 +183,10 @@ def test_exit_code_input_error(capsys, tmp_path):
     hostile = {
         "huge_int": json.dumps({"operator": {**one, "data": [[10 ** 400, 0]]}}),
         "tol_string": json.dumps({"operator": one, "tolerance": {"rank_tol": "abc"}}),
+        # only a missing field or null means no overrides
+        **{f"tol_{name}": json.dumps({"operator": one, "tolerance": tol})
+           for name, tol in (("false", False), ("zero", 0), ("empty_list", []),
+                             ("empty_string", ""))},
         "bool_entry": json.dumps({"operator": {**one, "data": [[True, False]]}}),
         "bool_shape": json.dumps({"operator": {**one, "rows": True, "cols": True}}),
         "digits": "1" * 5000,
@@ -206,11 +211,20 @@ def test_exit_code_input_error(capsys, tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1, name
 
 
-def test_exit_code_precondition(capsys, tmp_path):
+def test_exit_code_precondition(capsys, tmp_path, monkeypatch):
     f = write(tmp_path / "nonsa.json",
               {"space": {"J": matrix_to_obj(J2)},
                "operator": matrix_to_obj(np.array([[0.0, 1.0], [1.0, 0.0]]))})
     assert main(["indices", "-i", f]) == 3
+
+    def overflow(*args, **kwargs):
+        raise ContractionOverflow("completion left the unit ball")
+
+    # the numerical family exits 1, like every other KreinError
+    monkeypatch.setattr(cli, "hermitian_indices", overflow)
+    capsys.readouterr()
+    assert main(["indices", "-i", f]) == 1
+    assert capsys.readouterr().err == "error: completion left the unit ball\n"
 
 
 def test_tolerance_flag_applies(capsys, tmp_path):
@@ -227,7 +241,6 @@ def test_tolerance_flag_applies(capsys, tmp_path):
 def test_pair_tolerance_is_settled_before_spaces(capsys, tmp_path, monkeypatch):
     # J^2 - I is off by about 1e-6: rejected at the default residual_tol,
     # accepted at the 1e-5 that B's problem file sets for both operands
-    import kreinalg.cli as cli
     s = write(tmp_path / "j.json", matrix_to_obj(J2 * (1.0 + 5e-7)))
     a = write(tmp_path / "a.json", matrix_to_obj(np.eye(2)))
     b = write(tmp_path / "b.json", {"operator": matrix_to_obj(np.eye(2)),
@@ -302,7 +315,6 @@ def test_property_suite_env_seed(capsys, monkeypatch):
 
 def test_property_suite_negative_control(capsys, monkeypatch):
     """An injected violation must surface as exit code 1."""
-    import kreinalg.cli as cli
 
     def broken(seed, count=None, dim_max=8, tol=None):
         return {"schema_version": 1, "seed": seed, "dim_max": dim_max,

@@ -130,3 +130,22 @@ def test_projections_reject_deficient_parts():
     none = make_subspace(H, np.zeros((2, 0)))
     with pytest.raises(NotDirect):
         projections(C, Decomposition(M_plus=e1, M_minus=e1, M_zero=none))
+
+
+def test_validate_and_projections_share_the_rank_cut():
+    # the two lines meet at t = 1.7e-10: the smallest singular value of the
+    # stacked basis, about 1.2e-10, clears rank_tol = 1e-10 in absolute
+    # terms but not relative to the largest one, about sqrt(2)
+    H = hilbert_space(2)
+    C = op(H, np.diag([1.0, -1.0]))
+    t = 1.7e-10
+    line = Subspace(H, np.array([[1.0], [0.0]], dtype=complex))
+    tilted = Subspace(H, np.array([[np.cos(t)], [np.sin(t)]], dtype=complex))
+    none = Subspace(H, np.zeros((2, 0), dtype=complex))
+    dec = Decomposition(M_plus=line, M_minus=tilted, M_zero=none)
+    report = validate(C, dec)
+    assert not report["pairwise_sums_direct"]
+    assert not report["direct_sum"]
+    assert 1e-10 < report["min_direct_singular_value"] < 1.5e-10
+    with pytest.raises(NotDirect):
+        projections(C, dec)

@@ -3,7 +3,9 @@
 The fixtures under tests/golden/ pin the exact bytes each subcommand
 prints for a small (n = 8) Krein problem, so a change that claims to
 leave reports byte-identical is checked here rather than just claimed.
-Each command runs as its own process with one BLAS thread.
+Each command runs as its own process under the caller's BLAS threading
+(``OPENBLAS_NUM_THREADS`` passes through), so the bytes are checked with
+BLAS pinned to one thread and with it threaded alike.
 
 Regenerate the inputs and the expected reports (only when a report is
 meant to change) with
@@ -45,7 +47,7 @@ CASES = {
 
 
 def run_case(argv) -> bytes:
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     done = subprocess.run([sys.executable, "-m", "kreinalg", *argv], cwd=GOLDEN,

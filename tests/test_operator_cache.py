@@ -1,9 +1,13 @@
-"""Each operator is eigendecomposed once and its 2-norm taken once.
+"""Each operator forms J C once, is eigendecomposed once and its 2-norm
+taken once.
 
-`KOperator.hermitian_eig` and `KOperator.norm` are cached; these tests
-count the kernels behind them across the engines and check that the
-caches never carry one call's tolerance into another.
+`KOperator.jc`, `KOperator.hermitian_eig` and `KOperator.norm` are
+cached; these tests count the products and kernels behind them across
+the engines and check that the caches never carry one call's tolerance
+into another.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -18,8 +22,8 @@ from kreinalg.genrand import (GenConfig, gen_invertible, gen_selfadjoint,
                               gen_space_with_split)
 from kreinalg.hermdex import (build_congruence, canonical_form,
                               hermitian_indices, transport)
-from kreinalg.krein import (KOperator, hilbert_space, identity_op, make_space,
-                            make_subspace, selfadjoint_split)
+from kreinalg.krein import (KOperator, hilbert_space, identity_op, is_selfadjoint,
+                            make_space, make_subspace, selfadjoint_split)
 from kreinalg.phillips import graph_rep
 
 # every module that binds each kernel name, so calls from any of them count
@@ -44,6 +48,28 @@ def _record(monkeypatch, name, seen=None):
         if hasattr(mod, name):
             monkeypatch.setattr(mod, name, recorded)
     return seen
+
+
+class _CountingMatrix(np.ndarray):
+    """An operator matrix that counts the products ``J @ matrix`` formed
+    from it, J being its operator's domain symmetry; every operation on it
+    returns plain arrays."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if (ufunc is np.matmul and method == "__call__" and inputs[1] is self
+                and inputs[0] is self.J):
+            self.jc_products += 1
+        inputs = [x.view(np.ndarray) if isinstance(x, _CountingMatrix) else x
+                  for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def _count_jc(C: KOperator) -> _CountingMatrix:
+    """Swap C's matrix for a counting view of it; returns that view."""
+    M = C.matrix.view(_CountingMatrix)
+    M.J, M.jc_products = C.domain.J, 0
+    object.__setattr__(C, "matrix", M)
+    return M
 
 
 def _count_equal(seen, M) -> int:
@@ -75,6 +101,46 @@ def test_each_operator_is_eigendecomposed_once(monkeypatch):
     build_congruence(C, B)
     assert _count_equal(seen, _hermitian_part(C)) == 1
     assert _count_equal(seen, _hermitian_part(B)) == 1
+
+
+def test_each_operator_forms_jc_once():
+    # fresh operators: building the pair has read C's J C already
+    C, B = (KOperator(op.domain, op.codomain, op.matrix) for op in _congruent_pair())
+    counted = _count_jc(C), _count_jc(B)
+    assert hermitian_indices(C) == canonical_form(C).indices
+    dec = decompose(C)
+    assert validate(C, dec)["passed"]
+    projections(C, dec)
+    assert bk_verify(C, bk_factorize(C))["passed"]
+    assert hermitian_indices(B) == hermitian_indices(C)
+    build_congruence(C, B)
+    assert [M.jc_products for M in counted] == [1, 1]
+
+
+def test_graph_rep_forms_no_jc_of_an_identity(monkeypatch):
+    H = make_space(np.diag([1.0, 1.0, 1.0, -1.0, -1.0]))
+    plus = make_subspace(H, np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0],
+                                      [0.5, 0.0], [0.0, 0.25]]))
+    identities = []
+
+    def counted_identity(space):
+        op = identity_op(space)
+        identities.append(_count_jc(op))
+        return op
+
+    monkeypatch.setattr(phillips, "identity_op", counted_identity)
+    graph_rep(plus, "plus")
+    assert identities and not any(M.jc_products for M in identities)
+
+
+def test_jc_is_read_only():
+    C, _ = _congruent_pair()
+    for op in (C, identity_op(C.domain), identity_op(hilbert_space(3))):
+        assert np.array_equal(op.jc, op.domain.J @ op.matrix)
+        with pytest.raises(ValueError):
+            op.jc[0, 0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.jc = np.zeros_like(op.matrix)
 
 
 def test_operator_norm_is_taken_once(monkeypatch):
@@ -126,7 +192,8 @@ def test_cache_keeps_the_selfadjointness_check():
     M[0, 1] = 1e-5
     C = KOperator(H, H, M)
     assert hermitian_indices(C, Tolerance(residual_tol=1e-2)) == (1, 2, 0)
-    assert "hermitian_eig" in vars(C)
+    assert "jc" in vars(C) and "hermitian_eig" in vars(C)
+    assert not is_selfadjoint(C)
     with pytest.raises(NotSelfadjoint):
         hermitian_indices(C, Tolerance())
     with pytest.raises(NotSelfadjoint):

@@ -71,6 +71,8 @@ def test_problem_file_defaults():
     J, M, tol = problem_from_obj({"operator": matrix_to_obj(C)})
     assert J is None
     assert tol == Tolerance()
+    # null, like a missing field, means no overrides
+    assert problem_from_obj({"operator": matrix_to_obj(C), "tolerance": None})[2] == tol
 
 
 @pytest.mark.parametrize("obj", [
@@ -80,7 +82,8 @@ def test_problem_file_defaults():
     {"operator": {"rows": 2, "cols": 2, "data": [[1, 0]] * 4},
      "tolerance": {"bogus": 1.0}},
     {"operator": {"rows": 2, "cols": 3, "data": [[1, 0]] * 6}},   # not square
-])
+] + [{"operator": {"rows": 1, "cols": 1, "data": [[1, 0]]}, "tolerance": tol}
+     for tol in (False, 0, [], "", [1], "x")])                  # not an object
 def test_problem_from_obj_rejects(obj):
     with pytest.raises(InputError):
         problem_from_obj(obj)
