@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -26,7 +27,8 @@ from .hermdex import (build_congruence, hermitian_indices, require_equal_dims,
 from .krein import (KOperator, KreinSpace, hilbert_space, make_space,
                     make_subspace, space_indices)
 from .phillips import graph_rep, phillips_extend
-from .serial import load_json, matrix_from_obj, problem_from_obj, write_json
+from .serial import (_collector_paused, load_json, matrix_from_obj,
+                     problem_from_obj, write_json)
 from .suite import run_property_suite
 
 __all__ = ["main", "main_entry", "build_parser"]
@@ -42,10 +44,18 @@ def _merge_tolerance(args, file_tol: Tolerance | None) -> Tolerance:
     return Tolerance(rank_tol=rank, residual_tol=res)
 
 
+def _read(path, convert):
+    """``convert`` of the JSON document in ``path``.  The file is parsed and
+    converted with the cyclic collector paused, and the parsed tree is
+    dropped before the collector resumes."""
+    with _collector_paused():
+        return convert(load_json(path))
+
+
 def _space_flag(args, tol: Tolerance) -> KreinSpace | None:
     """The --space symmetry, read and validated once per command."""
     return None if args.space is None else make_space(
-        matrix_from_obj(load_json(args.space), "space symmetry"), tol)
+        _read(args.space, partial(matrix_from_obj, what="space symmetry")), tol)
 
 
 def _operand_space(flag: KreinSpace | None, J, n: int, tol: Tolerance) -> KreinSpace:
@@ -60,14 +70,15 @@ def _operand_space(flag: KreinSpace | None, J, n: int, tol: Tolerance) -> KreinS
 
 def _read_operand(path) -> tuple:
     """(J or None, square operator matrix, file tolerance or None)."""
-    obj = load_json(path)
-    if isinstance(obj, dict) and "operator" in obj:
-        return problem_from_obj(obj)
-    if isinstance(obj, dict) and "rows" in obj:
-        # a matrix file is a problem file's operator alone: no J, no tolerance
-        return None, problem_from_obj({"operator": obj})[1], None
-    raise InputError(
-        f"{path}: input must be a problem file (operator key) or a matrix file")
+    def convert(obj):
+        if isinstance(obj, dict) and "operator" in obj:
+            return problem_from_obj(obj)
+        if isinstance(obj, dict) and "rows" in obj:
+            # a matrix file is a problem file's operator alone: no J, no tolerance
+            return None, problem_from_obj({"operator": obj})[1], None
+        raise InputError(
+            f"{path}: input must be a problem file (operator key) or a matrix file")
+    return _read(path, convert)
 
 
 def _load_operators(args, *paths) -> tuple[list[KOperator], Tolerance]:
@@ -86,10 +97,17 @@ def _load_operators(args, *paths) -> tuple[list[KOperator], Tolerance]:
 
 
 def _emit(report: dict, args, render) -> None:
-    if args.machine:
-        write_json(report, sys.stdout)
-    else:
-        render(report)
+    try:
+        if args.machine:
+            write_json(report, sys.stdout)
+        else:
+            render(report)
+        sys.stdout.flush()
+    except OSError as exc:
+        # what is still buffered goes nowhere, so shutdown has no failed
+        # flush to report (the SIGPIPE note of the Python signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise InputError(f"cannot write the report: {exc}") from exc
 
 
 def _print_indices_line(label: str, triple) -> None:
@@ -217,8 +235,8 @@ def cmd_congruent(args) -> int:
 
 def cmd_phillips(args) -> int:
     tol = _merge_tolerance(args, None)
-    Bp = matrix_from_obj(load_json(args.plus), "nonnegative basis")
-    Bm = matrix_from_obj(load_json(args.minus), "nonpositive basis")
+    Bp = _read(args.plus, partial(matrix_from_obj, what="nonnegative basis"))
+    Bm = _read(args.minus, partial(matrix_from_obj, what="nonpositive basis"))
     n = Bp.shape[0]
     if Bm.shape[0] != n:
         raise DimensionMismatch(

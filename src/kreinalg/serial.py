@@ -11,9 +11,10 @@ blocks, in order, so no whole matrix exists as Python lists or text.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
-from contextlib import nullcontext, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from itertools import chain
 
 import numpy as np
@@ -73,7 +74,8 @@ def matrix_from_obj(obj, what: str = "matrix") -> np.ndarray:
             and set(map(type, chain.from_iterable(data))) <= {int, float}):
         # checked first: numpy would turn True, "1" and None into doubles
         with suppress(OverflowError):
-            out = np.array(data, dtype=np.float64).reshape(-1).view(complex)
+            out = np.fromiter(chain.from_iterable(data), np.float64,
+                              2 * len(data)).view(complex)
     if out is None:     # the per-entry loop names the first bad entry
         out = np.zeros(rows * cols, dtype=complex)
         for k, pair in enumerate(data):
@@ -123,6 +125,20 @@ def problem_from_obj(obj) -> tuple[np.ndarray | None, np.ndarray, Tolerance]:
                                        f"tolerance.{name}")
                        for name in ("rank_tol", "residual_tol")})
     return J, op, tol
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic collector for the block.  A parsed JSON tree holds
+    no cycle, so the passes its many lists would set off free nothing.  On
+    exit the collector is enabled again only if it was on before."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def load_json(path):

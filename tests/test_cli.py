@@ -1,3 +1,5 @@
+import contextlib
+import gc
 import json
 import multiprocessing
 import os
@@ -14,6 +16,7 @@ from kreinalg.cli import main
 from kreinalg.errors import ContractionOverflow
 from kreinalg.serial import dump_json, matrix_to_obj
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 J2 = np.diag([1.0, -1.0]).astype(complex)
 C2 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
@@ -86,6 +89,116 @@ def test_dead_report_worker_exits_1(capsys, monkeypatch, c2_file):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert multiprocessing.active_children() == []
+
+
+def _hermitian(n: int, seed: int) -> np.ndarray:
+    A = np.random.default_rng(seed).standard_normal((n, n))
+    return A + A.T
+
+
+@pytest.mark.parametrize("sink", ["pipe", "/dev/full"])
+def test_failed_report_write_is_one_line(tmp_path, sink):
+    # decompose at n = 128 writes 2**16 matrix entries, enough for the
+    # pooled writer; the pipe's reader closes it after 20 bytes
+    f = write(tmp_path / "c.json", matrix_to_obj(_hermitian(128, 128)))
+    cmd = [sys.executable, "-m", "kreinalg", "decompose", "-i", f, "--machine"]
+    env = {**os.environ, "PYTHONPATH": SRC}
+    with contextlib.ExitStack() as stack:
+        out = (subprocess.PIPE if sink == "pipe"
+               else stack.enter_context(open(sink, "wb")))
+        proc = subprocess.Popen(cmd, stdout=out, stderr=subprocess.PIPE, env=env,
+                                start_new_session=True)
+        if sink == "pipe":
+            assert len(proc.stdout.read(20)) == 20
+            proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 2
+    assert err.startswith("error: cannot write the report: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    with pytest.raises(ProcessLookupError):     # no worker outlives the command
+        os.killpg(proc.pid, 0)
+
+
+class _Stop(Exception):
+    """Ends a command once its input files are read."""
+
+
+def _raise_stop(*args, **kwargs):
+    raise _Stop
+
+
+@contextlib.contextmanager
+def _collections():
+    """The generations of the cyclic collections started in the block."""
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        yield starts
+    finally:
+        gc.callbacks.remove(count)
+
+
+@pytest.fixture
+def files64(tmp_path):
+    """64 x 64 problem, matrix and symmetry files, and two 64 x 32 bases."""
+    J = np.diag([1.0] * 40 + [-1.0] * 24)
+    C = _hermitian(64, 64)
+    B = np.random.default_rng(65).standard_normal((64, 64))
+    return {"problem": write(tmp_path / "p.json", {"space": {"J": matrix_to_obj(J)},
+                                                   "operator": matrix_to_obj(C)}),
+            "matrix": write(tmp_path / "c.json", matrix_to_obj(C)),
+            "space": write(tmp_path / "j.json", matrix_to_obj(J)),
+            "plus": write(tmp_path / "bp.json", matrix_to_obj(B[:, :32])),
+            "minus": write(tmp_path / "bm.json", matrix_to_obj(B[:, 32:]))}
+
+
+@pytest.mark.parametrize("case", ["problem", "space", "phillips"])
+def test_reading_files_starts_no_collection(monkeypatch, files64, case):
+    # a parsed tree holds no cycle: the reader parses and converts it with
+    # the cyclic collector paused, and the command stops right after reading
+    argv = {"problem": ["indices", "-i", files64["problem"]],
+            "space": ["indices", "-i", files64["matrix"], "--space", files64["space"]],
+            "phillips": ["phillips", files64["plus"], files64["minus"],
+                         "--space", files64["space"]]}[case]
+    monkeypatch.setattr(cli, "_operand_space", _raise_stop)     # called after all reads
+    gc.collect()
+    with _collections() as starts, pytest.raises(_Stop):
+        main(argv)
+    assert starts == []
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("content, code", [
+    (json.dumps(matrix_to_obj(np.eye(2))), 0),
+    (None, 2),                                          # a missing file
+    ("{]", 2),
+    ("[" * 100000, 2),                                  # RecursionError
+    (json.dumps({"rows": 1, "cols": 1, "data": [[True, 0]]}), 2),
+])
+def test_collector_runs_again_after_each_read(capsys, tmp_path, content, code):
+    path = tmp_path / "in.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(["indices", "-i", str(path)]) == code
+    assert gc.isenabled()
+    if code:
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_reader_keeps_a_disabled_collector(capsys, c2_file):
+    gc.disable()
+    try:
+        assert main(["indices", "-i", c2_file]) == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_decompose(capsys, c2_file):

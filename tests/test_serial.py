@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import multiprocessing
@@ -87,6 +88,21 @@ def test_problem_file_defaults():
 def test_problem_from_obj_rejects(obj):
     with pytest.raises(InputError):
         problem_from_obj(obj)
+
+
+def test_collector_pause_restores_the_callers_state():
+    assert gc.isenabled()
+    with pytest.raises(InputError), serial._collector_paused():
+        assert not gc.isenabled()
+        raise InputError("read failed")
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        with serial._collector_paused():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_load_json_failures(tmp_path):
@@ -240,6 +256,8 @@ entries = st.one_of(
 @given(st.lists(st.lists(json_numbers, min_size=2, max_size=2), max_size=6)
        | st.lists(entries, max_size=6))
 @example([[2 ** 53 + 1, 2 ** 63 + 1], [-2 ** 64 - 1, 10 ** 300 + 7]])
+@example([[2 ** 53 + 1, -0.0]])
+@example([[1.5, 2 ** 63 + 1]])
 @example([[1, 2], [True, 0]])
 @example([[1, 2], ["1", 0]])
 @example([[1, 2], [None, 0]])
