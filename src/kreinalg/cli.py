@@ -2,8 +2,10 @@
 
 Subcommands map onto the library engines: ``indices``, ``decompose``,
 ``factorize``, ``congruent``, ``phillips``, ``property-suite``.  Input
-matrices come from JSON files; ``--machine`` switches the report to a
-single JSON document with a schema version field.
+matrices come from JSON files.  Each ``cmd_*`` returns ``(report, render,
+exit_code)`` and writes its own ``--out`` files; :func:`main` adds the
+schema version and command name and emits the report once: one JSON
+document under ``--machine``, else the text of ``render``.
 
 Exit codes: 0 success, 1 property violation or numerical failure,
 2 input or validation error, 3 mathematical precondition failure.
@@ -114,13 +116,11 @@ def _print_indices_line(label: str, triple) -> None:
     print(f"{label}: h+ = {triple[0]}, h- = {triple[1]}, h0 = {triple[2]}")
 
 
-def cmd_indices(args) -> int:
+def cmd_indices(args) -> tuple:
     (C,), tol = _load_operators(args, args.input)
     idx = hermitian_indices(C, tol)
     ip, im = space_indices(C.domain)
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "indices",
         "indices": list(idx),
         "space": {"dim": C.domain.dim, "ind_plus": ip, "ind_minus": im},
     }
@@ -131,18 +131,15 @@ def cmd_indices(args) -> int:
         print(f"space signature: ind+ = {s['ind_plus']}, "
               f"ind- = {s['ind_minus']} (dim {s['dim']})")
 
-    _emit(report, args, render)
-    return 0
+    return report, render, 0
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> tuple:
     (C,), tol = _load_operators(args, args.input)
     dec = decompose(C, tol)
     rep = validate(C, dec, tol)
     P = projections(C, dec, tol)
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "decompose",
         "bases": {
             "plus": dec.M_plus.basis,
             "minus": dec.M_minus.basis,
@@ -165,18 +162,15 @@ def cmd_decompose(args) -> int:
             print(f"  {key}: {'ok' if r['validation'][key] else 'FAILED'}")
         print(f"validation passed: {r['validation']['passed']}")
 
-    _emit(report, args, render)
-    return 0 if rep["passed"] else 1
+    return report, render, 0 if rep["passed"] else 1
 
 
-def cmd_factorize(args) -> int:
+def cmd_factorize(args) -> tuple:
     (C,), tol = _load_operators(args, args.input)
     F = bk_factorize(C, tol)
     rep = bk_verify(C, F, tol)
     ip, im = rep["factor_space_indices"]
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "factorize",
         "factor_space": {
             "dim": F.A_space.dim,
             "ind_plus": ip,
@@ -199,17 +193,14 @@ def cmd_factorize(args) -> int:
               f"index equality: {r['verify']['index_equality']}")
         print(f"verified: {r['verify']['passed']}")
 
-    _emit(report, args, render)
-    return 0 if rep["passed"] else 1
+    return report, render, 0 if rep["passed"] else 1
 
 
-def cmd_congruent(args) -> int:
+def cmd_congruent(args) -> tuple:
     (A, B), tol = _load_operators(args, args.input_a, args.input_b)
     require_equal_dims(A, B)
     idx_a, idx_b = hermitian_indices(A, tol), hermitian_indices(B, tol)
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "congruent",
         "indices_a": list(idx_a),
         "indices_b": list(idx_b),
         "congruent": idx_a == idx_b,
@@ -229,11 +220,10 @@ def cmd_congruent(args) -> int:
         else:
             print("congruent: no")
 
-    _emit(report, args, render)
-    return 0
+    return report, render, 0
 
 
-def cmd_phillips(args) -> int:
+def cmd_phillips(args) -> tuple:
     tol = _merge_tolerance(args, None)
     Bp = _read(args.plus, partial(matrix_from_obj, what="nonnegative basis"))
     Bm = _read(args.minus, partial(matrix_from_obj, what="nonpositive basis"))
@@ -250,8 +240,6 @@ def cmd_phillips(args) -> int:
     gm = graph_rep(Sm, "minus", tol)
     ext = phillips_extend(gp, gm, tol)
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "phillips",
         "contraction": ext.G,
         "contraction_norm": float(spectral_norm(ext.G)),
         "maximal_plus": ext.G_tilde_plus.basis,
@@ -266,8 +254,7 @@ def cmd_phillips(args) -> int:
         print(f"maximal pair dimensions: plus {r['dims']['plus']}, "
               f"minus {r['dims']['minus']}")
 
-    _emit(report, args, render)
-    return 0
+    return report, render, 0
 
 
 def _resolve_seed(args) -> int:
@@ -282,10 +269,9 @@ def _resolve_seed(args) -> int:
         raise InputError(f"KREIN_SEED is not a decimal integer: {env!r}")
 
 
-def cmd_property_suite(args) -> int:
+def cmd_property_suite(args) -> tuple:
     tol = _merge_tolerance(args, None)
     report = run_property_suite(_resolve_seed(args), args.count, args.dim_max, tol)
-    report["command"] = "property-suite"
 
     def render(r):
         for b in r["batteries"]:
@@ -294,8 +280,7 @@ def cmd_property_suite(args) -> int:
                   f"{b['failures']} failures [{status}]")
         print(f"suite passed: {r['passed']} (seed {r['seed']})")
 
-    _emit(report, args, render)
-    return 0 if report["passed"] else 1
+    return report, render, 0 if report["passed"] else 1
 
 
 def _write_outputs(out_dir: str | None, files: dict) -> None:
@@ -382,7 +367,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         with np.errstate(all="ignore"):     # non-finite values are checked, not warned of
-            return args.func(args)
+            report, render, code = args.func(args)
+            _emit({"schema_version": SCHEMA_VERSION, "command": args.command, **report},
+                  args, render)
+        return code
     except KreinError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return (2 if isinstance(exc, InputError)

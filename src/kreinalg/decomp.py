@@ -18,8 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .densela import (Tolerance, count_above_cut, norm_within, rank,
-                      spectral_norm, svd)
+from .densela import Tolerance, count_above_cut, rank, spectral_norm, svd
 from .errors import DimensionMismatch, NotDirect
 from .hermdex import hermitian_indices
 from .krein import (KOperator, Subspace, SubspaceClass, c_orthogonal,
@@ -95,10 +94,10 @@ def validate(C: KOperator, dec: Decomposition, tol: Tolerance = Tolerance()) -> 
 
     cls_plus = classify_subspace(C, mp, tol)
     cls_minus = classify_subspace(C, mm, tol)
-    kernel_part = C.matrix @ mz.basis
-    kernel_residual = spectral_norm(kernel_part)
+    kernel_residual = spectral_norm(C.matrix @ mz.basis)
+    # norm_within's comparison, on the two norms already in hand
     kernel_ok = (mz.dim == idx.h_zero
-                 and norm_within(kernel_part, tol.residual_tol, C.matrix, floor=1.0))
+                 and kernel_residual <= tol.residual_tol * max(1.0, C.norm))
     sign_ok = ((mp.dim == 0 or cls_plus == SubspaceClass.STRICTLY_POSITIVE)
                and (mm.dim == 0 or cls_minus == SubspaceClass.STRICTLY_NEGATIVE)
                and kernel_ok)

@@ -16,15 +16,15 @@ eigenvalues are split into plus/minus/zero bands by :func:`band_split`
 (behind :func:`spectral_split`), and singular values are cut by
 :func:`count_above_cut` (behind :func:`rank`).
 
-Every yes/no residual check ``||R||_2 <= t * scale(||S||_2)`` goes
-through :func:`norm_within`, which decides it cheap-first from the
-Frobenius sandwich ``||X||_F / sqrt(min(m, n)) <= ||X||_2 <= ||X||_F``
+A yes/no residual check ``||R||_2 <= t * scale(||S||_2)`` whose norm is
+not reported goes through :func:`norm_within`, which decides it cheap-first
+from the Frobenius sandwich ``||X||_F / sqrt(min(m, n)) <= ||X||_2 <= ||X||_F``
 (Golub & Van Loan, *Matrix Computations*, 2.3).  The bounds are widened
 by a relative slack of 1e-12, far above the rounding error of either
 norm, so a cheap verdict is never within rounding of the threshold and
 always agrees with the exact one; only when the widened bounds straddle
 the threshold are the SVD-based 2-norms computed.  Norms that are
-reported, or that set a band or a level, are always exact.
+reported, or that set a band or a level, are exact and decide their own check.
 
 Matrices are plain ``numpy`` complex arrays in row-major layout.  The
 heavy lifting is delegated to LAPACK through numpy; this module owns the
@@ -261,12 +261,12 @@ def rank(M, tol: Tolerance = Tolerance()) -> int:
     return count_above_cut(svd(M)[1], tol)
 
 
-def _full_svd(A: np.ndarray):
+def _svd(A: np.ndarray, full_matrices: bool):
+    """LAPACK's ``(U, s, Vh)``; ``NoConvergence`` when the driver gives up."""
     try:
-        U, s, Vh = np.linalg.svd(A, full_matrices=True)
+        return np.linalg.svd(A, full_matrices=full_matrices)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    return U, s, Vh
 
 
 def null_basis(M, tol: Tolerance = Tolerance()) -> np.ndarray:
@@ -276,8 +276,7 @@ def null_basis(M, tol: Tolerance = Tolerance()) -> np.ndarray:
     it.  The result has zero columns for an injective matrix; for a
     matrix with zero rows every coordinate direction is returned.
     """
-    A = _as_matrix(M)
-    _, s, Vh = _full_svd(A)
+    _, s, Vh = _svd(_as_matrix(M), True)
     return Vh[count_above_cut(s, tol):].conj().T
 
 
@@ -290,7 +289,7 @@ def range_basis(M, tol: Tolerance = Tolerance()) -> np.ndarray:
 def pinv(M, tol: Tolerance = Tolerance()) -> np.ndarray:
     """Moore-Penrose pseudo-inverse with the shared relative rank cut."""
     A = _as_matrix(M)
-    U, s, Vh = _full_svd(A)
+    U, s, Vh = _svd(A, True)
     r = count_above_cut(s, tol)
     if r == 0:
         return np.zeros((A.shape[1], A.shape[0]), dtype=complex)
@@ -304,22 +303,18 @@ def svd(M):
     Singular values come back nonincreasing and nonnegative; no
     thresholding is applied here.
     """
-    A = _as_matrix(M)
-    try:
-        U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+    U, s, Vh = _svd(_as_matrix(M), False)
     return U, s, Vh.conj().T
 
 
-def conditioned_svd(M, tol: Tolerance, cond_cap: float):
-    """Thin SVD of a square matrix that must be safely invertible: raises
-    ``NotInvertible`` when the rank cut drops a direction and
-    ``IllConditioned`` when the condition number exceeds ``cond_cap``."""
-    U, s, V = svd(M)
+def conditioned_svd(M, tol: Tolerance, cond_cap: float) -> np.ndarray:
+    """Singular values, from the thin SVD with vectors, of a square matrix
+    that must be safely invertible: raises ``NotInvertible`` when the rank cut
+    drops a direction, ``IllConditioned`` when ``s[0] / s[-1] > cond_cap``."""
+    s = _svd(_as_matrix(M), False)[1]
     if count_above_cut(s, tol) < s.size:
         raise NotInvertible("matrix is numerically singular")
     if s.size and s[0] / s[-1] > cond_cap:
         raise IllConditioned(
             f"condition number {s[0] / s[-1]:.3e} exceeds cap {cond_cap:.0e}")
-    return U, s, V
+    return s

@@ -65,8 +65,9 @@ class GenConfig:
             raise InputError("kernel_prob must lie in [0, 1]")
 
 
-def _stream(cfg: GenConfig, kind: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(kind,))
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    """The PCG64 stream spawned from ``seed`` with spawn key ``key``."""
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=key)
     return np.random.Generator(np.random.PCG64(seq))
 
 
@@ -108,7 +109,7 @@ def j_unitary(rng: np.random.Generator, J: np.ndarray, clamp: float = 2.0) -> np
 def gen_space(cfg: GenConfig) -> KreinSpace:
     """Random space: dimension from dim_range, random signature split,
     and a Haar-rotated diagonal symmetry."""
-    rng = _stream(cfg, _KIND_SPACE)
+    rng = _stream(cfg.seed, _KIND_SPACE)
     lo, hi = cfg.dim_range
     n = int(rng.integers(lo, hi + 1))
     p = int(rng.integers(0, n + 1))
@@ -119,7 +120,7 @@ def gen_space_with_split(cfg: GenConfig, ind_plus: int, ind_minus: int) -> Krein
     """Random space with the exact signature (ind_plus, ind_minus)."""
     if ind_plus < 0 or ind_minus < 0 or ind_plus + ind_minus > 64:
         raise InputError("signature split out of range")
-    rng = _stream(cfg, _KIND_SPACE)
+    rng = _stream(cfg.seed, _KIND_SPACE)
     return _rotated_space(rng, ind_plus, ind_minus)
 
 
@@ -140,7 +141,7 @@ def gen_selfadjoint(cfg: GenConfig, H: KreinSpace) -> KOperator:
     kernel_prob a nonempty random subset of them is zeroed out, so the
     kernel dimension is exact by construction.
     """
-    rng = _stream(cfg, _KIND_SELFADJOINT)
+    rng = _stream(cfg.seed, _KIND_SELFADJOINT)
     n = H.dim
     lam = rng.uniform(_EIG_LO, _EIG_HI, n)
     lam *= np.where(rng.random(n) < 0.5, 1.0, -1.0)
@@ -158,7 +159,7 @@ def gen_invertible(cfg: GenConfig, H: KreinSpace, K: KreinSpace) -> Congruence:
     if H.dim != K.dim:
         raise DimensionMismatch(
             f"invertible maps need equal dimensions, got {H.dim} and {K.dim}")
-    rng = _stream(cfg, _KIND_INVERTIBLE)
+    rng = _stream(cfg.seed, _KIND_INVERTIBLE)
     n = H.dim
     if n == 0:
         empty = np.zeros((0, 0), dtype=complex)
@@ -180,7 +181,7 @@ def gen_injective_factor(cfg: GenConfig, A_space: KreinSpace, H: KreinSpace) -> 
     if A_space.dim > H.dim:
         raise DimensionMismatch(
             f"factor space dimension {A_space.dim} exceeds target dimension {H.dim}")
-    rng = _stream(cfg, _KIND_FACTOR)
+    rng = _stream(cfg.seed, _KIND_FACTOR)
     n, r = H.dim, A_space.dim
     if r == 0:
         return KOperator(A_space, H, np.zeros((n, 0), dtype=complex))

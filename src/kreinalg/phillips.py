@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densela import (Tolerance, norm_within, null_basis, pinv, psd_sqrt, rank,
+from .densela import (Tolerance, norm_within, null_basis, pinv, psd_sqrt,
                       spectral_norm)
 from .errors import (ContractionOverflow, DegenerateProjection, DimensionMismatch,
                      Incompatible, InputError, NotSemidefinite)
@@ -95,10 +95,9 @@ def graph_rep(S: Subspace, sign: str, tol: Tolerance = Tolerance()) -> GraphRep:
     own, other = (U_plus, U_minus) if sign == "plus" else (U_minus, U_plus)
     P = own.conj().T @ S.basis
     cross = other.conj().T @ S.basis
-    m = S.dim
-    if rank(P, tol) != m:
-        raise DegenerateProjection("coordinate projection of the subspace drops rank")
     M = make_subspace(hilbert_space(own.shape[1]), P, tol)
+    if M.dim != S.dim:
+        raise DegenerateProjection("coordinate projection of the subspace drops rank")
     angle = cross @ pinv(P, tol) @ M.basis
     return GraphRep(sign=sign, M=M, angle=angle, space=H)
 

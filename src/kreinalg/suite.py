@@ -17,9 +17,9 @@ from .decomp import decompose, projections, validate
 from .densela import (Tolerance, norm_within, psd_sqrt, rank, spectral_norm,
                       spectral_split)
 from .errors import InputError
-from .genrand import (GenConfig, complex_gaussian, gen_injective_factor,
-                      gen_invertible, gen_selfadjoint, gen_space,
-                      gen_space_with_split, haar_unitary, j_unitary)
+from .genrand import (GenConfig, _stream, complex_gaussian,
+                      gen_injective_factor, gen_invertible, gen_selfadjoint,
+                      gen_space, gen_space_with_split, haar_unitary, j_unitary)
 from .hermdex import _frame, build_congruence, hermitian_indices, \
     is_congruent, transport
 from .krein import (KOperator, hilbert_space, k_adjoint, make_subspace,
@@ -58,11 +58,6 @@ _NEG_RESTARTS = 20
 def _seeds(master: int, battery: int, case: int, k: int) -> list[int]:
     seq = np.random.SeedSequence(entropy=master, spawn_key=(battery, case))
     return [int(x) for x in seq.generate_state(k, np.uint64)]
-
-
-def _rng(master: int, battery: int, case: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=master, spawn_key=(battery, case))
-    return np.random.Generator(np.random.PCG64(seq))
 
 
 def congruence_invariance_battery(seed: int, count: int = 1000, dim_max: int = 8,
@@ -129,7 +124,7 @@ def _best_alignment_residual(A, B, sub_seed: int, tol: Tolerance) -> float:
     n = Ha.dim
     Xa = _frame(A, tol)[1]
     Xb_inv = _frame(B, tol)[2]
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=sub_seed)))
+    rng = _stream(sub_seed)
     best = float("inf")
     for k in range(_NEG_RESTARTS):
         if k % 2 == 0:
@@ -222,7 +217,7 @@ def bk_converse_battery(seed: int, count: int = 1000, dim_max: int = 8,
         A = gen_injective_factor(GenConfig(s3), A_space, H)
         C = KOperator(H, H, A.matrix @ k_adjoint(A).matrix)
         for k in range(refactor):
-            U = j_unitary(_rng(seed, 5, 10 ** 6 + k), A_space.J)
+            U = j_unitary(_stream(seed, 5, 10 ** 6 + k), A_space.J)
             Fk = BKFactorization(A_space, KOperator(A_space, H, A.matrix @ U))
             if not bk_verify(C, Fk, tol)["passed"]:
                 refactor_failures += 1
@@ -244,7 +239,7 @@ def keyth_battery(seed: int, count: int = 300, dim_max: int = 8,
     """
     failures = 0
     for i in range(count):
-        rng = _rng(seed, 6, i)
+        rng = _stream(seed, 6, i)
         n = int(rng.integers(1, dim_max + 1))
         p = int(rng.integers(0, n + 1))
         q = n - p
@@ -296,7 +291,7 @@ def phillips_battery(seed: int, count: int = 300, dim_max: int = 8,
     worst_norm = 0.0
     worst_restrict = 0.0
     for i in range(count):
-        rng = _rng(seed, 7, i)
+        rng = _stream(seed, 7, i)
         n = int(rng.integers(1, dim_max + 1))
         p = int(rng.integers(0, n + 1))
         q = n - p
@@ -366,7 +361,7 @@ def identities_battery(seed: int, count: int = 500, dim_max: int = 8,
     worst = 0.0
     for i in range(count):
         s1, s2 = _seeds(seed, 8, i, 2)
-        rng = _rng(seed, 8, i)
+        rng = _stream(seed, 8, i)
         n = int(rng.integers(1, dim_max + 1))
         H = hilbert_space(n)
         D = gen_selfadjoint(GenConfig(s2, kernel_prob=0.3), H)

@@ -149,3 +149,26 @@ def test_validate_and_projections_share_the_rank_cut():
     assert 1e-10 < report["min_direct_singular_value"] < 1.5e-10
     with pytest.raises(NotDirect):
         projections(C, dec)
+
+
+@pytest.mark.parametrize("factor, k", [(0.5, 5), (2.0, 1)])
+def test_validate_kernel_verdict_at_planted_residual(factor, k):
+    # C = diag(0 x 5, 4 x 5), so the kernel threshold is residual_tol * 4;
+    # the kernel part's first k columns are tilted into the range so that
+    # C @ basis has k singular values at factor * threshold.  Its Frobenius
+    # bounds straddle the threshold in both cases, so no cheap bound decides
+    # the verdict: it is the reported norm against the threshold
+    z = 5
+    H = hilbert_space(2 * z)
+    C = op(H, np.diag([0.0] * z + [4.0] * z))
+    threshold = 1e-8 * 4.0
+    eps = np.zeros(z)
+    eps[:k] = factor * threshold / 4.0
+    B = np.vstack([np.eye(z), np.diag(eps)]) / np.sqrt(1.0 + eps ** 2)
+    plus = Subspace(H, np.vstack([np.zeros((z, z)), np.eye(z)]).astype(complex))
+    none = Subspace(H, np.zeros((2 * z, 0), dtype=complex))
+    dec = Decomposition(M_plus=plus, M_minus=none, M_zero=Subspace(H, B.astype(complex)))
+    report = validate(C, dec)
+    assert report["kernel_residual"] == pytest.approx(factor * threshold, rel=1e-12)
+    assert report["sign_conditions"] == (factor < 1.0)
+    assert report["passed"] == (factor < 1.0)

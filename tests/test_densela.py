@@ -144,9 +144,8 @@ def test_conditioned_svd_rejects_ill_conditioned():
 
 
 def test_conditioned_svd_passes_identity():
-    U, s, V = conditioned_svd(np.eye(3), Tolerance(), 1e8)
+    s = conditioned_svd(np.eye(3), Tolerance(), 1e8)
     assert np.array_equal(s, np.ones(3))
-    assert np.allclose((U * s) @ V.conj().T, np.eye(3), atol=1e-12)
 
 
 def test_psd_sqrt_oracle():

@@ -69,6 +69,25 @@ def test_graph_rep_roundtrip():
     assert np.allclose(P @ S.basis, S.basis, atol=1e-10)
 
 
+def test_graph_rep_takes_one_thin_svd_of_the_projection(monkeypatch):
+    # the range basis of the projection P (2 x 1 here) carries its rank, so
+    # no second thin SVD of P decides it; pinv(P) takes its own full SVD
+    H = make_space(J4)
+    S = make_subspace(H, col(1.0, 0.0, 0.5, 0.5))
+    thin = []
+    svd = np.linalg.svd
+
+    def counted(A, full_matrices=True, **kw):
+        if np.shape(A) == (2, 1) and not full_matrices:
+            thin.append(A)
+        return svd(A, full_matrices=full_matrices, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    g = graph_rep(S, "plus")
+    assert g.M.dim == 1
+    assert len(thin) == 1
+
+
 def test_graph_rep_sign_validation():
     H = make_space(J2)
     S = make_subspace(H, col(1.0, 0.5))
