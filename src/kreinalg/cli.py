@@ -2,10 +2,12 @@
 
 Subcommands map onto the library engines: ``indices``, ``decompose``,
 ``factorize``, ``congruent``, ``phillips``, ``property-suite``.  Input
-matrices come from JSON files.  Each ``cmd_*`` returns ``(report, render,
-exit_code)`` and writes its own ``--out`` files; :func:`main` adds the
-schema version and command name and emits the report once: one JSON
-document under ``--machine``, else the text of ``render``.
+matrices come from JSON files.  One table, ``_COMMANDS``, declares each
+subcommand once (name, help, ``cmd_*`` and its own arguments) and
+:func:`build_parser` turns its rows into subparsers.  Each ``cmd_*``
+returns ``(report, text_lines, exit_code)`` and writes its own ``--out``
+files; :func:`main` adds the schema version and command name and emits
+the report once: one JSON document under ``--machine``, else the lines.
 
 Exit codes: 0 success, 1 property violation or numerical failure,
 2 input or validation error, 3 mathematical precondition failure.
@@ -29,8 +31,8 @@ from .hermdex import (build_congruence, hermitian_indices, require_equal_dims,
 from .krein import (KOperator, KreinSpace, hilbert_space, make_space,
                     make_subspace, space_indices)
 from .phillips import graph_rep, phillips_extend
-from .serial import (_collector_paused, load_json, matrix_from_obj,
-                     problem_from_obj, write_json)
+from .serial import (_collector_paused, _square_from_obj, load_json,
+                     matrix_from_obj, problem_from_obj, write_json)
 from .suite import run_property_suite
 
 __all__ = ["main", "main_entry", "build_parser"]
@@ -57,7 +59,7 @@ def _read(path, convert):
 def _space_flag(args, tol: Tolerance) -> KreinSpace | None:
     """The --space symmetry, read and validated once per command."""
     return None if args.space is None else make_space(
-        _read(args.space, partial(matrix_from_obj, what="space symmetry")), tol)
+        _read(args.space, partial(_square_from_obj, what="space symmetry")), tol)
 
 
 def _operand_space(flag: KreinSpace | None, J, n: int, tol: Tolerance) -> KreinSpace:
@@ -77,7 +79,7 @@ def _read_operand(path) -> tuple:
             return problem_from_obj(obj)
         if isinstance(obj, dict) and "rows" in obj:
             # a matrix file is a problem file's operator alone: no J, no tolerance
-            return None, problem_from_obj({"operator": obj})[1], None
+            return None, _square_from_obj(obj, "operator"), None
         raise InputError(
             f"{path}: input must be a problem file (operator key) or a matrix file")
     return _read(path, convert)
@@ -98,12 +100,12 @@ def _load_operators(args, *paths) -> tuple[list[KOperator], Tolerance]:
     return ops, tol
 
 
-def _emit(report: dict, args, render) -> None:
+def _emit(report: dict, args, lines: list[str]) -> None:
     try:
         if args.machine:
             write_json(report, sys.stdout)
         else:
-            render(report)
+            print(*lines, sep="\n")
         sys.stdout.flush()
     except OSError as exc:
         # what is still buffered goes nowhere, so shutdown has no failed
@@ -112,8 +114,8 @@ def _emit(report: dict, args, render) -> None:
         raise InputError(f"cannot write the report: {exc}") from exc
 
 
-def _print_indices_line(label: str, triple) -> None:
-    print(f"{label}: h+ = {triple[0]}, h- = {triple[1]}, h0 = {triple[2]}")
+def _indices_line(label: str, triple) -> str:
+    return f"{label}: h+ = {triple[0]}, h- = {triple[1]}, h0 = {triple[2]}"
 
 
 def cmd_indices(args) -> tuple:
@@ -124,14 +126,9 @@ def cmd_indices(args) -> tuple:
         "indices": list(idx),
         "space": {"dim": C.domain.dim, "ind_plus": ip, "ind_minus": im},
     }
-
-    def render(rep):
-        _print_indices_line("operator indices", rep["indices"])
-        s = rep["space"]
-        print(f"space signature: ind+ = {s['ind_plus']}, "
-              f"ind- = {s['ind_minus']} (dim {s['dim']})")
-
-    return report, render, 0
+    return report, [
+        _indices_line("operator indices", idx),
+        f"space signature: ind+ = {ip}, ind- = {im} (dim {C.domain.dim})"], 0
 
 
 def cmd_decompose(args) -> tuple:
@@ -140,29 +137,19 @@ def cmd_decompose(args) -> tuple:
     rep = validate(C, dec, tol)
     P = projections(C, dec, tol)
     report = {
-        "bases": {
-            "plus": dec.M_plus.basis,
-            "minus": dec.M_minus.basis,
-            "zero": dec.M_zero.basis,
-        },
-        "projections": {
-            "plus": P.Q_plus.matrix,
-            "minus": P.Q_minus.matrix,
-            "zero": P.Q_zero.matrix,
-        },
+        "bases": {"plus": dec.M_plus.basis, "minus": dec.M_minus.basis,
+                  "zero": dec.M_zero.basis},
+        "projections": {"plus": P.Q_plus.matrix, "minus": P.Q_minus.matrix,
+                        "zero": P.Q_zero.matrix},
         "validation": rep,
     }
-
-    def render(r):
-        d = r["validation"]["dims"]
-        print(f"part dimensions: plus {d[0]}, minus {d[1]}, zero {d[2]}")
-        for key in ("sign_conditions", "pairwise_sums_direct",
-                    "pairwise_c_orthogonal", "dimensions_match_indices",
-                    "direct_sum"):
-            print(f"  {key}: {'ok' if r['validation'][key] else 'FAILED'}")
-        print(f"validation passed: {r['validation']['passed']}")
-
-    return report, render, 0 if rep["passed"] else 1
+    d = rep["dims"]
+    return report, [
+        f"part dimensions: plus {d[0]}, minus {d[1]}, zero {d[2]}",
+        *(f"  {key}: {'ok' if rep[key] else 'FAILED'}"
+          for key in ("sign_conditions", "pairwise_sums_direct", "pairwise_c_orthogonal",
+                      "dimensions_match_indices", "direct_sum")),
+        f"validation passed: {rep['passed']}"], 0 if rep["passed"] else 1
 
 
 def cmd_factorize(args) -> tuple:
@@ -171,29 +158,18 @@ def cmd_factorize(args) -> tuple:
     rep = bk_verify(C, F, tol)
     ip, im = rep["factor_space_indices"]
     report = {
-        "factor_space": {
-            "dim": F.A_space.dim,
-            "ind_plus": ip,
-            "ind_minus": im,
-            "J": F.A_space.J,
-        },
+        "factor_space": {"dim": F.A_space.dim, "ind_plus": ip, "ind_minus": im,
+                         "J": F.A_space.J},
         "factor": F.A.matrix,
         "verify": rep,
     }
-    _write_outputs(args.out, {"factor_space": report["factor_space"]["J"],
-                              "factor": report["factor"],
-                              "verify": report["verify"]})
-
-    def render(r):
-        fs = r["factor_space"]
-        print(f"factor space: dim {fs['dim']} "
-              f"(ind+ = {fs['ind_plus']}, ind- = {fs['ind_minus']})")
-        print(f"product residual: {r['verify']['product_residual']:.3e}")
-        print(f"injective: {r['verify']['injective']}, "
-              f"index equality: {r['verify']['index_equality']}")
-        print(f"verified: {r['verify']['passed']}")
-
-    return report, render, 0 if rep["passed"] else 1
+    _write_outputs(args.out, {"factor_space": F.A_space.J, "factor": F.A.matrix,
+                              "verify": rep})
+    return report, [
+        f"factor space: dim {F.A_space.dim} (ind+ = {ip}, ind- = {im})",
+        f"product residual: {rep['product_residual']:.3e}",
+        f"injective: {rep['injective']}, index equality: {rep['index_equality']}",
+        f"verified: {rep['passed']}"], 0 if rep["passed"] else 1
 
 
 def cmd_congruent(args) -> tuple:
@@ -205,22 +181,16 @@ def cmd_congruent(args) -> tuple:
         "indices_b": list(idx_b),
         "congruent": idx_a == idx_b,
     }
+    verdict = "congruent: no"
     if report["congruent"]:
         X = build_congruence(A, B, tol)
         resid = spectral_norm(A.matrix - transport(B, X, tol).matrix)
         scale = max(A.norm, B.norm)
         report["X"] = X.X.matrix
         report["residual"] = float(resid / scale if scale > 0 else resid)
-
-    def render(r):
-        _print_indices_line("indices of A", r["indices_a"])
-        _print_indices_line("indices of B", r["indices_b"])
-        if r["congruent"]:
-            print(f"congruent: yes (residual {r['residual']:.3e})")
-        else:
-            print("congruent: no")
-
-    return report, render, 0
+        verdict = f"congruent: yes (residual {report['residual']:.3e})"
+    return report, [_indices_line("indices of A", idx_a),
+                    _indices_line("indices of B", idx_b), verdict], 0
 
 
 def cmd_phillips(args) -> tuple:
@@ -248,13 +218,10 @@ def cmd_phillips(args) -> tuple:
     }
     _write_outputs(args.out, {key: report[key] for key in
                               ("contraction", "maximal_plus", "maximal_minus")})
-
-    def render(r):
-        print(f"contraction norm: {r['contraction_norm']:.6f}")
-        print(f"maximal pair dimensions: plus {r['dims']['plus']}, "
-              f"minus {r['dims']['minus']}")
-
-    return report, render, 0
+    return report, [
+        f"contraction norm: {report['contraction_norm']:.6f}",
+        f"maximal pair dimensions: plus {ext.G_tilde_plus.dim}, "
+        f"minus {ext.G_tilde_minus.dim}"], 0
 
 
 def _resolve_seed(args) -> int:
@@ -272,15 +239,10 @@ def _resolve_seed(args) -> int:
 def cmd_property_suite(args) -> tuple:
     tol = _merge_tolerance(args, None)
     report = run_property_suite(_resolve_seed(args), args.count, args.dim_max, tol)
-
-    def render(r):
-        for b in r["batteries"]:
-            status = "pass" if b["passed"] else "FAIL"
-            print(f"{b['name']}: {b['cases']} cases, "
-                  f"{b['failures']} failures [{status}]")
-        print(f"suite passed: {r['passed']} (seed {r['seed']})")
-
-    return report, render, 0 if report["passed"] else 1
+    lines = [f"{b['name']}: {b['cases']} cases, {b['failures']} failures "
+             f"[{'pass' if b['passed'] else 'FAIL'}]" for b in report["batteries"]]
+    lines.append(f"suite passed: {report['passed']} (seed {report['seed']})")
+    return report, lines, 0 if report["passed"] else 1
 
 
 def _write_outputs(out_dir: str | None, files: dict) -> None:
@@ -296,16 +258,48 @@ def _write_outputs(out_dir: str | None, files: dict) -> None:
         raise InputError(f"cannot write to {out_dir}: {exc}") from exc
 
 
-def _add_common(p: argparse.ArgumentParser, space: bool = True) -> None:
-    if space:
-        p.add_argument("--space", metavar="FILE", help="JSON matrix file with the "
-                       "fundamental symmetry J (default: identity)")
-    p.add_argument("--tol-rank", type=float, default=None, metavar="T",
-                   help="rank decision tolerance")
-    p.add_argument("--tol-res", type=float, default=None, metavar="T",
-                   help="residual tolerance")
-    p.add_argument("--machine", action="store_true",
-                   help="emit one JSON document instead of text")
+def _arg(*flags, **options) -> tuple:
+    return flags, options
+
+
+_INPUT = _arg("--input", "-i", required=True, metavar="FILE",
+              help="problem or matrix JSON file")
+_SPACE = _arg("--space", metavar="FILE", help="JSON matrix file with the "
+              "fundamental symmetry J (default: identity)")
+# every command takes these after its own arguments
+_COMMON = (_arg("--tol-rank", type=float, default=None, metavar="T",
+                help="rank decision tolerance"),
+           _arg("--tol-res", type=float, default=None, metavar="T",
+                help="residual tolerance"),
+           _arg("--machine", action="store_true",
+                help="emit one JSON document instead of text"))
+
+# one row per subcommand, in help order: name, help, command, own arguments
+_COMMANDS = (
+    ("indices", "hermitian index triple of a selfadjoint operator", cmd_indices,
+     (_INPUT, _SPACE)),
+    ("decompose", "orthogonal decomposition into sign-definite parts", cmd_decompose,
+     (_INPUT, _SPACE)),
+    ("factorize", "factor C = A A* over a space matching the indices", cmd_factorize,
+     (_INPUT, _arg("--out", metavar="DIR", help="directory for factor output files"),
+      _SPACE)),
+    ("congruent", "decide congruence of two operators", cmd_congruent,
+     (_arg("input_a", metavar="FILE_A"), _arg("input_b", metavar="FILE_B"), _SPACE)),
+    ("phillips", "extend an orthogonal semidefinite pair to a maximal pair", cmd_phillips,
+     (_arg("plus", metavar="PLUS_BASIS",
+           help="matrix file, columns span the nonnegative subspace"),
+      _arg("minus", metavar="MINUS_BASIS",
+           help="matrix file, columns span the nonpositive subspace"),
+      _arg("--out", metavar="DIR", help="directory for contraction and basis files"),
+      _SPACE)),
+    ("property-suite", "run the randomized invariant batteries", cmd_property_suite,
+     (_arg("--seed", type=int, default=None,
+           help="master seed (default: KREIN_SEED env, then 0)"),
+      _arg("--count", type=int, default=None,
+           help="cases per battery (default: per-battery sizes)"),
+      _arg("--dim-max", type=int, default=8,
+           help="largest random dimension (default 8)"))),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,52 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Inertia, congruence, and factorization tools for "
                     "selfadjoint operators on indefinite inner product spaces.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    for name, fn, blurb in (
-            ("indices", cmd_indices,
-             "hermitian index triple of a selfadjoint operator"),
-            ("decompose", cmd_decompose,
-             "orthogonal decomposition into sign-definite parts"),
-            ("factorize", cmd_factorize,
-             "factor C = A A* over a space matching the indices")):
+    for name, blurb, fn, arguments in _COMMANDS:
         p = sub.add_parser(name, help=blurb)
-        p.add_argument("--input", "-i", required=True, metavar="FILE",
-                       help="problem or matrix JSON file")
-        if name == "factorize":
-            p.add_argument("--out", metavar="DIR",
-                           help="directory for factor output files")
-        _add_common(p)
+        for flags, options in (*arguments, *_COMMON):
+            p.add_argument(*flags, **options)
         p.set_defaults(func=fn)
-
-    p = sub.add_parser("congruent", help="decide congruence of two operators")
-    p.add_argument("input_a", metavar="FILE_A")
-    p.add_argument("input_b", metavar="FILE_B")
-    _add_common(p)
-    p.set_defaults(func=cmd_congruent)
-
-    p = sub.add_parser(
-        "phillips",
-        help="extend an orthogonal semidefinite pair to a maximal pair")
-    p.add_argument("plus", metavar="PLUS_BASIS",
-                   help="matrix file, columns span the nonnegative subspace")
-    p.add_argument("minus", metavar="MINUS_BASIS",
-                   help="matrix file, columns span the nonpositive subspace")
-    p.add_argument("--out", metavar="DIR",
-                   help="directory for contraction and basis files")
-    _add_common(p)
-    p.set_defaults(func=cmd_phillips)
-
-    p = sub.add_parser("property-suite",
-                       help="run the randomized invariant batteries")
-    p.add_argument("--seed", type=int, default=None,
-                   help="master seed (default: KREIN_SEED env, then 0)")
-    p.add_argument("--count", type=int, default=None,
-                   help="cases per battery (default: per-battery sizes)")
-    p.add_argument("--dim-max", type=int, default=8,
-                   help="largest random dimension (default 8)")
-    _add_common(p, space=False)
-    p.set_defaults(func=cmd_property_suite)
-
     return ap
 
 
@@ -367,9 +320,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         with np.errstate(all="ignore"):     # non-finite values are checked, not warned of
-            report, render, code = args.func(args)
+            report, lines, code = args.func(args)
             _emit({"schema_version": SCHEMA_VERSION, "command": args.command, **report},
-                  args, render)
+                  args, lines)
         return code
     except KreinError as exc:
         print(f"error: {exc}", file=sys.stderr)

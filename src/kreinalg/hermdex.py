@@ -87,9 +87,9 @@ def transport(B: KOperator, X: Congruence, tol: Tolerance = Tolerance()) -> KOpe
 
 
 def _frame(C: KOperator, tol: Tolerance):
-    """C's index triple and the frame of its canonical form: X = S W* and
-    X_inv = W S^-1, with W the eigenvectors of J C in band order and S their
-    |eigenvalue|^(1/2) scales (1 on the kernel, so X stays invertible)."""
+    """C's index triple, canonical frame X = S W*, X_inv = W S^-1 and scales S:
+    W the eigenvectors of J C in band order, S their |eigenvalue|^(1/2)
+    (1 on the kernel, so X stays invertible)."""
     split = selfadjoint_split(C, tol, "canonical form")
     w = split.eigenvalues
     # positives descending, then negatives by ascending magnitude, ties in
@@ -99,13 +99,14 @@ def _frame(C: KOperator, tol: Tolerance):
                            np.flatnonzero(split.zero)])
     W = split.eigenvectors[:, perm]
     scale = np.where(split.zero[perm], 1.0, np.sqrt(np.abs(w[perm])))
-    return IndexTriple(*split.counts), scale[:, None] * W.conj().T, W * (1.0 / scale)
+    return (IndexTriple(*split.counts), scale[:, None] * W.conj().T,
+            W * (1.0 / scale), scale)
 
 
 def canonical_form(C: KOperator, tol: Tolerance = Tolerance()) -> CanonicalForm:
     """Signed-diagonal form C = X* D X, D = diag(I, -I, 0), from the
     eigendecomposition of J C (see :func:`_frame` for the order and scales)."""
-    indices, X, X_inv = _frame(C, tol)
+    indices, X, X_inv, _ = _frame(C, tol)
     H, E = C.domain, hilbert_space(C.domain.dim)
     D = np.diag(np.repeat([1.0, -1.0, 0.0], indices).astype(complex))
     return CanonicalForm(indices, KOperator(E, E, D),
@@ -128,11 +129,19 @@ def is_congruent(A: KOperator, B: KOperator, tol: Tolerance = Tolerance()) -> bo
 
 def build_congruence(A: KOperator, B: KOperator,
                      tol: Tolerance = Tolerance()) -> Congruence:
-    """Explicit X with A = X* B X, composed through the canonical frames."""
+    """Explicit X with A = X* B X, composed through the canonical frames.
+    X's block from A's kernel onto B's is free: A's kernel rows are scaled by
+    t = clip(1, min r, max r), r = s_A / s_B the frame scales' ratios on the
+    nonzero bands, so cond(X) = max r / min r, the least any t reaches."""
     require_equal_dims(A, B)
-    ia, Xa, Xa_inv = _frame(A, tol)
-    ib, Xb, Xb_inv = _frame(B, tol)
+    ia, Xa, Xa_inv, sa = _frame(A, tol)
+    ib, Xb, Xb_inv, sb = _frame(B, tol)
     if ia != ib:
         raise NotCongruent(f"index triples differ: {tuple(ia)} vs {tuple(ib)}")
+    k = ia[0] + ia[1]
+    r = sa[:k] / sb[:k]
+    t = np.clip(1.0, r.min(), r.max()) if k else 1.0
+    Xa[k:] *= t
+    Xa_inv[:, k:] /= t
     return Congruence(KOperator(A.domain, B.domain, Xb_inv @ Xa),
                       KOperator(B.domain, A.domain, Xa_inv @ Xb), tol)

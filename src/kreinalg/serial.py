@@ -94,21 +94,25 @@ def matrix_from_obj(obj, what: str = "matrix") -> np.ndarray:
         raise InputError(f"{what}: {rows} x {cols} is too large a shape") from None
 
 
+def _square_from_obj(obj, what: str) -> np.ndarray:
+    """:func:`matrix_from_obj` of a square matrix: an operator or a symmetry."""
+    M = matrix_from_obj(obj, what)
+    if M.shape[0] != M.shape[1]:
+        raise InputError(f"{what} must be square")
+    return M
+
+
 def problem_from_obj(obj) -> tuple[np.ndarray | None, np.ndarray, Tolerance]:
     """Parse a problem object into (J or None, operator matrix, tolerance)."""
     if not isinstance(obj, dict) or "operator" not in obj:
         raise InputError("problem file must be an object with an 'operator' field")
-    op = matrix_from_obj(obj["operator"], "operator")
-    if op.shape[0] != op.shape[1]:
-        raise InputError("operator must be square")
+    op = _square_from_obj(obj["operator"], "operator")
     J = None
     if obj.get("space") is not None:
         space = obj["space"]
         if not isinstance(space, dict) or "J" not in space:
             raise InputError("space must be an object with a 'J' matrix")
-        J = matrix_from_obj(space["J"], "space.J")
-        if J.shape[0] != J.shape[1]:
-            raise InputError("space.J must be square")
+        J = _square_from_obj(space["J"], "space.J")
         if J.shape[0] != op.shape[0]:
             raise InputError(
                 f"space.J dimension {J.shape[0]} does not match operator "

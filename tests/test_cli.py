@@ -234,6 +234,18 @@ def test_congruent_verdicts(capsys, tmp_path):
     assert "X" not in rep
 
 
+@pytest.mark.parametrize("a", [1e-20, 1e-17, 1e-12, 1.0, 1e20])
+def test_congruent_at_any_scale(capsys, tmp_path, a):
+    # a diag(1, 0) and diag(1, 0) share the triple (1, 0, 1) at every a > 0;
+    # the kernel scale makes the witness a multiple of a unitary
+    fa = write(tmp_path / "a.json", matrix_to_obj(np.diag([a, 0.0])))
+    fb = write(tmp_path / "b.json", matrix_to_obj(np.diag([1.0, 0.0])))
+    code, rep = run_machine(capsys, ["congruent", fa, fb, "--machine"])
+    assert code == 0 and rep["congruent"]
+    X = serial.matrix_from_obj(rep["X"])
+    assert np.linalg.cond(X) == pytest.approx(1.0, rel=1e-12)
+
+
 def test_phillips_half_pair(capsys, tmp_path):
     p = write(tmp_path / "p.json", matrix_to_obj(np.array([[1.0], [0.5]])))
     m = write(tmp_path / "m.json", matrix_to_obj(np.array([[0.5], [1.0]])))
@@ -274,6 +286,16 @@ def test_phillips_incompatible_exit_code(capsys, tmp_path):
     s3 = write(tmp_path / "j3.json", matrix_to_obj(np.diag([1.0, -1.0, 1.0])))
     assert main(["phillips", p, m, "--space", s3]) == 3     # wrong size
     assert "operator needs 2x2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["indices", "phillips"])
+def test_non_square_space_is_an_input_error(capsys, tmp_path, command):
+    # a symmetry that is not square is malformed input, as in a problem file
+    f = write(tmp_path / "m.json", matrix_to_obj(np.eye(2)))
+    s = write(tmp_path / "j.json", matrix_to_obj(np.ones((2, 3))))
+    argv = {"indices": ["indices", "-i", f], "phillips": ["phillips", f, f]}[command]
+    assert main([*argv, "--space", s]) == 2
+    assert capsys.readouterr().err == "error: space symmetry must be square\n"
 
 
 def test_phillips_dimension_needs_an_input(capsys, tmp_path):
@@ -438,6 +460,17 @@ def test_property_suite_negative_control(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_property_suite", broken)
     assert main(["property-suite", "--seed", "1", "--machine"]) == 1
     assert not json.loads(capsys.readouterr().out)["passed"]
+
+
+@pytest.mark.parametrize("missing, code", [(False, 0), (True, 2)])
+def test_main_entry_exits_with_the_code_of_main(capsys, monkeypatch, c2_file,
+                                                 missing, code):
+    # main_entry is the target of the krein console script
+    path = c2_file + ".missing" if missing else c2_file
+    monkeypatch.setattr(sys, "argv", ["krein", "indices", "-i", path])
+    with pytest.raises(SystemExit) as exc:
+        cli.main_entry()
+    assert exc.value.code == code
 
 
 def test_machine_reports_are_byte_stable_subprocess(tmp_path):

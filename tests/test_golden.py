@@ -1,8 +1,10 @@
-"""Golden machine reports: every command's --machine output, byte for byte.
+"""Golden outputs: every command's --machine report and its text, byte for byte.
 
 The fixtures under tests/golden/ pin the exact bytes each subcommand
-prints for a small (n = 8) Krein problem, so a change that claims to
-leave reports byte-identical is checked here rather than just claimed.
+prints for a small (n = 8) Krein problem, with --machine in
+``<case>.out`` and without it in ``<case>.txt``, so a change that claims
+to leave the output byte-identical is checked here rather than just
+claimed.
 Each command runs as its own process under the caller's BLAS threading
 (``OPENBLAS_NUM_THREADS`` passes through), so the bytes are checked with
 BLAS pinned to one thread and with it threaded alike.
@@ -23,26 +25,25 @@ import pytest
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+# each case runs twice: with --machine (``<case>.out``) and without (``<case>.txt``)
 CASES = {
-    "indices": ["indices", "-i", "problem8.json", "--machine"],
-    "decompose": ["decompose", "-i", "problem8.json", "--machine"],
-    "factorize": ["factorize", "-i", "problem8.json", "--machine"],
-    "congruent": ["congruent", "problem8.json", "pair8_b.json", "--machine"],
-    "phillips": ["phillips", "plus8.json", "minus8.json", "--space", "space8.json",
-                 "--machine"],
+    "indices": ["indices", "-i", "problem8.json"],
+    "decompose": ["decompose", "-i", "problem8.json"],
+    "factorize": ["factorize", "-i", "problem8.json"],
+    "congruent": ["congruent", "problem8.json", "pair8_b.json"],
+    "phillips": ["phillips", "plus8.json", "minus8.json", "--space", "space8.json"],
     # no --space: the Hilbert space's frames come from the identity
-    "phillips-hilbert": ["phillips", "plus8.json", "empty8.json", "--machine"],
-    "property-suite": ["property-suite", "--seed", "20260822", "--count", "3",
-                       "--machine"],
+    "phillips-hilbert": ["phillips", "plus8.json", "empty8.json"],
+    "property-suite": ["property-suite", "--seed", "20260822", "--count", "3"],
     # operand loading: matrix files, --space, tolerance flags
-    "indices-hilbert": ["indices", "-i", "hermitian8.json", "--machine"],
+    "indices-hilbert": ["indices", "-i", "hermitian8.json"],
     "factorize-space": ["factorize", "-i", "operator8.json", "--space",
-                        "symmetry8.json", "--machine"],
+                        "symmetry8.json"],
     "congruent-space": ["congruent", "operator8.json", "operator8.json", "--space",
-                        "symmetry8.json", "--machine"],
-    "congruent-no": ["congruent", "problem8.json", "other8.json", "--machine"],
+                        "symmetry8.json"],
+    "congruent-no": ["congruent", "problem8.json", "other8.json"],
     "congruent-tol-res": ["congruent", "problem8.json", "pair8_b.json",
-                          "--tol-res", "1e-6", "--machine"],
+                          "--tol-res", "1e-6"],
 }
 
 
@@ -58,6 +59,12 @@ def run_case(argv) -> bytes:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_report(name):
     expected = (GOLDEN / f"{name}.out").read_bytes()
+    assert run_case([*CASES[name], "--machine"]) == expected
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_text(name):
+    expected = (GOLDEN / f"{name}.txt").read_bytes()
     assert run_case(CASES[name]) == expected
 
 
@@ -128,4 +135,5 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     write_inputs()
     for case, argv in CASES.items():
-        (GOLDEN / f"{case}.out").write_bytes(run_case(argv))
+        (GOLDEN / f"{case}.out").write_bytes(run_case([*argv, "--machine"]))
+        (GOLDEN / f"{case}.txt").write_bytes(run_case(argv))

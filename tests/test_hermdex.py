@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kreinalg.errors import (DimensionMismatch, NotCongruent, NotInvertible,
                              NotSelfadjoint)
-from kreinalg import hermdex
+from kreinalg import hermdex, suite
 from kreinalg.densela import Tolerance
 from kreinalg.genrand import GenConfig, gen_invertible, gen_selfadjoint, gen_space
 from kreinalg.hermdex import (Congruence, build_congruence, canonical_form,
@@ -172,13 +173,73 @@ def _congruent_pairs():
         yield transport(B, X), B
 
 
+def _band_ratios(A, B):
+    """r = s_A / s_B, the ratios of the canonical frame scales on the nonzero bands."""
+    ia, *_, sa = hermdex._frame(A, Tolerance())
+    sb = hermdex._frame(B, Tolerance())[3]
+    return (sa / sb)[:ia[0] + ia[1]]
+
+
 @pytest.mark.parametrize("A, B", list(_congruent_pairs()))
 def test_build_congruence_composes_the_canonical_forms(A, B):
-    # bit for bit the composition X_B^-1 X_A of the two canonical frames
+    # bit for bit the composition X_B^-1 T X_A of the two canonical frames,
+    # T scaling A's kernel rows by t = clip(1, min r, max r)
     ca, cb = canonical_form(A), canonical_form(B)
+    r = _band_ratios(A, B)
+    t = np.clip(1.0, r.min(), r.max()) if r.size else 1.0
+    T = np.where(np.arange(A.domain.dim) < r.size, 1.0, t)
     X = build_congruence(A, B)
-    assert np.array_equal(X.X.matrix, cb.X.X_inv.matrix @ ca.X.X.matrix)
-    assert np.array_equal(X.X_inv.matrix, ca.X.X_inv.matrix @ cb.X.X.matrix)
+    assert np.array_equal(X.X.matrix, cb.X.X_inv.matrix @ (T[:, None] * ca.X.X.matrix))
+    assert np.array_equal(X.X_inv.matrix, (ca.X.X_inv.matrix / T) @ cb.X.X.matrix)
+
+
+def _scaled(C, a):
+    return KOperator(C.domain, C.codomain, a * C.matrix)
+
+
+def _verdict(A, B):
+    """What ``krein congruent`` decides: not congruent, or congruent with a
+    witness X that passes transport's rank cut and condition cap."""
+    if not is_congruent(A, B):
+        return False, None
+    X = build_congruence(A, B)
+    transport(B, X)
+    return True, X
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.booleans(),
+       st.floats(-30, 30), st.floats(-30, 30))
+def test_congruence_is_scale_equivariant(seed, n, transported, log_a, log_b):
+    H, K = gen_space(GenConfig(seed, (n, n))), gen_space(GenConfig(seed + 1, (n, n)))
+    B = gen_selfadjoint(GenConfig(seed + 2, kernel_prob=0.5), K)
+    A = (transport(B, gen_invertible(GenConfig(seed + 3), H, K)) if transported
+         else gen_selfadjoint(GenConfig(seed + 4, kernel_prob=0.5), H))
+    aA, bB = _scaled(A, 10.0 ** log_a), _scaled(B, 10.0 ** log_b)
+    verdict, scaled = _verdict(A, B)[0], _verdict(aA, bB)
+    assert scaled[0] == verdict
+    if verdict:
+        r = _band_ratios(aA, bB)
+        spread = r.max() / r.min() if r.size else 1.0
+        assert np.linalg.cond(scaled[1].X.matrix) == pytest.approx(spread, rel=1e-12)
+
+
+def test_kernel_scale_never_raises_the_condition_number(monkeypatch):
+    # every congruent pair of the sylvester battery, against the composition
+    # with kernel scale 1
+    conds = []
+
+    def both(A, B, tol):
+        X = build_congruence(A, B, tol)
+        old = canonical_form(B, tol).X.X_inv.matrix @ canonical_form(A, tol).X.X.matrix
+        conds.append((np.linalg.cond(X.X.matrix), np.linalg.cond(old)))
+        return X
+
+    monkeypatch.setattr(suite, "build_congruence", both)
+    assert suite.sylvester_battery(20260822)["passed"]
+    new, old = np.array(conds).T
+    assert np.all(new <= old * (1.0 + 1e-12))
+    assert np.any(new < 0.5 * old)          # some pairs had a kernel scale t != 1
 
 
 def test_build_congruence_checks_one_inverse_and_no_canonical_form(monkeypatch):
