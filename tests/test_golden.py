@@ -9,7 +9,7 @@ Each command runs as its own process under the caller's BLAS threading
 (``OPENBLAS_NUM_THREADS`` passes through), so the bytes are checked with
 BLAS pinned to one thread and with it threaded alike.
 
-Regenerate the inputs and the expected reports (only when a report is
+Regenerate the inputs, the expected reports and texts (only when an output is
 meant to change) with
 
     python tests/test_golden.py
