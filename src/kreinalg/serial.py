@@ -7,19 +7,19 @@ and optional tolerance overrides.
 
 Reports hold their matrices as arrays; the writer renders them in row
 blocks, in order, so no whole matrix exists as Python lists or text.
+orjson renders each block; json renders the entries that orjson would
+write unlike ``float.__repr__``.
 """
 
 from __future__ import annotations
 
 import gc
 import json
-import os
-from contextlib import contextmanager, nullcontext, suppress
+from contextlib import contextmanager, suppress
 from itertools import chain
 
 import numpy as np
 
-from ._pool import fork_map
 from .densela import Tolerance
 from .errors import InputError
 
@@ -32,10 +32,8 @@ __all__ = [
     "write_json",
 ]
 
-# rows per rendered block of a report matrix, and the matrix entries in a
-# report from which write_json renders the blocks in forked workers: a
-# two-worker pool costs 0.01-0.03 s, a 2**16-entry matrix 0.15 s to render
-_BLOCK_ROWS, _POOL_ENTRIES = 32, 1 << 16
+# rows per rendered block of a report matrix
+_BLOCK_ROWS = 32
 
 
 def matrix_to_obj(M) -> dict:
@@ -169,15 +167,29 @@ def _dumps(value) -> str:
 
 
 def _render_rows(block) -> str:
-    """The [re, im] pairs of ``block``, comma-separated, without brackets."""
-    return json.dumps(matrix_to_obj(block)["data"], separators=(",", ":"))[1:-1]
+    """The [re, im] pairs of ``block``, comma-separated, without brackets,
+    as json writes them.  orjson writes NaN and ±inf as ``null``, non-zero
+    magnitudes below 1e-4 and from 1e16 unlike ``float.__repr__``: those
+    go in as NaN, and their json text replaces each ``null`` in order."""
+    import orjson
+    A = np.asarray(block, dtype=complex)
+    pairs = np.stack([A.real, A.imag], -1).reshape(-1, 2)
+    mag = np.abs(pairs)
+    odd = ~((mag >= 1e-4) & (mag < 1e16)) & (pairs != 0)
+    special = pairs[odd].tolist()
+    pairs[odd] = np.nan
+    text = orjson.dumps(pairs, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1]
+    if not special:
+        return text
+    first, *rest = text.split("null")
+    return first + "".join(json.dumps(x) + part for x, part in zip(special, rest))
 
 
 def _pieces(obj):
     """The canonical text of ``obj`` in pieces: a dict with string keys is
-    walked key by key, an array is its matrix object with the data left as
-    row blocks for :func:`_render_rows`, any other value (a list and its
-    arrays, a dict with other keys) is text."""
+    walked key by key, an array is its matrix object with the data rendered
+    a row block at a time by :func:`_render_rows`, any other value (a list
+    and its arrays, a dict with other keys) is text."""
     if isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
         yield "{"
         for k, key in enumerate(sorted(obj)):
@@ -190,7 +202,7 @@ def _pieces(obj):
         for r in range(0, rows if cols else 0, _BLOCK_ROWS):
             if r:
                 yield ","
-            yield obj[r:r + _BLOCK_ROWS]
+            yield _render_rows(obj[r:r + _BLOCK_ROWS])
         yield f'],"rows":{rows}}}'
     else:
         yield _dumps(obj)
@@ -199,19 +211,12 @@ def _pieces(obj):
 def dump_json(obj) -> str:
     """Canonical single-document rendering: sorted keys, no whitespace drift.
     An array anywhere in ``obj`` renders as its :func:`matrix_to_obj` object."""
-    return "".join(p if isinstance(p, str) else _render_rows(p) for p in _pieces(obj))
+    return "".join(_pieces(obj))
 
 
 def write_json(obj, fh) -> None:
     """Write :func:`dump_json` of ``obj`` and a newline to ``fh``, piece by
-    piece.  Forked workers render the row blocks when the report holds
-    ``_POOL_ENTRIES`` matrix entries and more than one CPU is available."""
-    pieces = list(_pieces(obj))
-    blocks = [p for p in pieces if not isinstance(p, str)]
-    pooled = (blocks and sum(b.size for b in blocks) >= _POOL_ENTRIES
-              and len(os.sched_getaffinity(0)) > 1)
-    with (fork_map(_render_rows, blocks) if pooled
-          else nullcontext(map(_render_rows, blocks))) as rendered:
-        for p in pieces:
-            fh.write(p if isinstance(p, str) else next(rendered))
+    piece, in this process: each row block is rendered as it is written."""
+    for piece in _pieces(obj):
+        fh.write(piece)
     fh.write("\n")

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kreinalg import cli, serial
+from kreinalg import cli, serial, suite
 from kreinalg.cli import main
 from kreinalg.errors import ContractionOverflow
 from kreinalg.serial import dump_json, matrix_to_obj
@@ -74,21 +74,38 @@ def test_indices_human_output(capsys, c2_file):
 _TEST_PID = os.getpid()
 
 
-def _render_and_die(block) -> str:
+def _battery_and_die(task: tuple) -> dict:
     if os.getpid() == _TEST_PID:
-        raise AssertionError("rendered in the test process")
+        raise AssertionError("ran a battery in the test process")
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def test_dead_report_worker_exits_1(capsys, monkeypatch, c2_file):
-    monkeypatch.setattr(serial, "_POOL_ENTRIES", 0)
-    monkeypatch.setattr(serial, "_render_rows", _render_and_die)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    assert main(["decompose", "-i", c2_file, "--machine"]) == 1
+def test_dead_suite_worker_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(suite, "_run_battery", _battery_and_die)
+    assert main(["property-suite", "--count", "1", "--machine"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert multiprocessing.active_children() == []
+
+
+_ORJSON_LOADED = ("import sys, kreinalg\n"
+                  "if len(sys.argv) > 1:\n"
+                  "    from kreinalg.cli import main\n"
+                  "    assert main(sys.argv[1:]) == 0\n"
+                  "print('orjson' in sys.modules, file=sys.stderr)\n")
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ([], False),
+    (["property-suite", "--count", "1", "--machine"], False),
+    (["decompose", "-i", "C2", "--machine"], True)])
+def test_orjson_is_imported_to_render_a_matrix(c2_file, argv, loaded):
+    argv = [c2_file if a == "C2" else a for a in argv]
+    done = subprocess.run([sys.executable, "-c", _ORJSON_LOADED, *argv],
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, check=True)
+    assert done.stderr == f"{loaded}\n"
 
 
 def _hermitian(n: int, seed: int) -> np.ndarray:
@@ -98,8 +115,8 @@ def _hermitian(n: int, seed: int) -> np.ndarray:
 
 @pytest.mark.parametrize("sink", ["pipe", "/dev/full"])
 def test_failed_report_write_is_one_line(tmp_path, sink):
-    # decompose at n = 128 writes 2**16 matrix entries, enough for the
-    # pooled writer; the pipe's reader closes it after 20 bytes
+    # decompose at n = 128 writes 2**16 matrix entries, far more than a
+    # pipe holds; the pipe's reader closes it after 20 bytes
     f = write(tmp_path / "c.json", matrix_to_obj(_hermitian(128, 128)))
     cmd = [sys.executable, "-m", "kreinalg", "decompose", "-i", f, "--machine"]
     env = {**os.environ, "PYTHONPATH": SRC}

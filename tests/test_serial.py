@@ -6,13 +6,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from kreinalg import serial
+from kreinalg import _pool, serial
 from kreinalg.densela import Tolerance
 from kreinalg.errors import InputError
 from kreinalg.serial import (dump_json, load_json, matrix_from_obj,
@@ -290,7 +291,6 @@ pooled_reports = st.recursive(
           "nested": [np.eye(3), {"in": np.full((5, 1), -0.0)}]})
 def test_pooled_write_json_is_dump_json_and_a_newline(report):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(serial, "_POOL_ENTRIES", 0)
         mp.setattr(serial, "_BLOCK_ROWS", 2)    # 5- and 7-row arrays end in a part block
         fh = io.StringIO()
         write_json(report, fh)
@@ -298,32 +298,41 @@ def test_pooled_write_json_is_dump_json_and_a_newline(report):
     assert multiprocessing.active_children() == []
 
 
-def _render_pid(block) -> str:
-    return json.dumps([os.getpid()] * block.size)[1:-1]
-
-
-def test_pooled_write_json_renders_in_workers(monkeypatch):
-    monkeypatch.setattr(serial, "_POOL_ENTRIES", 0)
-    monkeypatch.setattr(serial, "_BLOCK_ROWS", 1)
-    monkeypatch.setattr(serial, "_render_rows", _render_pid)
-    fh = io.StringIO()
-    write_json({"m": np.zeros((8, 1))}, fh)
-    pids = set(json.loads(fh.getvalue())["m"]["data"])
-    if len(os.sched_getaffinity(0)) > 1:
-        assert os.getpid() not in pids
-    else:
-        assert pids == {os.getpid()}
-
-
-def test_write_json_on_one_cpu_renders_in_process(monkeypatch):
-    report = {"a": np.arange(12.0).reshape(4, 3) * (1 + 1j), "b": [np.eye(2)], "c": -0.0}
-    monkeypatch.setattr(serial, "_POOL_ENTRIES", 0)
-    monkeypatch.setattr(serial, "_BLOCK_ROWS", 3)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    monkeypatch.setattr(serial, "fork_map", lambda *a: pytest.fail("a pool was started"))
+def test_write_json_starts_no_process(monkeypatch):
+    # 2**16 matrix entries on two CPUs: every block renders in this process
+    report = {"a": np.arange(1 << 16, dtype=float).reshape(256, 256) * (1 - 1j),
+              "b": [np.eye(2)], "c": -0.0}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(_pool, "fork_map", lambda *a: pytest.fail("a pool was started"))
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__",
+                        lambda *a, **kw: pytest.fail("a pool was started"))
     fh = io.StringIO()
     write_json(report, fh)
     assert fh.getvalue() == dump_json(report) + "\n"
+    assert multiprocessing.active_children() == []
+
+
+def reference_rows(block) -> str:
+    """The text of ``block``'s data as json writes it."""
+    return json.dumps(matrix_to_obj(block)["data"], separators=(",", ":"))[1:-1]
+
+
+_EDGES = [1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1), 1e16, np.nextafter(1e16, 0),
+          5e-324, 0.0, -0.0, float("nan"), float("inf"), -float("inf"),
+          1.7976931348623157e308]
+render_shapes = hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=7)
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(hnp.arrays(complex, render_shapes,
+                  elements=st.builds(complex, st.floats(), st.floats()))
+       | hnp.arrays(float, render_shapes, elements=st.floats()))
+@example(np.array([_EDGES]))
+@example(np.array([_EDGES, _EDGES[::-1]]).T.copy().view(complex))
+@example(np.array([[1.5 - 2j, 0.0], [0.1j, 1e15 + 3j]]))      # no special entry
+@example(np.array([[float("nan"), -1e-300], [-float("inf"), 2e16]]))    # only special
+def test_render_rows_is_json_text(block):
+    assert serial._render_rows(block) == reference_rows(block)
 
 
 class _FailingWriter:
@@ -338,7 +347,6 @@ class _FailingWriter:
 
 
 def test_no_worker_outlives_a_failed_pooled_write(monkeypatch):
-    monkeypatch.setattr(serial, "_POOL_ENTRIES", 0)
     monkeypatch.setattr(serial, "_BLOCK_ROWS", 1)
     report = {"m": np.ones((40, 3)), "n": np.ones((40, 3))}
     with pytest.raises(OSError, match="disk full"):
