@@ -312,6 +312,17 @@ def test_write_json_starts_no_process(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_write_json_on_one_cpu_renders_in_process(monkeypatch):
+    report = {"a": np.arange(12.0).reshape(4, 3) * (1 + 1j), "b": [np.eye(2)], "c": -0.0}
+    monkeypatch.setattr(serial, "_BLOCK_ROWS", 3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(_pool, "fork_map", lambda *a: pytest.fail("a pool was started"))
+    fh = io.StringIO()
+    write_json(report, fh)
+    assert fh.getvalue() == dump_json(report) + "\n"
+    assert multiprocessing.active_children() == []
+
+
 def reference_rows(block) -> str:
     """The text of ``block``'s data as json writes it."""
     return json.dumps(matrix_to_obj(block)["data"], separators=(",", ":"))[1:-1]
