@@ -2,12 +2,14 @@
 
 Subcommands map onto the library engines: ``indices``, ``decompose``,
 ``factorize``, ``congruent``, ``phillips``, ``property-suite``.  Input
-matrices come from JSON files.  One table, ``_COMMANDS``, declares each
-subcommand once (name, help, ``cmd_*`` and its own arguments) and
-:func:`build_parser` turns its rows into subparsers.  Each ``cmd_*``
-returns ``(report, text_lines, exit_code)`` and writes its own ``--out``
-files; :func:`main` adds the schema version and command name and emits
-the report once: one JSON document under ``--machine``, else the lines.
+matrices come from JSON files, each read once by ``serial.read_json``
+(orjson, or json wherever the two could differ).  One table,
+``_COMMANDS``, declares each subcommand once (name, help, ``cmd_*`` and
+its own arguments) and :func:`build_parser` turns its rows into
+subparsers.  Each ``cmd_*`` returns ``(report, text_lines, exit_code)``
+and writes its own ``--out`` files; :func:`main` adds the schema version
+and command name and emits the report once: one JSON document under
+``--machine``, else the lines.
 
 Exit codes: 0 success, 1 property violation or numerical failure,
 2 input or validation error, 3 mathematical precondition failure.
@@ -31,8 +33,8 @@ from .hermdex import (build_congruence, hermitian_indices, require_equal_dims,
 from .krein import (KOperator, KreinSpace, hilbert_space, make_space,
                     make_subspace, space_indices)
 from .phillips import graph_rep, phillips_extend
-from .serial import (_collector_paused, _square_from_obj, load_json,
-                     matrix_from_obj, problem_from_obj, write_json)
+from .serial import (_square_from_obj, matrix_from_obj, problem_from_obj,
+                     read_json, write_json)
 from .suite import run_property_suite
 
 __all__ = ["main", "main_entry", "build_parser"]
@@ -48,18 +50,10 @@ def _merge_tolerance(args, file_tol: Tolerance | None) -> Tolerance:
     return Tolerance(rank_tol=rank, residual_tol=res)
 
 
-def _read(path, convert):
-    """``convert`` of the JSON document in ``path``.  The file is parsed and
-    converted with the cyclic collector paused, and the parsed tree is
-    dropped before the collector resumes."""
-    with _collector_paused():
-        return convert(load_json(path))
-
-
 def _space_flag(args, tol: Tolerance) -> KreinSpace | None:
     """The --space symmetry, read and validated once per command."""
     return None if args.space is None else make_space(
-        _read(args.space, partial(_square_from_obj, what="space symmetry")), tol)
+        read_json(args.space, partial(_square_from_obj, what="space symmetry")), tol)
 
 
 def _operand_space(flag: KreinSpace | None, J, n: int, tol: Tolerance) -> KreinSpace:
@@ -82,7 +76,7 @@ def _read_operand(path) -> tuple:
             return None, _square_from_obj(obj, "operator"), None
         raise InputError(
             f"{path}: input must be a problem file (operator key) or a matrix file")
-    return _read(path, convert)
+    return read_json(path, convert)
 
 
 def _load_operators(args, *paths) -> tuple[list[KOperator], Tolerance]:
@@ -195,8 +189,8 @@ def cmd_congruent(args) -> tuple:
 
 def cmd_phillips(args) -> tuple:
     tol = _merge_tolerance(args, None)
-    Bp = _read(args.plus, partial(matrix_from_obj, what="nonnegative basis"))
-    Bm = _read(args.minus, partial(matrix_from_obj, what="nonpositive basis"))
+    Bp = read_json(args.plus, partial(matrix_from_obj, what="nonnegative basis"))
+    Bm = read_json(args.minus, partial(matrix_from_obj, what="nonpositive basis"))
     n = Bp.shape[0]
     if Bm.shape[0] != n:
         raise DimensionMismatch(

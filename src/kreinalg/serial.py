@@ -5,6 +5,11 @@ locale-proof and round-trip bit-exactly.  A problem file carries an
 operator, an optional space (J defaults to the identity, Hilbert mode),
 and optional tolerance overrides.
 
+:func:`read_json` reads every input file: orjson parses a file that holds
+no backslash and nests at most ``_MAX_NESTING`` brackets deep, and json
+parses the same bytes when orjson or the conversion refuses them, so json
+decides every failure and its message.
+
 Reports hold their matrices as arrays; the writer renders them in row
 blocks, in order, so no whole matrix exists as Python lists or text.
 orjson renders each block; json renders the entries that orjson would
@@ -14,7 +19,9 @@ write unlike ``float.__repr__``.
 from __future__ import annotations
 
 import gc
+import io
 import json
+import re
 from contextlib import contextmanager, suppress
 from itertools import chain
 
@@ -28,12 +35,24 @@ __all__ = [
     "matrix_from_obj",
     "problem_from_obj",
     "load_json",
+    "read_json",
     "dump_json",
     "write_json",
 ]
 
 # rows per rendered block of a report matrix
 _BLOCK_ROWS = 32
+
+# the deepest bracket nesting orjson is given: input files nest at most 5
+# deep, json refuses about 1,000, and orjson 3.8.3 crashes near 200,000
+_MAX_NESTING = 64
+# _nesting's tables: the bytes it drops (all but brackets and quotes), a
+# string without escapes, and each bracket's step in depth
+_NOT_MARKS = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+_STRING = re.compile(rb'"[^"]*"')
+_NEST_STEP = np.zeros(256, np.int8)
+_NEST_STEP[list(b"[{")] = 1
+_NEST_STEP[list(b"]}")] = -1
 
 
 def matrix_to_obj(M) -> dict:
@@ -143,16 +162,55 @@ def _collector_paused():
             gc.enable()
 
 
-def load_json(path):
+def _read_bytes(path) -> bytes:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _json_tree(raw: bytes, path):
+    """json's tree of ``raw`` decoded as ``open(path, encoding="utf-8")``
+    would decode it, universal newlines included."""
+    try:
+        return json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
     except (ValueError, RecursionError) as exc:
         # JSONDecodeError, undecodable UTF-8, integers past the digit limit,
         # nesting past the recursion limit
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
+
+
+def load_json(path):
+    """json's tree of the file at ``path``: what :func:`read_json` gives
+    ``convert`` whenever orjson could decide otherwise."""
+    return _json_tree(_read_bytes(path), path)
+
+
+def _nesting(raw: bytes) -> int:
+    """The deepest bracket nesting of ``raw`` outside its strings.  ``raw``
+    holds no backslash, so each string runs from a quote to the next one."""
+    marks = _STRING.sub(b"", raw.translate(None, _NOT_MARKS))
+    steps = _NEST_STEP[np.frombuffer(marks, np.uint8)]
+    return int(np.cumsum(steps, dtype=np.int64).max(initial=0))
+
+
+def read_json(path, convert):
+    """``convert`` of the JSON document in ``path``, read once.  orjson
+    parses the bytes unless they hold a backslash or nest deeper than
+    ``_MAX_NESTING``; if it refuses them, or ``convert`` raises
+    :class:`InputError` on its tree, json parses the same bytes, so json's
+    tree decides every failure.  Parsing and converting run with the
+    cyclic collector paused, and each tree is dropped before it resumes."""
+    # outside the pause: the objects a first import keeps would set off a
+    # collection as soon as the collector resumed
+    import orjson
+    raw = _read_bytes(path)
+    with _collector_paused():
+        if b"\\" not in raw and _nesting(raw) <= _MAX_NESTING:
+            with suppress(orjson.JSONDecodeError, InputError):
+                return convert(orjson.loads(raw))
+        return convert(_json_tree(raw, path))
 
 
 def _matrix_default(value):

@@ -99,6 +99,7 @@ _ORJSON_LOADED = ("import sys, kreinalg\n"
 @pytest.mark.parametrize("argv, loaded", [
     ([], False),
     (["property-suite", "--count", "1", "--machine"], False),
+    (["indices", "-i", "C2"], True),                     # it reads the file
     (["decompose", "-i", "C2", "--machine"], True)])
 def test_orjson_is_imported_to_render_a_matrix(c2_file, argv, loaded):
     argv = [c2_file if a == "C2" else a for a in argv]
@@ -216,6 +217,48 @@ def test_reader_keeps_a_disabled_collector(capsys, c2_file):
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+_DIAG = b'{"rows":2,"cols":2,"data":[[1,0],[0,0],[0,0],[-1,0]]'
+
+
+@pytest.mark.parametrize("raw, code", [
+    (_DIAG + b',"note":"\\ud800"}', 0),                # orjson declines it
+    (_DIAG + b"}", 0),                                  # orjson takes it
+    (_DIAG.replace(b"2", str(2 ** 64).encode(), 1) + b"}", 2),   # its tree is refused
+])
+def test_piped_input_is_read_once(tmp_path, raw, code):
+    # json parses the bytes orjson declined or whose tree was refused:
+    # stdin cannot be read a second time
+    path = tmp_path / "in.json"
+    path.write_bytes(raw)
+    cmd = [sys.executable, "-m", "kreinalg", "indices", "-i"]
+    env = {**os.environ, "PYTHONPATH": SRC}
+    piped = subprocess.run(cmd + ["/dev/stdin"], input=raw, capture_output=True,
+                           env=env, timeout=120)
+    named = subprocess.run(cmd + [str(path)], capture_output=True, env=env, timeout=120)
+    assert piped.returncode == named.returncode == code
+    assert piped.stdout == named.stdout
+    assert piped.stderr == named.stderr.replace(str(path).encode(), b"/dev/stdin")
+    if code:
+        assert piped.stderr.startswith(b"error: ") and piped.stderr.count(b"\n") == 1
+    else:
+        assert b"h+ = 1" in piped.stdout
+
+
+@pytest.mark.parametrize("opener, closer", [("[", "]"), ('{"a":', "}")])
+def test_deep_nesting_exits_2(tmp_path, opener, closer):
+    # orjson 3.8.3 segfaults on a document nested 200,000 deep; the reader's
+    # nesting guard gives it to json, which refuses it
+    deep = 200_000
+    path = tmp_path / "deep.json"
+    path.write_text(opener * deep + "1" + closer * deep)
+    done = subprocess.run([sys.executable, "-m", "kreinalg", "indices", "-i", str(path)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: invalid JSON in ")
+    assert done.stderr.count("\n") == 1
 
 
 def test_decompose(capsys, c2_file):
@@ -398,7 +441,7 @@ def test_pair_tolerance_is_settled_before_spaces(capsys, tmp_path, monkeypatch):
     b = write(tmp_path / "b.json", {"operator": matrix_to_obj(np.eye(2)),
                                     "tolerance": {"residual_tol": 1e-5}})
     calls = []
-    for name in ("load_json", "make_space"):
+    for name in ("read_json", "make_space"):
         def counted(arg, *rest, _f=getattr(cli, name), _name=name):
             calls.append((_name, arg))
             return _f(arg, *rest)
@@ -406,7 +449,7 @@ def test_pair_tolerance_is_settled_before_spaces(capsys, tmp_path, monkeypatch):
     code, rep = run_machine(capsys, ["congruent", a, b, "--space", s, "--machine"])
     assert code == 0 and rep["congruent"]
     # the symmetry is read and validated once for both operands
-    assert calls.count(("load_json", s)) == 1
+    assert calls.count(("read_json", s)) == 1
     assert [n for n, _ in calls].count("make_space") == 1
     assert main(["congruent", a, a, "--space", s]) == 3
 

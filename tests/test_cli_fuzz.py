@@ -6,6 +6,8 @@ Inputs are arbitrary JSON values (huge integers, NaN/Inf, booleans,
 strings, nesting) and near-miss matrix and problem objects with at most
 three rows and columns, run through ``indices``, ``decompose``,
 ``factorize``, ``congruent`` and ``phillips`` with and without ``--space``.
+Every file drawn is also read by ``read_json`` and by json's reader, which
+must give the same arrays and tolerances or the same message.
 """
 
 import contextlib
@@ -19,7 +21,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from kreinalg.cli import main
-from kreinalg.serial import matrix_to_obj
+from kreinalg.errors import InputError
+from kreinalg.serial import (load_json, matrix_from_obj, matrix_to_obj,
+                             problem_from_obj, read_json)
 
 KEYS = ("rows", "cols", "data", "operator", "space", "J", "tolerance",
         "rank_tol", "residual_tol")
@@ -108,6 +112,20 @@ def command_lines(draw):
             draw(st.none() | operand_files(n, space=True)), draw(st.booleans()))
 
 
+def read_outcome(read, path, convert):
+    """The bits of ``read(path, convert)``, or its ``InputError`` message."""
+    try:
+        value = read(path, convert)
+    except InputError as exc:
+        return str(exc)
+    return [(part.shape, part.tobytes()) if isinstance(part, np.ndarray) else part
+            for part in (value if isinstance(value, tuple) else (value,))]
+
+
+def json_read(path, convert):
+    return convert(load_json(path))
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(command_lines())
 def test_cli_never_raises(case):
@@ -118,6 +136,9 @@ def test_cli_never_raises(case):
             paths.append(os.path.join(tmp, f"{name}.json"))
             with open(paths[-1], "w", encoding="utf-8") as fh:
                 fh.write(json.dumps(obj))
+            for convert in (problem_from_obj, matrix_from_obj):
+                assert (read_outcome(read_json, paths[-1], convert)
+                        == read_outcome(json_read, paths[-1], convert))
         if command in ("congruent", "phillips"):
             argv = [command, paths[0], paths[1]]
         else:

@@ -1,14 +1,19 @@
+import dataclasses
 import gc
 import io
 import json
 import multiprocessing
 import os
+import struct
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
@@ -16,8 +21,8 @@ from hypothesis.extra import numpy as hnp
 from kreinalg import _pool, serial
 from kreinalg.densela import Tolerance
 from kreinalg.errors import InputError
-from kreinalg.serial import (dump_json, load_json, matrix_from_obj,
-                             matrix_to_obj, problem_from_obj, write_json)
+from kreinalg.serial import (dump_json, load_json, matrix_from_obj, matrix_to_obj,
+                             problem_from_obj, read_json, write_json)
 from kreinalg.suite import run_property_suite
 
 
@@ -113,6 +118,241 @@ def test_load_json_failures(tmp_path):
     bad.write_text("{]")
     with pytest.raises(InputError):
         load_json(bad)
+
+
+def reference_read(path, convert):
+    """The reader before orjson: ``convert`` of json's tree of the text
+    ``open(path, encoding="utf-8")`` gives, kept as the reference."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            tree = json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"invalid JSON in {path}: {exc}") from exc
+    return convert(tree)
+
+
+def bits(value):
+    """``value`` with each array and double replaced by its bytes."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, Tolerance):
+        return bits(dataclasses.astuple(value))
+    if isinstance(value, tuple):
+        return tuple(map(bits, value))
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    return value
+
+
+def read_outcome(read, path, convert):
+    """The bits of ``read(path, convert)``, or its ``InputError`` message."""
+    try:
+        return bits(read(path, convert))
+    except InputError as exc:
+        return str(exc)
+
+
+CONVERTERS = (problem_from_obj, partial(matrix_from_obj, what="operator"))
+
+
+def assert_readers_agree(path):
+    for convert in CONVERTERS:
+        assert (read_outcome(read_json, path, convert)
+                == read_outcome(reference_read, path, convert))
+
+
+def _matrix(rows, cols, data, extra=""):
+    return f'{{"rows":{rows},"cols":{cols},"data":{data}{extra}}}'.encode()
+
+
+_ONE = _matrix(1, 1, "[[1.5,-0.0]]")
+_DEEP = 2000
+
+
+def _noted(note: str) -> bytes:
+    """A 1 x 1 matrix file with an ignored ``note`` field."""
+    return _matrix(1, 1, "[[1,0]]", ',"note":' + note)
+
+
+def _tolerance(text: str) -> bytes:
+    return b'{"operator":' + _ONE + b',"tolerance":{"rank_tol":' + text.encode() + b"}}"
+
+
+# files on which orjson and json could differ; json must decide each
+_EDGE_FILES = {
+    "plain": _ONE,
+    "ignored NaN": _noted("NaN"),
+    "Infinity": _matrix(1, 1, "[[Infinity,0]]"),
+    "1e400": _matrix(1, 1, "[[1e400,0]]"),
+    "ignored 1e400": _noted("1e400"),
+    "tolerance 1e400": _tolerance("1e400"),
+    "tolerance NaN": _tolerance("NaN"),
+    "tolerance 2**64": _tolerance(str(2 ** 64)),
+    "escaped lone surrogate": _noted('"\\ud800"'),
+    "escaped low surrogate": _noted('["\\udfff", 1]'),
+    "rows 2**64": _matrix(2 ** 64, 1, "[[1,0]]"),
+    "rows 2**64+1": _matrix(2 ** 64 + 1, 0, "[]"),
+    "rows -2**63-1": _matrix(-2 ** 63 - 1, 1, "[[1,0]]"),
+    "rows 2**63": _matrix(2 ** 63, 1, "[[1,0]]"),
+    "entries 2**64, -2**63-1": _matrix(1, 1, f"[[{2 ** 64},{-2 ** 63 - 1}]]"),
+    "entries 2**64-1, -2**63": _matrix(1, 1, f"[[{2 ** 64 - 1},{-2 ** 63}]]"),
+    "entries near 2**1024": _matrix(1, 1, f"[[{10 ** 300 + 7},{2 ** 1024 - 1}]]"),
+    "entry 10**400": _matrix(1, 1, f"[[{10 ** 400},0]]"),
+    "json's digit limit": _noted("1" * 5000),
+    "nesting 64": _noted("[" * 63 + "]" * 63),
+    "nesting 65": _noted("[" * 64 + "]" * 64),
+    "nesting 2000": _noted("[" * _DEEP + "]" * _DEEP),
+    "objects nesting 2000": _noted('{"a":' * _DEEP + "1" + "}" * _DEEP),
+    "string ]]]]": _noted('"]]]]"'),
+    "string of brackets": _noted('"[[[[{{{{"'),
+    "escaped quote": _noted('"\\""'),
+    "nesting behind escaped quotes":
+        _noted('["\\"",' + "[" * _DEEP + "]" * _DEEP + ',"\\""]'),
+    "escaped backslash": _noted('"a\\\\"'),
+    "duplicate key": _noted("2").replace(b'"note"', b'"rows"'),
+    "BOM": b"\xef\xbb\xbf" + _ONE,
+    "CRLF and CR": _ONE.replace(b",", b",\r\n").replace(b":", b"\r:\t"),
+    "error after CRs": _ONE.replace(b",", b",\r").replace(b"1.5", b"1.5."),
+    "not UTF-8": _ONE[:-1] + b',"note":"\xff"}',
+    "UTF-8 surrogate": _ONE[:-1] + b',"note":"\xed\xa0\x80"}',
+    "overlong UTF-8": _ONE[:-1] + b',"note":"\xc0\xaf"}',
+    "CR in a string": _ONE[:-1] + b',"note":"a\rb"}',
+    "U+2028 and DEL": _ONE[:-1] + b',"note":"\xe2\x80\xa8\x7f"}',
+    "trailing NUL": _ONE + b"\x00",
+    "empty": b"",
+    "whitespace": b"  \r\n",
+    "unclosed": b"[" * 200 + b"]" * 199,
+}
+
+
+@pytest.mark.parametrize("raw", _EDGE_FILES.values(), ids=_EDGE_FILES.keys())
+def test_read_json_decides_like_json(tmp_path, raw):
+    path = tmp_path / "in.json"
+    path.write_bytes(raw)
+    assert_readers_agree(str(path))
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("the wrong parser ran")
+
+
+@pytest.mark.parametrize("note", ['"]]]]"', '"{{\\u0041"', "[" * 63 + "]" * 63])
+def test_plain_files_skip_json(tmp_path, monkeypatch, note):
+    raw = _matrix(1, 1, "[[1,\r\n0.5]]", f',"note":{note}')
+    path = tmp_path / "in.json"
+    path.write_bytes(raw)
+    if b"\\" in raw:        # an escape sends the file to json
+        monkeypatch.setattr(orjson, "loads", _fail)
+    else:
+        monkeypatch.setattr(serial, "_json_tree", _fail)
+    assert read_json(path, matrix_from_obj).tolist() == [[1 + 0.5j]]
+
+
+@pytest.mark.parametrize("note, nesting", [
+    ('"]]]]"', 3), ('"[[[[{{"', 3), ("[" * 64 + "]" * 64, 65), ("[[]]", 3),
+    ('"[[[', 4), ('"a"[[[', 4), ("]]]]]", 3)])
+def test_nesting_is_counted_outside_strings(note, nesting):
+    assert serial._nesting(_matrix(1, 1, "[[1,0]]", f',"note":{note}')) == nesting
+
+
+json_ws = st.sampled_from(["", "", " ", "\n", "\r\n", "\r", "\t", " \r\n\t "])
+# numerals both parsers take, and ones orjson refuses or turns into doubles
+exact_numerals = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map("{:.17e}".format),
+    st.floats(allow_nan=False, allow_infinity=False).map("{:.25G}".format),
+    st.floats(5e-5, 2e-4).map(repr),
+    st.floats(5e15, 2e16).map(repr),
+    st.floats(0, 1e-307).map(repr),                     # subnormals
+    st.floats(0, 1e-307).map("{:.30e}".format),
+    st.from_regex(r"-?(0|[1-9][0-9]{0,24})(\.[0-9]{1,24})?([eE][+-]?[0-9]{1,2})?",
+                  fullmatch=True),
+    st.sampled_from([2 ** 63, -2 ** 63, 2 ** 64]).flatmap(
+        lambda base: st.integers(-3, 3).map(lambda d: str(base + d))),
+    st.integers().map(str),
+    st.integers(-2 ** 1000, 2 ** 1000).map(str),
+    st.sampled_from(["-0", "-0.0", "0.0001", "1e-4", "9.999999999999999e-05",
+                     "1e16", "1E+16", "9999999999999998", "5e-324", "2.5e-324",
+                     "2.2250738585072014e-308", "1.7976931348623157e308",
+                     "1.7976931348623158e308", "1e-400"]))
+odd_numerals = st.one_of(
+    st.sampled_from(["NaN", "-Infinity", "1e400", "-1e999", str(2 ** 1024), "9" * 400]),
+    st.from_regex(r"-?[1-9]\.[0-9]{0,20}[eE]\+?3[0-9][0-9]", fullmatch=True))
+json_numerals = exact_numerals | odd_numerals
+
+
+def mostly(good, odd):
+    """``good`` three draws in four, else ``good | odd``: most files stay
+    on orjson's path, so that path is the one the property tests."""
+    return st.sampled_from([good] * 3 + [good | odd]).flatmap(lambda s: s)
+json_strings = st.one_of(
+    st.text(max_size=6).map(partial(json.dumps, ensure_ascii=False)),
+    st.sampled_from(['"]]]]"', '"\\""', '"[{"', '"\\ud800"', '"\\\\"']))
+
+
+@st.composite
+def json_texts(draw, fields, note=True):
+    """An object of ``fields``, (key, value text) pairs, in a drawn order,
+    with drawn whitespace around every token and maybe an ignored note."""
+    fields = list(fields)
+    if note and draw(st.integers(0, 2)) == 0:
+        fields.append(("note", draw(mostly(json_strings | exact_numerals, odd_numerals))))
+    fields = draw(st.permutations(fields))
+    ws = draw(st.lists(json_ws, min_size=4 * len(fields) + 2,
+                       max_size=4 * len(fields) + 2))
+    parts = [ws[0], "{"]
+    for k, (key, value) in enumerate(fields):
+        parts += [ws[4 * k + 1], "," if k else "", json.dumps(key), ws[4 * k + 2], ":",
+                  ws[4 * k + 3], value, ws[4 * k + 4]]
+    return "".join(parts + ["}", ws[-1]])
+
+
+@st.composite
+def matrix_texts(draw, square=False):
+    rows = draw(st.integers(0, 3))
+    cols = rows if square else draw(st.integers(0, 3))
+    count = lambda v: mostly(st.just(str(v)), st.sampled_from(  # noqa: E731
+        [f"{v}.0", str(v + 2 ** 64), str(v - 2 ** 63 - 1), "-0", "1e400"]))
+    numerals = draw(st.sampled_from([exact_numerals] * 3 + [json_numerals]))
+    pair = st.tuples(numerals, numerals).map("[{0[0]},{0[1]}]".format)
+    data = draw(st.lists(pair, min_size=rows * cols, max_size=rows * cols))
+    if draw(st.integers(0, 9)) == 0:       # a length off by one
+        data = data[:-1] if data else [draw(pair)]
+    return draw(json_texts([("rows", draw(count(rows))), ("cols", draw(count(cols))),
+                            ("data", "[" + ",".join(data) + "]")]))
+
+
+@st.composite
+def problem_texts(draw):
+    fields = [("operator", draw(matrix_texts(square=True)))]
+    if draw(st.booleans()):
+        fields.append(("space", draw(json_texts([("J", draw(matrix_texts(square=True)))]))))
+    if draw(st.booleans()):
+        tol = draw(st.lists(st.sampled_from(["rank_tol", "residual_tol"]), unique=True))
+        fields.append(("tolerance", draw(json_texts(
+            [(name, draw(mostly(st.floats(1e-12, 1e-2).map(repr), json_numerals)))
+             for name in tol], note=False))))
+    return draw(json_texts(fields))
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(matrix_texts() | problem_texts(),
+       st.sampled_from([b""] * 17 + [b"\xff", b"\xed\xa0\x80", b"\xef\xbb\xbf"]))
+@example('{"rows":1,"cols":1,"data":[[4.9406564584124654e-324,-0.0]]}', b"")
+@example('{"rows":1,"cols":1,"data":[[9223372036854775808,18446744073709551616]]}', b"")
+@example('{"operator":{"rows":0,"cols":0,"data":[]},"tolerance":{"rank_tol":1e-4}}', b"")
+def test_read_json_equals_the_json_reader(text, stray):
+    # same arrays and tolerances, bit for bit, or the same InputError
+    # message, on well-formed files and on files a drawn stray byte spoils
+    raw = text.encode()
+    cut = len(raw) // 2
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.json")
+        with open(path, "wb") as fh:
+            fh.write(raw[:cut] + stray + raw[cut:])
+        assert_readers_agree(path)
 
 
 def test_dump_json_is_compact_and_sorted():
