@@ -9,6 +9,9 @@ all of that for an arbitrary candidate decomposition (they are not
 unique), and `projections` inverts the concatenated basis to produce
 the associated orthogonal-sum projections Q.  Both read the singular
 values of that basis from the decomposition, which takes them once.
+A pair's singular values interlace the stack's (Horn & Johnson, *Topics
+in Matrix Analysis*, Cor. 3.1.3), so `validate` takes the pairs' ranks
+only when the stack does not clear the rank cut by its slack.
 """
 
 from __future__ import annotations
@@ -70,11 +73,6 @@ def decompose(C: KOperator, tol: Tolerance = Tolerance()) -> Decomposition:
                          M_zero=Subspace(H, V[:, q:q + z]))
 
 
-def _pair_direct(A: Subspace, B: Subspace, tol: Tolerance) -> bool:
-    stacked = np.hstack([A.basis, B.basis])
-    return rank(stacked, tol) == A.dim + B.dim
-
-
 def validate(C: KOperator, dec: Decomposition, tol: Tolerance = Tolerance()) -> dict:
     """Full condition report for a candidate decomposition of C's space.
 
@@ -102,9 +100,10 @@ def validate(C: KOperator, dec: Decomposition, tol: Tolerance = Tolerance()) -> 
                and (mm.dim == 0 or cls_minus == SubspaceClass.STRICTLY_NEGATIVE)
                and kernel_ok)
 
-    pair_direct = (_pair_direct(mp, mm, tol)
-                   and _pair_direct(mp, mz, tol)
-                   and _pair_direct(mm, mz, tol))
+    k = mp.dim + mm.dim + mz.dim
+    pair_direct = (count_above_cut(dec.singular_values, tol, margin=True) == k
+                   or all(rank(np.hstack([a.basis, b.basis]), tol) == a.dim + b.dim
+                          for a, b in ((mp, mm), (mp, mz), (mm, mz))))
 
     pair_orth = (c_orthogonal(C, mp, mm, tol)
                  and c_orthogonal(C, mp, mz, tol)
@@ -112,7 +111,6 @@ def validate(C: KOperator, dec: Decomposition, tol: Tolerance = Tolerance()) -> 
 
     dims_ok = (mp.dim, mm.dim, mz.dim) == tuple(idx)
 
-    k = mp.dim + mm.dim + mz.dim
     if k == 0:
         min_sv = 1.0 if H.dim == 0 else 0.0
     else:

@@ -14,7 +14,10 @@ SVD.  All of them share a single two-knob :class:`Tolerance`:
 Every relative ``rank_tol`` decision is made in one of two places:
 eigenvalues are split into plus/minus/zero bands by :func:`band_split`
 (behind :func:`spectral_split`), and singular values are cut by
-:func:`count_above_cut` (behind :func:`rank`).
+:func:`count_above_cut` (behind :func:`rank`).  A check that reads only
+counts decides from a values-only spectrum: asked for a ``margin``,
+either site declines (None) when a value lies within 1e-12 of the largest
+from its cut, and the spectrum with vectors decides, as before.
 
 A yes/no residual check ``||R||_2 <= t * scale(||S||_2)`` whose norm is
 not reported goes through :func:`norm_within`, which decides it cheap-first
@@ -126,7 +129,9 @@ def spectral_norm(M) -> float:
     return float(np.linalg.norm(A, 2))
 
 
-# Relative widening of the Frobenius bounds in `norm_within`.
+# Relative slack of the cheap-first decisions: the widening of the Frobenius
+# bounds in `norm_within`, and the margin from a cut, in units of the largest
+# value, that lets a values-only spectrum decide (README, Numerical conventions).
 _SLACK = 1e-12
 # Below this the Frobenius sum may have lost entries to underflow.
 _F_TINY = 1e-145
@@ -186,15 +191,16 @@ def _require_hermitian(A: np.ndarray, tol: Tolerance) -> np.ndarray:
     return H
 
 
-def herm_eig(M, tol: Tolerance = Tolerance()) -> HermEig:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+def herm_eig(M, tol: Tolerance = Tolerance(), vectors: bool = True) -> HermEig:
+    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending;
+    without ``vectors``, the eigenvalues alone and ``eigenvectors`` None.
 
     Raises ``NotHermitian`` when the symmetry check fails and
     ``NoConvergence`` when the LAPACK driver gives up.
     """
     A = _require_hermitian(_as_matrix(M), tol)
     try:
-        w, V = np.linalg.eigh(A)
+        w, V = np.linalg.eigh(A) if vectors else (np.linalg.eigvalsh(A), None)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     return HermEig(eigenvalues=w, eigenvectors=V)
@@ -215,11 +221,14 @@ def spectral_split(M, tol: Tolerance = Tolerance(),
 
 
 def band_split(eig: HermEig, tol: Tolerance = Tolerance(),
-               scale: float | None = None) -> SpectralSplit:
-    """The sign bands of :func:`spectral_split` over a known eigendecomposition."""
+               scale: float | None = None, margin: bool = False) -> SpectralSplit | None:
+    """The sign bands of :func:`spectral_split` over a known eigendecomposition;
+    with ``margin``, None when some |eigenvalue| lies within the slack of the band."""
     w = eig.eigenvalues
-    own = float(np.max(np.abs(w))) if w.size else 0.0
-    band = tol.rank_tol * max(own, scale if scale is not None else 0.0)
+    top = max(float(np.max(np.abs(w))) if w.size else 0.0, scale or 0.0)
+    band = tol.rank_tol * top
+    if margin and np.any(np.abs(np.abs(w) - band) <= _SLACK * top):
+        return None
     plus, minus = w > band, w < -band
     n_plus, n_minus = int(np.count_nonzero(plus)), int(np.count_nonzero(minus))
     return SpectralSplit(w, eig.eigenvectors, band, plus, minus, ~(plus | minus),
@@ -250,21 +259,28 @@ def psd_sqrt(M, tol: Tolerance = Tolerance(), scale: float | None = None) -> np.
     return 0.5 * (R + R.conj().T)
 
 
-def count_above_cut(s: np.ndarray, tol: Tolerance) -> int:
+def count_above_cut(s: np.ndarray, tol: Tolerance, margin: bool = False) -> int | None:
     """The rank cut: how many of the nonincreasing singular values ``s``
-    exceed ``rank_tol`` times the largest."""
+    exceed ``rank_tol`` times the largest; with ``margin``, None when some
+    value lies within the slack of the cut."""
+    if margin and s.size and np.any(np.abs(s - tol.rank_tol * s[0]) <= _SLACK * s[0]):
+        return None
     return int(np.count_nonzero(s > tol.rank_tol * s[0])) if s.size else 0
 
 
 def rank(M, tol: Tolerance = Tolerance()) -> int:
-    """Numerical rank: singular values above ``rank_tol`` times the largest."""
-    return count_above_cut(svd(M)[1], tol)
+    """Numerical rank: singular values above ``rank_tol`` times the largest,
+    cut from a values-only SVD unless one lies within the slack of the cut."""
+    A = _as_matrix(M)
+    r = count_above_cut(_svd(A, compute_uv=False), tol, margin=True)
+    return count_above_cut(_svd(A)[1], tol) if r is None else r
 
 
-def _svd(A: np.ndarray, full_matrices: bool):
-    """LAPACK's ``(U, s, Vh)``; ``NoConvergence`` when the driver gives up."""
+def _svd(A: np.ndarray, full_matrices: bool = False, compute_uv: bool = True):
+    """LAPACK's ``(U, s, Vh)``, or ``s`` alone without ``compute_uv``;
+    ``NoConvergence`` when the driver gives up."""
     try:
-        return np.linalg.svd(A, full_matrices=full_matrices)
+        return np.linalg.svd(A, full_matrices=full_matrices, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
 
@@ -308,10 +324,15 @@ def svd(M):
 
 
 def conditioned_svd(M, tol: Tolerance, cond_cap: float) -> np.ndarray:
-    """Singular values, from the thin SVD with vectors, of a square matrix
-    that must be safely invertible: raises ``NotInvertible`` when the rank cut
-    drops a direction, ``IllConditioned`` when ``s[0] / s[-1] > cond_cap``."""
-    s = _svd(_as_matrix(M), False)[1]
+    """Singular values of a square matrix that must be safely invertible:
+    raises ``NotInvertible`` when the rank cut drops a direction,
+    ``IllConditioned`` when ``s[0] / s[-1] > cond_cap``.  Values alone pass
+    it by the slack, else the thin SVD with vectors decides and words it."""
+    A = _as_matrix(M)
+    s = _svd(A, compute_uv=False)
+    if s.size and (count_above_cut(s, tol, margin=True) != s.size
+                   or s[-1] - s[0] / cond_cap <= _SLACK * s[0]):
+        s = _svd(A)[1]
     if count_above_cut(s, tol) < s.size:
         raise NotInvertible("matrix is numerically singular")
     if s.size and s[0] / s[-1] > cond_cap:

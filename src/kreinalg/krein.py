@@ -64,6 +64,17 @@ class KreinSpace:
             raise NotSymmetry("fundamental symmetry has a numerically zero eigenvalue")
         return split
 
+    @cached_property
+    def _indices(self) -> tuple[int, int]:
+        """The signature's (n_plus, n_minus), once per space from J's eigenvalues
+        alone, unless ``signature`` is cached or a value is near or in the zero band."""
+        if "signature" not in vars(self):
+            eig = herm_eig(0.5 * (self.J + self.J.conj().T), Tolerance(), False)
+            split = band_split(eig, margin=True)
+            if split is not None and not split.counts[2]:
+                return split.counts[:2]
+        return self.signature.counts[:2]
+
 
 @dataclass(frozen=True, eq=False)
 class KOperator:
@@ -172,7 +183,7 @@ def hilbert_space(n: int) -> KreinSpace:
 
 def space_indices(H: KreinSpace) -> tuple[int, int]:
     """(ind_plus, ind_minus): dimensions of the +1 and -1 eigenspaces of J."""
-    return H.signature.counts[:2]
+    return H._indices
 
 
 def identity_op(H: KreinSpace) -> KOperator:

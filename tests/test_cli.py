@@ -185,6 +185,9 @@ def test_reading_files_starts_no_collection(monkeypatch, files64, case):
             "phillips": ["phillips", files64["plus"], files64["minus"],
                          "--space", files64["space"]]}[case]
     monkeypatch.setattr(cli, "_operand_space", _raise_stop)     # called after all reads
+    # the first import of orjson in a process allocates enough to set off a
+    # collection of its own; the reader's import must not count as its read
+    import orjson  # noqa: F401
     gc.collect()
     with _collections() as starts, pytest.raises(_Stop):
         main(argv)
@@ -573,3 +576,30 @@ def test_large_dimension_smoke(capsys, tmp_path):
     assert code == 0
     assert rep2["verify"]["passed"]
     assert rep2["factor_space"]["dim"] == 64 - rep["indices"][2]
+
+
+def test_indices_counts_the_space_without_its_eigenvectors(monkeypatch, capsys, tmp_path):
+    # the space's signature is counted from J's eigenvalues alone; the only
+    # eigendecomposition with vectors is that of J C
+    from kreinalg.genrand import GenConfig, gen_space_with_split
+    J = gen_space_with_split(GenConfig(3), 5, 3).J
+    G = np.random.default_rng(4).standard_normal((8, 8))
+    path = write(tmp_path / "p.json", {"space": {"J": matrix_to_obj(J)},
+                                       "operator": matrix_to_obj(J @ (G + G.T))})
+    calls = {"eigh": [], "eigvalsh": []}
+
+    def counting(name):
+        f = getattr(np.linalg, name)
+
+        def counted(A, *args, **kw):
+            calls[name].append(np.array(A))
+            return f(A, *args, **kw)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    code, report = run_machine(capsys, ["indices", "-i", path, "--machine"])
+    assert code == 0
+    assert report["space"] == {"dim": 8, "ind_plus": 5, "ind_minus": 3}
+    assert [np.allclose(A, J) for A in calls["eigh"]] == [False]
+    assert [np.allclose(A, J) for A in calls["eigvalsh"]] == [True]

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kreinalg.decomp import (Decomposition, decompose, projections, validate)
+from kreinalg.densela import Tolerance, count_above_cut, svd
 from kreinalg.errors import DimensionMismatch, NotDirect, NotSelfadjoint
+from kreinalg.genrand import GenConfig, gen_selfadjoint, gen_space
 from kreinalg.krein import (KOperator, Subspace, hilbert_space, make_space,
                             make_subspace)
 
@@ -172,3 +175,64 @@ def test_validate_kernel_verdict_at_planted_residual(factor, k):
     assert report["kernel_residual"] == pytest.approx(factor * threshold, rel=1e-12)
     assert report["sign_conditions"] == (factor < 1.0)
     assert report["passed"] == (factor < 1.0)
+
+
+def pairs_direct_with_vectors(dec, tol):
+    """Pairwise directness as three rank cuts of thin SVDs with vectors."""
+    parts = (dec.M_plus, dec.M_minus, dec.M_zero)
+    return all(count_above_cut(svd(np.hstack([a.basis, b.basis]))[1], tol) == a.dim + b.dim
+               for i, a in enumerate(parts) for b in parts[i + 1:])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(3, 9),
+       st.sampled_from([0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0, 1.0 - 4e-3, 1.0 + 4e-3, None]),
+       st.sampled_from([1e-10, 1e-6, 1e-3]))
+def test_validate_decides_pairs_as_the_svd_with_vectors(seed, n, factor, rank_tol):
+    # Orthonormal parts of a Haar frame W, two of them tilted toward each
+    # other so the stack's smallest singular value over its largest is
+    # ``factor`` times rank_tol; None plants a dependency of all three
+    # parts that no pair shows (w1, w2 and their sum, one in each part)
+    rng = np.random.default_rng(seed)
+    tol = Tolerance(rank_tol=rank_tol)
+    W = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    cols = [W[:, [j]] for j in range(n)]
+    if factor is None:
+        planted = [cols[0], cols[1], (cols[0] + cols[1]) / np.sqrt(2.0)]
+    else:
+        t = 2.0 * np.arctan(factor * rank_tol)
+        planted = [cols[0], np.cos(t) * cols[0] + np.sin(t) * cols[1], cols[2]]
+    order = rng.permutation(3)
+    extra = rng.multinomial(n - 3, [1 / 3] * 3) if n > 3 else [0, 0, 0]
+    spare, parts = iter(cols[3:]), []
+    for i in range(3):
+        more = [next(spare) for _ in range(extra[i])]
+        parts.append(Subspace(hilbert_space(n) if i == 0 else parts[0].space,
+                              np.hstack([planted[order[i]]] + more)))
+    H = parts[0].space
+    dec = Decomposition(*parts)
+    C = op(H, np.diag(rng.uniform(-1.0, 1.0, n)))
+    report = validate(C, dec, tol)
+    pairs = pairs_direct_with_vectors(dec, tol)
+    assert report["pairwise_sums_direct"] == pairs
+    assert report["passed"] == (pairs and all(
+        report[key] for key in ("sign_conditions", "pairwise_c_orthogonal",
+                                "dimensions_match_indices", "direct_sum")))
+
+
+def test_validate_takes_one_svd_on_decompose_output(monkeypatch):
+    # decompose's parts are columns of one unitary matrix: their stack has
+    # every singular value 1, so no pair of parts needs an SVD of its own
+    H = gen_space(GenConfig(5, dim_range=(12, 12)))
+    C = gen_selfadjoint(GenConfig(5, dim_range=(12, 12), kernel_prob=0.3), H)
+    dec = decompose(C)
+    shapes = []
+    svd_ = np.linalg.svd
+
+    def counted(A, *args, **kw):
+        shapes.append(np.shape(A))
+        return svd_(A, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert validate(C, dec)["pairwise_sums_direct"]
+    assert shapes == [dec.stacked().shape]

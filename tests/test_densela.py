@@ -324,3 +324,97 @@ def test_norm_within_frobenius_underflow_takes_exact_path(exact_calls):
     S = 1e-165 * np.eye(2)
     assert not norm_within(tiny, 1e-8, S)
     assert exact_calls
+
+
+# Multiples of the rank cut at which a singular value is planted: clear of
+# it (0.5, 2) and near it (1 +- 1e-9, 1 +- 4e-3); at the default cut of
+# 1e-10 the near ones lie inside the slack of 1e-12 of the largest value,
+# where the spectrum with vectors must decide.
+CUT_FACTORS = [0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0, 1.0 - 4e-3, 1.0 + 4e-3]
+
+
+def planted(rng, m, n, tail):
+    """An m x n matrix whose singular values are 1, ``tail`` and values
+    spread over [0.1, 1] in between, with Haar singular vectors."""
+    k = min(m, n)
+    s = np.sort(np.concatenate([[1.0], rng.uniform(0.1, 1.0, max(k - 2, 0)),
+                                [tail] if k > 1 else []]))[::-1]
+    U = np.linalg.qr(random_complex(rng, m, k))[0]
+    V = np.linalg.qr(random_complex(rng, n, k))[0]
+    return (U * s) @ V.conj().T
+
+
+def outcome(f, *args):
+    """``f``'s return value, or its error class and message."""
+    try:
+        return f(*args)
+    except (NotInvertible, IllConditioned) as exc:
+        return type(exc), str(exc)
+
+
+def conditioned_with_vectors(M, tol, cap):
+    """conditioned_svd's checks, on the thin SVD with vectors."""
+    s = svd(M)[1]
+    if densela.count_above_cut(s, tol) < s.size:
+        raise NotInvertible("matrix is numerically singular")
+    if s.size and s[0] / s[-1] > cap:
+        raise IllConditioned(f"condition number {s[0] / s[-1]:.3e} exceeds cap {cap:.0e}")
+    return s
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 9), st.integers(2, 9),
+       st.sampled_from(CUT_FACTORS), st.sampled_from([1e-10, 1e-6, 1e-3]))
+def test_rank_decides_as_the_svd_with_vectors(seed, m, n, factor, rank_tol):
+    tol = Tolerance(rank_tol=rank_tol)
+    M = planted(np.random.default_rng(seed), m, n, factor * rank_tol)
+    assert rank(M, tol) == densela.count_above_cut(svd(M)[1], tol)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 9),
+       st.sampled_from([("cut", f) for f in CUT_FACTORS]
+                       + [("cap", f) for f in (0.5, 1.0 - 1e-13, 1.0 + 1e-13, 2.0)]),
+       st.sampled_from([1e-10, 1e-3]))
+def test_conditioned_svd_decides_as_the_svd_with_vectors(seed, n, plant, rank_tol):
+    # the smallest singular value sits at a multiple of the rank cut, or
+    # where s[0] / s[-1] is that multiple of the cap
+    where, factor = plant
+    tol, cap = Tolerance(rank_tol=rank_tol), 1e8
+    tail = factor * tol.rank_tol if where == "cut" else 1.0 / (factor * cap)
+    M = planted(np.random.default_rng(seed), n, n, tail)
+    got = outcome(conditioned_svd, M, tol, cap)
+    want = outcome(conditioned_with_vectors, M, tol, cap)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_values_only_spectra_defer_inside_the_slack(monkeypatch):
+    # a value inside the slack of the cut, or a condition number inside the
+    # slack of the cap, sends each check to the thin SVD with vectors
+    calls = []
+    svd_ = np.linalg.svd
+
+    def counted(A, full_matrices=True, compute_uv=True, **kw):
+        calls.append(compute_uv)
+        return svd_(A, full_matrices=full_matrices, compute_uv=compute_uv, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    # (a cut of 1e-3 keeps a value near it clear of the cap of 1e8)
+    loose = Tolerance(rank_tol=1e-3)
+    near_cut = np.diag([1.0, 0.5, 1e-3 * (1.0 + 1e-13)])
+    near_cap = np.diag([1.0, 1e-8 * (1.0 - 1e-13)])
+    clear = np.diag([1.0, 2e-3, 0.5e-3])
+    for check, M, fallback in ((rank, near_cut, True), (rank, clear, False)):
+        calls.clear()
+        check(M, loose)
+        assert calls == ([False, True] if fallback else [False])
+    # a failure is worded from the values with vectors, however clear
+    for M, cap, fallback in ((near_cut, 1e8, True), (near_cap, 1e8, True),
+                             (clear[:2, :2], 1e3, False), (clear[:2, :2], 1e2, True),
+                             (clear, 1e8, True)):
+        calls.clear()
+        outcome(conditioned_svd, M, loose, cap)
+        assert calls == ([False, True] if fallback else [False])

@@ -258,3 +258,22 @@ def test_build_congruence_checks_one_inverse_and_no_canonical_form(monkeypatch):
                             lambda *a, name=name, **kw: pytest.fail(f"{name} was called"))
     build_congruence(A, B)
     assert calls["check"] == 1
+
+
+def test_transport_computes_no_singular_vectors(monkeypatch):
+    # the rank cut and the condition cap read X's singular values alone
+    cfg = GenConfig(8, dim_range=(6, 6))
+    H = gen_space(cfg)
+    B = gen_selfadjoint(cfg, H)
+    X = gen_invertible(cfg, H, H)
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(A, *args, **kw):
+        calls.append(kw.get("compute_uv", True))
+        return svd(A, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    A = transport(B, X)
+    assert calls == [False]
+    assert hermitian_indices(A) == hermitian_indices(B)

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kreinalg.bkfact import bk_factorize
 from kreinalg.decomp import Decomposition, decompose, validate
 from kreinalg.densela import Tolerance
 from kreinalg.errors import DimensionMismatch, NotSelfadjoint, NotSymmetry
+from kreinalg.genrand import GenConfig, gen_space
 from kreinalg.hermdex import canonical_form, hermitian_indices
-from kreinalg.krein import (IndexTriple, KOperator, Subspace, SubspaceClass,
+from kreinalg.krein import (IndexTriple, KOperator, KreinSpace, Subspace, SubspaceClass,
                             c_orthogonal, classify_subspace,
                             hilbert_space, identity_op, is_selfadjoint,
                             k_adjoint, make_space, make_subspace,
@@ -172,3 +174,64 @@ def test_index_triple_is_a_tuple():
 def test_subspace_dim_property(k2):
     S = Subspace(k2, np.array([[1.0], [0.0]]))
     assert S.dim == 1
+
+
+def indices_with_vectors(J):
+    """space_indices of a fresh space whose signature is split with vectors."""
+    H = KreinSpace(J.shape[0], J)
+    try:
+        return H.signature.counts[:2]
+    except NotSymmetry as exc:
+        return NotSymmetry, str(exc)
+
+
+def indices_values_only(J):
+    try:
+        return space_indices(KreinSpace(J.shape[0], J))
+    except NotSymmetry as exc:
+        return NotSymmetry, str(exc)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 12))
+def test_space_indices_of_generated_spaces(seed, n):
+    J = gen_space(GenConfig(seed, dim_range=(n, n))).J
+    assert indices_values_only(J) == indices_with_vectors(J)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(0, 4),
+       st.sampled_from(["symmetry", "hermitian", "band"]),
+       st.sampled_from([0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0, 1.0 - 4e-3, 1.0 + 4e-3]))
+def test_space_indices_near_the_bounds(seed, p, q, where, factor):
+    # J's near make_space's bounds: eigenvalues +-(1 + d) with J^2 - I at
+    # ``factor`` times its bound, or an anti-Hermitian part that takes
+    # J - J^H and J^2 - I to about half of ``factor`` times theirs (so
+    # make_space accepts both well below a factor of 1); and, built directly,
+    # an eigenvalue at ``factor`` times the zero band, which has to be
+    # counted or refused exactly as the split with vectors does
+    rng = np.random.default_rng(seed)
+    n = p + q + (where == "band")
+    U = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    lam = np.concatenate([np.ones(p), -np.ones(q)])
+    if where == "symmetry":
+        lam = lam * (1.0 + 0.5 * factor * Tolerance().residual_tol)
+    if where == "band":
+        lam = np.append(lam, rng.choice([-1.0, 1.0]) * factor * Tolerance().rank_tol)
+    J = (U * lam) @ U.conj().T
+    if where == "hermitian":
+        E = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        E = 0.5 * (E - E.conj().T)
+        J = J + 0.25 * factor * Tolerance().residual_tol * E / np.linalg.norm(E, 2)
+    if where != "band" and factor == 0.5:
+        make_space(J)
+    assert indices_values_only(J) == indices_with_vectors(J)
+
+
+def test_space_indices_refuse_a_zero_eigenvalue_every_time():
+    degenerate = KreinSpace(2, np.diag([1.0, 0.0]).astype(complex))
+    for _ in range(2):
+        with pytest.raises(NotSymmetry,
+                           match="^fundamental symmetry has a numerically zero eigenvalue$"):
+            space_indices(degenerate)
+    assert "signature" not in vars(degenerate)
