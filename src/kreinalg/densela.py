@@ -14,10 +14,11 @@ SVD.  All of them share a single two-knob :class:`Tolerance`:
 Every relative ``rank_tol`` decision is made in one of two places:
 eigenvalues are split into plus/minus/zero bands by :func:`band_split`
 (behind :func:`spectral_split`), and singular values are cut by
-:func:`count_above_cut` (behind :func:`rank`).  A check that reads only
-counts decides from a values-only spectrum: asked for a ``margin``,
-either site declines (None) when a value lies within 1e-12 of the largest
-from its cut, and the spectrum with vectors decides, as before.
+:func:`count_above_cut` (behind :func:`rank`).  The two counts, :func:`rank`
+and :func:`inertia` (every sign count of a Hermitian matrix), decide from a
+values-only spectrum: asked for a ``margin``, either site declines (None)
+when a value lies within 1e-12 of the largest from its cut, and the
+spectrum with vectors decides, as before.
 
 A yes/no residual check ``||R||_2 <= t * scale(||S||_2)`` whose norm is
 not reported goes through :func:`norm_within`, which decides it cheap-first
@@ -225,9 +226,9 @@ def band_split(eig: HermEig, tol: Tolerance = Tolerance(),
     """The sign bands of :func:`spectral_split` over a known eigendecomposition;
     with ``margin``, None when some |eigenvalue| lies within the slack of the band."""
     w = eig.eigenvalues
-    top = max(float(np.max(np.abs(w))) if w.size else 0.0, scale or 0.0)
+    top = max(float(np.abs(w).max()) if w.size else 0.0, scale or 0.0)
     band = tol.rank_tol * top
-    if margin and np.any(np.abs(np.abs(w) - band) <= _SLACK * top):
+    if margin and (np.abs(np.abs(w) - band) <= _SLACK * top).any():
         return None
     plus, minus = w > band, w < -band
     n_plus, n_minus = int(np.count_nonzero(plus)), int(np.count_nonzero(minus))
@@ -237,8 +238,10 @@ def band_split(eig: HermEig, tol: Tolerance = Tolerance(),
 
 def inertia(M, tol: Tolerance = Tolerance(),
             scale: float | None = None) -> tuple[int, int, int]:
-    """Counts (n_plus, n_minus, n_zero) of the bands of :func:`spectral_split`."""
-    return spectral_split(M, tol, scale).counts
+    """Counts (n_plus, n_minus, n_zero) of the bands of :func:`spectral_split`,
+    cut from the eigenvalues alone unless one lies within the slack of the band."""
+    split = band_split(herm_eig(M, tol, False), tol, scale, margin=True)
+    return (split or spectral_split(M, tol, scale)).counts
 
 
 def psd_sqrt(M, tol: Tolerance = Tolerance(), scale: float | None = None) -> np.ndarray:

@@ -66,13 +66,13 @@ class KreinSpace:
 
     @cached_property
     def _indices(self) -> tuple[int, int]:
-        """The signature's (n_plus, n_minus), once per space from J's eigenvalues
-        alone, unless ``signature`` is cached or a value is near or in the zero band."""
+        """The signature's (n_plus, n_minus), once per space: read from
+        ``signature`` when it is cached, else counted by `inertia`; a zero
+        count defers to ``signature``, which raises ``NotSymmetry``."""
         if "signature" not in vars(self):
-            eig = herm_eig(0.5 * (self.J + self.J.conj().T), Tolerance(), False)
-            split = band_split(eig, margin=True)
-            if split is not None and not split.counts[2]:
-                return split.counts[:2]
+            p, q, z = inertia(0.5 * (self.J + self.J.conj().T))
+            if not z:
+                return p, q
         return self.signature.counts[:2]
 
 

@@ -8,15 +8,16 @@ reports are bit-for-bit reproducible at a fixed seed.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
-from ._pool import fork_map
 from .bkfact import BKFactorization, bk_factorize, bk_verify, keyth_verify, \
     SignatureFactorization
 from .decomp import decompose, projections, validate
 from .densela import (Tolerance, norm_within, psd_sqrt, rank, spectral_norm,
                       spectral_split)
-from .errors import InputError
+from .errors import InputError, KreinError
 from .genrand import (GenConfig, _stream, complex_gaussian,
                       gen_injective_factor, gen_invertible, gen_selfadjoint,
                       gen_space, gen_space_with_split, haar_unitary, j_unitary)
@@ -414,6 +415,8 @@ def run_property_suite(seed: int, count: int | None = None, dim_max: int = 8,
     process's affinity mask and at most one per battery.  Each battery
     draws only from its own seeds, and the reports are collected in
     battery order, so the result does not depend on the worker count.
+    A failing battery re-raises here and a dead worker raises ``KreinError``;
+    either way pending batteries are cancelled and no worker outlives the call.
     """
     if not 0 <= seed < 2 ** 64:
         raise InputError("seed must be an unsigned 64-bit integer")
@@ -421,6 +424,9 @@ def run_property_suite(seed: int, count: int | None = None, dim_max: int = 8,
         raise InputError(f"count must be nonnegative, got {count}")
     if not 1 <= dim_max <= 64:
         raise InputError(f"dim_max must lie in [1, 64], got {dim_max}")
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     # genrand.j_unitary's scipy, loaded before the fork so that the workers
     # share it instead of each importing it
     import scipy.linalg  # noqa: F401
@@ -428,8 +434,14 @@ def run_property_suite(seed: int, count: int | None = None, dim_max: int = 8,
                   dim_max, tol))
              for k, (name, _) in enumerate(_BATTERIES)]
     # forked workers see the current _BATTERIES
-    with fork_map(_run_battery, tasks) as reports:
-        reports = list(reports)
+    pool = ProcessPoolExecutor(min(len(tasks), len(os.sched_getaffinity(0))),
+                               mp_context=multiprocessing.get_context("fork"))
+    try:
+        reports = list(pool.map(_run_battery, tasks))
+    except BrokenProcessPool:
+        raise KreinError("a worker process died before its task finished") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
     return {
         "schema_version": 1,
         "seed": int(seed),

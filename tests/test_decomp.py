@@ -236,3 +236,21 @@ def test_validate_takes_one_svd_on_decompose_output(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted)
     assert validate(C, dec)["pairwise_sums_direct"]
     assert shapes == [dec.stacked().shape]
+
+
+def test_validate_classifies_from_eigenvalues_alone(monkeypatch):
+    # the two sign classes of validate come from eigvalsh of the C-Gram
+    # matrices; J C's eigendecomposition is the one decompose cached
+    H = gen_space(GenConfig(5, dim_range=(12, 12)))
+    C = gen_selfadjoint(GenConfig(5, dim_range=(12, 12), kernel_prob=0.3), H)
+    calls = []
+
+    def counted(name):
+        solver = getattr(np.linalg, name)
+        return lambda *args, **kw: calls.append(name) or solver(*args, **kw)
+
+    dec = decompose(C)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    assert validate(C, dec)["sign_conditions"]
+    assert calls.count("eigh") == 0 and calls.count("eigvalsh") == 2

@@ -344,11 +344,11 @@ def planted(rng, m, n, tail):
     return (U * s) @ V.conj().T
 
 
-def outcome(f, *args):
+def outcome(f, *args, errors=(NotInvertible, IllConditioned)):
     """``f``'s return value, or its error class and message."""
     try:
         return f(*args)
-    except (NotInvertible, IllConditioned) as exc:
+    except errors as exc:
         return type(exc), str(exc)
 
 
@@ -391,6 +391,31 @@ def test_conditioned_svd_decides_as_the_svd_with_vectors(seed, n, plant, rank_to
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 9), st.sampled_from(CUT_FACTORS),
+       st.sampled_from([1e-10, 1e-6, 1e-3]), st.sampled_from([None, 4.0]),
+       st.sampled_from([None] * 4 + ["asymmetric", "nan"]))
+def test_inertia_decides_as_the_split_with_vectors(seed, n, factor, rank_tol, scale,
+                                                   defect):
+    # a Hermitian matrix with largest |eigenvalue| 1 and one eigenvalue of
+    # either sign at ``factor`` times the zero band; ``scale`` None bands it
+    # by 1, 4.0 by a scale above that top; a defect makes both checks refuse
+    rng = np.random.default_rng(seed)
+    tol = Tolerance(rank_tol=rank_tol)
+    signs = rng.choice([-1.0, 1.0], n)
+    lam = signs * np.concatenate([[1.0], rng.uniform(0.1, 1.0, n - 2),
+                                  [factor * rank_tol * max(1.0, scale or 0.0)]])
+    U = np.linalg.qr(random_complex(rng, n, n))[0]
+    M = (U * lam) @ U.conj().T
+    if defect == "asymmetric":
+        M[0, 1] += 1e-3
+    if defect == "nan":
+        M[1, 0] = np.nan
+    errors = (InputError, NotHermitian)
+    assert (outcome(inertia, M, tol, scale, errors=errors)
+            == outcome(lambda: spectral_split(M, tol, scale).counts, errors=errors))
+
+
 def test_values_only_spectra_defer_inside_the_slack(monkeypatch):
     # a value inside the slack of the cut, or a condition number inside the
     # slack of the cap, sends each check to the thin SVD with vectors
@@ -418,3 +443,16 @@ def test_values_only_spectra_defer_inside_the_slack(monkeypatch):
         calls.clear()
         outcome(conditioned_svd, M, loose, cap)
         assert calls == ([False, True] if fallback else [False])
+    # inertia counts from eigvalsh alone, and takes one eigh inside the slack
+    eigs = []
+
+    def counted_eig(name):
+        solver = getattr(np.linalg, name)
+        return lambda *args, **kw: eigs.append(name) or solver(*args, **kw)
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted_eig(name))
+    for M, counts, fallback in ((near_cut, (3, 0, 0), True), (clear, (2, 0, 1), False)):
+        eigs.clear()
+        assert inertia(M, loose) == counts
+        assert eigs == (["eigvalsh", "eigh"] if fallback else ["eigvalsh"])

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from kreinalg import _pool, serial
+from kreinalg import serial
 from kreinalg.densela import Tolerance
 from kreinalg.errors import InputError
 from kreinalg.serial import (dump_json, load_json, matrix_from_obj, matrix_to_obj,
@@ -543,7 +543,6 @@ def test_write_json_starts_no_process(monkeypatch):
     report = {"a": np.arange(1 << 16, dtype=float).reshape(256, 256) * (1 - 1j),
               "b": [np.eye(2)], "c": -0.0}
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(_pool, "fork_map", lambda *a: pytest.fail("a pool was started"))
     monkeypatch.setattr(ProcessPoolExecutor, "__init__",
                         lambda *a, **kw: pytest.fail("a pool was started"))
     fh = io.StringIO()
@@ -556,7 +555,8 @@ def test_write_json_on_one_cpu_renders_in_process(monkeypatch):
     report = {"a": np.arange(12.0).reshape(4, 3) * (1 + 1j), "b": [np.eye(2)], "c": -0.0}
     monkeypatch.setattr(serial, "_BLOCK_ROWS", 3)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    monkeypatch.setattr(_pool, "fork_map", lambda *a: pytest.fail("a pool was started"))
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__",
+                        lambda *a, **kw: pytest.fail("a pool was started"))
     fh = io.StringIO()
     write_json(report, fh)
     assert fh.getvalue() == dump_json(report) + "\n"
@@ -612,7 +612,7 @@ def test_pooled_write_json_prints_a_prefix_once():
     # flush it a second time when it exits
     code = ("import sys, numpy as np\n"
             "from kreinalg import serial\n"
-            "serial._POOL_ENTRIES, serial._BLOCK_ROWS = 0, 1\n"
+            "serial._BLOCK_ROWS = 1\n"
             "print('prefix')\n"
             "serial.write_json({'m': np.eye(6)}, sys.stdout)\n")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -636,23 +636,3 @@ def test_non_string_keys_render_as_json(report):
     fh = io.StringIO()
     write_json(report, fh)
     assert fh.getvalue() == want + "\n"
-
-
-def test_a_dead_worker_raises_instead_of_hanging():
-    # a worker killed mid-task, say by the OOM killer, ends the map with
-    # KreinError, and no other worker is left behind
-    code = ("import multiprocessing, os, signal\n"
-            "from kreinalg._pool import fork_map\n"
-            "from kreinalg.errors import KreinError\n"
-            "def task(k):\n"
-            "    if k == 3:\n"
-            "        os.kill(os.getpid(), signal.SIGKILL)\n"
-            "    return k\n"
-            "try:\n"
-            "    with fork_map(task, list(range(8))) as results:\n"
-            "        list(results)\n"
-            "except KreinError as exc:\n"
-            "    print(type(exc).__name__, multiprocessing.active_children())\n")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True, timeout=10)
-    assert done.stdout == "KreinError []\n"

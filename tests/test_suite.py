@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -127,3 +128,38 @@ def test_worker_errors_reach_the_exit_code(no_workers_left, monkeypatch, capsys,
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {exc}\n"
+
+
+# a battery that kills its own worker, as the OOM killer might, in place of
+# bk_roundtrip; the fork hands the patched table to the workers
+_KILL_A_WORKER = ("import multiprocessing, os, signal, sys\n"
+                  "from kreinalg import suite\n"
+                  "from kreinalg.cli import main\n"
+                  "from kreinalg.errors import KreinError\n"
+                  "def killed(seed, count, dim_max, tol):\n"
+                  "    os.kill(os.getpid(), signal.SIGKILL)\n"
+                  "suite._BATTERIES[3] = ('bk_roundtrip', killed)\n")
+
+
+def test_a_dead_worker_raises_instead_of_hanging():
+    # a worker killed mid-task ends the suite with KreinError, and no other
+    # worker is left behind
+    code = _KILL_A_WORKER + ("try:\n"
+                             "    suite.run_property_suite(4, count=1)\n"
+                             "except KreinError as exc:\n"
+                             "    print(type(exc).__name__, multiprocessing.active_children())\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=10)
+    assert done.stdout == "KreinError []\n"
+
+
+def test_a_dead_worker_ends_property_suite_with_one_error_line():
+    code = _KILL_A_WORKER + ("code = main(['property-suite', '--seed', '4', '--count', '1',\n"
+                             "             '--machine'])\n"
+                             "print(multiprocessing.active_children())\n"
+                             "sys.exit(code)\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=10)
+    assert done.returncode == 1
+    assert done.stdout == "[]\n"
+    assert done.stderr == "error: a worker process died before its task finished\n"
