@@ -427,9 +427,6 @@ def run_property_suite(seed: int, count: int | None = None, dim_max: int = 8,
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
-    # genrand.j_unitary's scipy, loaded before the fork so that the workers
-    # share it instead of each importing it
-    import scipy.linalg  # noqa: F401
     tasks = [(k, (seed, DEFAULT_COUNTS[name] if count is None else count,
                   dim_max, tol))
              for k, (name, _) in enumerate(_BATTERIES)]

@@ -56,6 +56,32 @@ def test_j_unitary_preserves_symmetry():
     assert s[0] / s[-1] <= np.exp(4.0) * (1 + 1e-10)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 8, 16, 64])
+@pytest.mark.parametrize("clamp", [0.0, 1e-3, 0.1, 0.5, None, 50.0])
+def test_j_unitary_matches_scipy_expm(n, clamp):
+    # scipy is the reference here only; at n = 64 the 1-norm of the generator
+    # passes theta_13, so clamps of 2 and 50 run the scaling and squaring
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    J = gen_space_with_split(GenConfig(23), n // 2, n - n // 2).J
+    kwargs = {} if clamp is None else {"clamp": clamp}
+    U = j_unitary(np.random.default_rng(n), J, **kwargs)
+    # the generator j_unitary draws, rebuilt from the same stream
+    Z = complex_gaussian(np.random.default_rng(n), n, n)
+    S = J @ (0.5 * (Z - Z.conj().T))
+    norm = np.linalg.norm(S, 2) if n else 0.0
+    limit = 2.0 if clamp is None else clamp
+    if norm > limit:
+        S *= limit / norm
+    if n == 0 or clamp == 0.0:
+        assert np.array_equal(U, np.eye(n))
+        return
+    E = scipy_linalg.expm(S)
+    assert np.linalg.norm(U - E, 2) <= 1e-13 * np.linalg.norm(E, 2)
+    # J-unitarity relative to ||U||^2, the scale of U^H J U's rounding
+    assert (np.linalg.norm(U.conj().T @ J @ U - J, 2)
+            <= 1e-12 * np.linalg.norm(U, 2) ** 2)
+
+
 def test_gen_space_properties():
     for seed in range(5):
         H = gen_space(GenConfig(seed, (1, 6)))
