@@ -183,8 +183,6 @@ def _require_hermitian(A: np.ndarray, tol: Tolerance) -> np.ndarray:
     if A.shape[0] != A.shape[1]:
         raise NotHermitian(f"matrix is not square: shape {A.shape}")
     A_H = A.conj().T
-    if np.array_equal(A, A_H):
-        return A    # already its own Hermitian part, residual exactly 0
     if not norm_within(A - A_H, tol.residual_tol, A):
         raise NotHermitian("matrix deviates from its conjugate transpose "
                            "beyond residual tolerance")
