@@ -5,7 +5,8 @@ from kreinalg.errors import DimensionMismatch, InputError
 from kreinalg.genrand import (GenConfig, complex_gaussian,
                               gen_injective_factor, gen_invertible,
                               gen_selfadjoint, gen_space,
-                              gen_space_with_split, haar_unitary, j_unitary)
+                              gen_space_with_split, haar_unitary, j_unitary,
+                              _expm)
 from kreinalg.hermdex import hermitian_indices
 from kreinalg.krein import is_selfadjoint, space_indices
 
@@ -82,6 +83,20 @@ def test_j_unitary_matches_scipy_expm(n, clamp):
     # the default clamp, relative to ||U||^2 at a clamp of 50
     bound = 1e-12 if limit <= 2.0 else 1e-12 * np.linalg.norm(U, 2) ** 2
     assert np.linalg.norm(U.conj().T @ J @ U - J, 2) <= bound
+
+
+@pytest.mark.parametrize("norm", [20.0, 40.0])
+def test_expm_scales_past_the_generators_of_j_unitary(norm):
+    # j_unitary's generators reach a 2-norm of about 12 at n = 64; the
+    # scaling must hold past that, where r_13 unscaled is off by 1e-8 at a
+    # 2-norm of 20 and by 1 at 40
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    J = gen_space_with_split(GenConfig(23), 8, 8).J
+    Z = complex_gaussian(np.random.default_rng(16), 16, 16)
+    S = J @ (0.5 * (Z - Z.conj().T))
+    S *= norm / np.linalg.norm(S, 2)
+    E = scipy_linalg.expm(S)
+    assert np.linalg.norm(_expm(S) - E, 2) <= 1e-13 * np.linalg.norm(E, 2)
 
 
 def test_gen_space_properties():
