@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import importlib
 import json
 import multiprocessing
 import os
@@ -534,6 +535,17 @@ def test_main_entry_exits_with_the_code_of_main(capsys, monkeypatch, c2_file,
     with pytest.raises(SystemExit) as exc:
         cli.main_entry()
     assert exc.value.code == code
+
+
+def test_krein_console_script_targets_main_entry():
+    # pyproject's [project.scripts] is what installs `krein`, the name the
+    # README uses throughout; its target must resolve to cli.main_entry
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(SRC)
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["krein"]
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is cli.main_entry
 
 
 def test_machine_reports_are_byte_stable_subprocess(tmp_path):

@@ -60,9 +60,9 @@ def test_j_unitary_preserves_symmetry():
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 8, 16, 64])
 @pytest.mark.parametrize("clamp", [0.0, 1e-3, 0.1, 0.5, None, 50.0])
 def test_j_unitary_matches_scipy_expm(n, clamp):
-    # scipy is the reference here only; the generator's 1-norm passes theta_13
-    # at a clamp of 50 for n >= 8 and at the default clamp for n = 64, so the
-    # scaling and squaring runs with s = 1, 2 and 4
+    # scipy is the reference here only; the generator's 1-norm passes 1 at
+    # the default clamp for n >= 2 and at a clamp of 0.5 for n >= 16, so the
+    # scaling and squaring runs with s from 1 to 6
     scipy_linalg = pytest.importorskip("scipy.linalg")
     J = gen_space_with_split(GenConfig(23), n // 2, n - n // 2).J
     kwargs = {} if clamp is None else {"clamp": clamp}
@@ -88,8 +88,8 @@ def test_j_unitary_matches_scipy_expm(n, clamp):
 @pytest.mark.parametrize("norm", [20.0, 40.0])
 def test_expm_scales_past_the_generators_of_j_unitary(norm):
     # j_unitary's generators reach a 2-norm of about 12 at n = 64; the
-    # scaling must hold past that, where r_13 unscaled is off by 1e-8 at a
-    # 2-norm of 20 and by 1 at 40
+    # scaling must hold past that, where the Taylor polynomial unscaled is
+    # off by 0.09 at a 2-norm of 20 and by 8.5 at 40
     scipy_linalg = pytest.importorskip("scipy.linalg")
     J = gen_space_with_split(GenConfig(23), 8, 8).J
     Z = complex_gaussian(np.random.default_rng(16), 16, 16)
@@ -97,6 +97,17 @@ def test_expm_scales_past_the_generators_of_j_unitary(norm):
     S *= norm / np.linalg.norm(S, 2)
     E = scipy_linalg.expm(S)
     assert np.linalg.norm(_expm(S) - E, 2) <= 1e-13 * np.linalg.norm(E, 2)
+
+
+@pytest.mark.parametrize("t", [1 - 1e-9, 1 + 1e-9, 2 * (1 - 1e-9), 40.0])
+def test_expm_is_exact_at_its_scaling_boundary(t):
+    # diag(t e^{i phi_k}) has 1-norm t and an exact exponential; just under a
+    # power of two the scaled matrix sits at 1-norm 1 and the polynomial's
+    # remainder is largest: a lower degree, a looser scaling threshold or one
+    # squaring fewer each misses 1e-14 at one of these t
+    z = t * np.exp(2j * np.pi * np.arange(8) / 8)
+    E = np.diag(np.exp(z))
+    assert np.linalg.norm(_expm(np.diag(z)) - E, 2) <= 1e-14 * np.linalg.norm(E, 2)
 
 
 def test_gen_space_properties():

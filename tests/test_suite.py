@@ -1,3 +1,4 @@
+import inspect
 import json
 import multiprocessing
 import os
@@ -72,6 +73,22 @@ def test_keyth_battery_validates_each_symmetry_once(monkeypatch):
     assert len(spaces) == 6
     # keyth_verify reads the space its SignatureFactorization validated
     assert len(read) == 6 and all(a is b for a, b in zip(read, spaces))
+
+
+def test_default_suite_runs_each_battery_at_its_own_size(no_workers_left,
+                                                         monkeypatch):
+    # stubs that echo the count they receive; run with no count, each must
+    # get its battery's `count=` default, which DEFAULT_COUNTS also lists
+    def echo(name):
+        return lambda seed, count, dim_max, tol: {"name": name, "cases": count,
+                                                  "passed": True}
+
+    defaults = {name: inspect.signature(fn).parameters["count"].default
+                for name, fn in suite._BATTERIES}
+    monkeypatch.setattr(suite, "_BATTERIES",
+                        [(name, echo(name)) for name, _ in suite._BATTERIES])
+    got = {b["name"]: b["cases"] for b in run_property_suite(5)["batteries"]}
+    assert got == defaults == DEFAULT_COUNTS
 
 
 @pytest.fixture(scope="module")
