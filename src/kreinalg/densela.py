@@ -179,17 +179,29 @@ def norm_within(R, t: float, S=None, floor: float = 0.0, power: int = 1) -> bool
     return norms[0] <= _threshold(t, floor, math.prod(norms[1:]), power)
 
 
+def _hermitian_part(A: np.ndarray) -> np.ndarray:
+    """(A + A^H) / 2, exactly Hermitian.  The sum is halved in place, so a
+    finite sum gives the bits of ``(A + A^H) * 0.5``; only a sum that
+    overflows is formed again as ``A/2 + (A/2)^H``, so the part of a finite
+    matrix is finite up to the largest double."""
+    A = np.asarray(A, dtype=complex)
+    with np.errstate(over="ignore"):
+        H = A + A.conj().T
+    if np.isfinite(H).all():
+        H *= 0.5
+        return H
+    half = A * 0.5
+    return half + half.conj().T
+
+
 def _require_hermitian(A: np.ndarray, tol: Tolerance) -> np.ndarray:
     if A.shape[0] != A.shape[1]:
         raise NotHermitian(f"matrix is not square: shape {A.shape}")
-    A_H = A.conj().T
-    if not norm_within(A - A_H, tol.residual_tol, A):
+    if not norm_within(A - A.conj().T, tol.residual_tol, A):
         raise NotHermitian("matrix deviates from its conjugate transpose "
                            "beyond residual tolerance")
     # Work with the Hermitian part so LAPACK sees an exactly symmetric input.
-    H = A + A_H
-    H *= 0.5
-    return H
+    return _hermitian_part(A)
 
 
 def herm_eig(M, tol: Tolerance = Tolerance(), vectors: bool = True) -> HermEig:
@@ -258,8 +270,7 @@ def psd_sqrt(M, tol: Tolerance = Tolerance(), scale: float | None = None) -> np.
     if w.size and float(w[0]) < -split.band:
         raise NotPSD(f"eigenvalue {w[0]:.3e} below the PSD band")
     root = np.sqrt(np.clip(w, 0.0, None))
-    R = (V * root) @ V.conj().T
-    return 0.5 * (R + R.conj().T)
+    return _hermitian_part((V * root) @ V.conj().T)
 
 
 def count_above_cut(s: np.ndarray, tol: Tolerance, margin: bool = False) -> int | None:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .densela import _hermitian_part
 from .errors import DimensionMismatch, InputError
 from .hermdex import Congruence
 from .krein import KOperator, KreinSpace, make_space
@@ -153,9 +154,7 @@ def _rotated_space(rng: np.random.Generator, p: int, q: int) -> KreinSpace:
     n = p + q
     signs = np.concatenate([np.ones(p), -np.ones(q)])
     U = haar_unitary(rng, n)
-    J = U.conj().T @ (signs[:, None] * U)
-    J = 0.5 * (J + J.conj().T)
-    return make_space(J)
+    return make_space(_hermitian_part(U.conj().T @ (signs[:, None] * U)))
 
 
 def gen_selfadjoint(cfg: GenConfig, H: KreinSpace) -> KOperator:
@@ -174,8 +173,7 @@ def gen_selfadjoint(cfg: GenConfig, H: KreinSpace) -> KOperator:
         k = int(rng.integers(1, n + 1))
         lam[rng.choice(n, size=k, replace=False)] = 0.0
     Q = haar_unitary(rng, n)
-    M = (Q * lam) @ Q.conj().T
-    M = 0.5 * (M + M.conj().T)
+    M = _hermitian_part((Q * lam) @ Q.conj().T)
     return KOperator(H, H, H.J @ M)
 
 

@@ -21,7 +21,7 @@ from .densela import Tolerance, conditioned_svd, norm_within
 from .errors import (DimensionMismatch, NotCongruent, NotInvertible,
                      NotSelfadjoint)
 from .krein import (IndexTriple, KOperator, hilbert_space, is_selfadjoint,
-                    selfadjoint_split)
+                    k_adjoint, selfadjoint_split)
 
 __all__ = [
     "COND_CAP",
@@ -81,9 +81,8 @@ def transport(B: KOperator, X: Congruence, tol: Tolerance = Tolerance()) -> KOpe
     if not is_selfadjoint(B, tol):
         raise NotSelfadjoint("transport expects a selfadjoint operator")
     conditioned_svd(X.X.matrix, tol, COND_CAP)
-    H, K = X.X.domain, X.X.codomain
-    A = H.J @ X.X.matrix.conj().T @ K.J @ B.matrix @ X.X.matrix
-    return KOperator(H, H, A)
+    A = k_adjoint(X.X).matrix @ B.matrix @ X.X.matrix
+    return KOperator(X.X.domain, X.X.domain, A)
 
 
 def _frame(C: KOperator, tol: Tolerance):

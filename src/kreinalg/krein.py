@@ -21,9 +21,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .densela import (HermEig, SpectralSplit, Tolerance, band_split, herm_eig,
-                      inertia, norm_within, range_basis, spectral_norm,
-                      spectral_split)
+from .densela import (HermEig, SpectralSplit, Tolerance, _hermitian_part,
+                      band_split, herm_eig, inertia, norm_within, range_basis,
+                      spectral_norm, spectral_split)
 from .errors import DimensionMismatch, InputError, NotSelfadjoint, NotSymmetry
 
 __all__ = [
@@ -59,7 +59,7 @@ class KreinSpace:
         its +1 and -1 eigenspaces, taken once per space; a zero band raises
         ``NotSymmetry``.  No tolerance enters: a symmetry `make_space` accepts
         has every eigenvalue near +1 or -1, far outside any valid band."""
-        split = spectral_split(0.5 * (self.J + self.J.conj().T))
+        split = spectral_split(_hermitian_part(self.J))
         if split.counts[2]:
             raise NotSymmetry("fundamental symmetry has a numerically zero eigenvalue")
         return split
@@ -70,7 +70,7 @@ class KreinSpace:
         ``signature`` when it is cached, else counted by `inertia`; a zero
         count defers to ``signature``, which raises ``NotSymmetry``."""
         if "signature" not in vars(self):
-            p, q, z = inertia(0.5 * (self.J + self.J.conj().T))
+            p, q, z = inertia(_hermitian_part(self.J))
             if not z:
                 return p, q
         return self.signature.counts[:2]
@@ -114,9 +114,7 @@ class KOperator:
         tolerance enters: the Hermitian part is exactly Hermitian, and
         whether C is selfadjoint is decided by the caller.  Its arrays are
         read-only: every engine shares them."""
-        herm = self.jc + self.jc.conj().T
-        herm *= 0.5
-        eig = herm_eig(herm)
+        eig = herm_eig(_hermitian_part(self.jc))
         eig.eigenvalues.flags.writeable = False
         eig.eigenvectors.flags.writeable = False
         return eig
@@ -252,8 +250,7 @@ def classify_subspace(C: KOperator, M: Subspace,
     """
     if M.space.dim != C.domain.dim:
         raise DimensionMismatch("subspace does not live in the operator's space")
-    G = _gram(C, M, M)
-    G = 0.5 * (G + G.conj().T)
+    G = _hermitian_part(_gram(C, M, M))
     # band against the ambient operator norm: the Gram of a neutral
     # subspace cancels to round-off, its own norm is no yardstick
     p, q, z = inertia(G, tol, scale=C.norm)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densela import (Tolerance, norm_within, null_basis, pinv, psd_sqrt,
-                      spectral_norm)
+from .densela import (Tolerance, _hermitian_part, norm_within, null_basis, pinv,
+                      psd_sqrt, spectral_norm)
 from .errors import (ContractionOverflow, DegenerateProjection, DimensionMismatch,
                      Incompatible, InputError, NotSemidefinite)
 from .krein import (KreinSpace, Subspace, SubspaceClass, classify_subspace,
@@ -156,8 +156,8 @@ def phillips_extend(Gp: GraphRep, Gm: GraphRep,
     mm, mp = A_blk.shape
     Dr2 = level ** 2 * np.eye(mm) - A_blk @ A_blk.conj().T
     Dc2 = level ** 2 * np.eye(mp) - A_blk.conj().T @ A_blk
-    D_row = psd_sqrt(0.5 * (Dr2 + Dr2.conj().T), tol, scale=level ** 2)
-    D_col = psd_sqrt(0.5 * (Dc2 + Dc2.conj().T), tol, scale=level ** 2)
+    D_row = psd_sqrt(_hermitian_part(Dr2), tol, scale=level ** 2)
+    D_col = psd_sqrt(_hermitian_part(Dc2), tol, scale=level ** 2)
     Y = pinv(D_row, tol) @ B_blk
     Z = C_blk @ pinv(D_col, tol)
     X = -Z @ A_blk.conj().T @ Y

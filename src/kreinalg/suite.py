@@ -16,16 +16,17 @@ import numpy as np
 from .bkfact import BKFactorization, bk_factorize, bk_verify, keyth_verify, \
     SignatureFactorization
 from .decomp import decompose, projections, validate
-from .densela import (Tolerance, norm_within, psd_sqrt, rank, spectral_norm,
-                      spectral_split)
+from .densela import (Tolerance, _hermitian_part, norm_within, psd_sqrt, rank,
+                      spectral_norm, spectral_split)
 from .errors import InputError, KreinError
-from .genrand import (GenConfig, _draw_split, _stream, complex_gaussian,
-                      gen_injective_factor, gen_invertible, gen_selfadjoint,
-                      gen_space, gen_space_with_split, haar_unitary, j_unitary)
+from .genrand import (_EIG_HI, _EIG_LO, GenConfig, _draw_split, _stream,
+                      complex_gaussian, gen_injective_factor, gen_invertible,
+                      gen_selfadjoint, gen_space, gen_space_with_split,
+                      haar_unitary, j_unitary)
 from .hermdex import _frame, build_congruence, hermitian_indices, \
     is_congruent, transport
-from .krein import (KOperator, hilbert_space, k_adjoint, make_subspace,
-                    space_indices)
+from .krein import (KOperator, c_orthogonal, hilbert_space, identity_op,
+                    k_adjoint, make_subspace, space_indices)
 from .phillips import canonical_frames, graph_rep, phillips_extend, represented
 
 __all__ = [
@@ -50,29 +51,43 @@ def _seeds(master: int, battery: int, case: int, k: int) -> list[int]:
     return [int(x) for x in seq.generate_state(k, np.uint64)]
 
 
+def _tally(name: str, count: int, case, worst: tuple[str, ...] = ()) -> dict:
+    """Run ``case(i)`` for each ``i < count`` and build the battery's report.
+
+    Each case returns ``(ok, values)``, one value per name in ``worst``.
+    The report's keys are ``name``, ``cases`` (= ``count``), ``failures``
+    (the cases not ok), each name in ``worst`` (the largest of its values
+    as a float, 0.0 when no case ran) and ``passed`` (no failures).
+    """
+    failures = 0
+    top = [0.0] * len(worst)
+    for i in range(count):
+        ok, values = case(i)
+        failures += not ok
+        top = [max(t, v) for t, v in zip(top, values)]
+    return {"name": name, "cases": count, "failures": failures,
+            **{w: float(t) for w, t in zip(worst, top)}, "passed": failures == 0}
+
+
 def congruence_invariance_battery(seed: int, count: int = 1000, dim_max: int = 8,
                                   tol: Tolerance = Tolerance()) -> dict:
     """Index triples are congruence invariants, checked as exact integers."""
-    failures = 0
-    for i in range(count):
+    def case(i):
         s1, s2, s3, s4 = _seeds(seed, 1, i, 4)
         K = gen_space(GenConfig(s1, (1, dim_max)))
         C = gen_selfadjoint(GenConfig(s2, kernel_prob=0.3), K)
         H = gen_space(GenConfig(s3, (K.dim, K.dim)))
         X = gen_invertible(GenConfig(s4), H, K)
-        if hermitian_indices(transport(C, X, tol), tol) != hermitian_indices(C, tol):
-            failures += 1
-    return {"name": "congruence_invariance", "cases": count,
-            "failures": failures, "passed": failures == 0}
+        return hermitian_indices(transport(C, X, tol), tol) == hermitian_indices(C, tol), ()
+    return _tally("congruence_invariance", count, case)
 
 
 def sylvester_battery(seed: int, count: int = 500, dim_max: int = 8,
                       tol: Tolerance = Tolerance()) -> dict:
     """Classifier verdict against the constructive oracle, both directions."""
-    disagreements = 0
-    worst_build = 0.0
-    worst_margin = float("inf")
-    for i in range(count):
+    margins = []
+
+    def case(i):
         s1, s2, s3, s4, s5, s6 = _seeds(seed, 2, i, 6)
         Ha = gen_space(GenConfig(s1, (1, dim_max)))
         n = Ha.dim
@@ -92,20 +107,13 @@ def sylvester_battery(seed: int, count: int = 500, dim_max: int = 8,
         if is_congruent(A, B, tol):
             X2 = build_congruence(A, B, tol)
             resid = spectral_norm(A.matrix - transport(B, X2, tol).matrix) / scale
-            worst_build = max(worst_build, resid)
-            if resid > tol.residual_tol:
-                disagreements += 1
-        else:
-            best = _best_alignment_residual(A, B, s6, tol)
-            worst_margin = min(worst_margin, best / scale)
-            if best <= _NEG_SEARCH_TOL * scale:
-                disagreements += 1
-    return {"name": "sylvester_classification", "cases": count,
-            "failures": disagreements,
-            "worst_congruent_residual": float(worst_build),
-            "best_noncongruent_residual": (None if worst_margin == float("inf")
-                                           else float(worst_margin)),
-            "passed": disagreements == 0}
+            return not resid > tol.residual_tol, (resid,)
+        best = _best_alignment_residual(A, B, s6, tol)
+        margins.append(best / scale)
+        return not best <= _NEG_SEARCH_TOL * scale, (0.0,)
+    report = _tally("sylvester_classification", count, case, ("worst_congruent_residual",))
+    report["best_noncongruent_residual"] = float(min(margins)) if margins else None
+    return report
 
 
 def _best_alignment_residual(A, B, sub_seed: int, tol: Tolerance) -> float:
@@ -121,7 +129,7 @@ def _best_alignment_residual(A, B, sub_seed: int, tol: Tolerance) -> float:
             X = gen_invertible(GenConfig(_seeds(sub_seed, 99, k, 1)[0]), Ha, Kb).X.matrix
         else:
             X = Xb_inv @ haar_unitary(rng, n) @ Xa
-        cand = Ha.J @ X.conj().T @ Kb.J @ B.matrix @ X
+        cand = k_adjoint(KOperator(Ha, Kb, X)).matrix @ B.matrix @ X
         best = min(best, spectral_norm(A.matrix - cand))
     return best
 
@@ -129,9 +137,7 @@ def _best_alignment_residual(A, B, sub_seed: int, tol: Tolerance) -> float:
 def decomposition_battery(seed: int, count: int = 1000, dim_max: int = 8,
                           tol: Tolerance = Tolerance()) -> dict:
     """decompose + validate + projection algebra on random operators."""
-    failures = 0
-    worst_proj = 0.0
-    for i in range(count):
+    def case(i):
         s1, s2 = _seeds(seed, 3, i, 2)
         H = gen_space(GenConfig(s1, (1, dim_max)))
         C = gen_selfadjoint(GenConfig(s2, kernel_prob=0.3), H)
@@ -146,21 +152,16 @@ def decomposition_battery(seed: int, count: int = 1000, dim_max: int = 8,
             resid = max(resid, spectral_norm(Q.matrix @ Q.matrix - Q.matrix) / scaleq)
             total += Q.matrix
         resid = max(resid, spectral_norm(total - eye))
-        worst_proj = max(worst_proj, resid)
-        if not report["passed"] or resid > tol.residual_tol:
-            failures += 1
-    return {"name": "decomposition", "cases": count, "failures": failures,
-            "worst_projection_residual": float(worst_proj),
-            "passed": failures == 0}
+        return report["passed"] and not resid > tol.residual_tol, (resid,)
+    return _tally("decomposition", count, case, ("worst_projection_residual",))
 
 
 def bk_roundtrip_battery(seed: int, count: int = 1000, dim_max: int = 8,
                          tol: Tolerance = Tolerance()) -> dict:
     """Factor then verify; a fifth of the cases must carry a kernel."""
-    failures = 0
-    kernel_cases = 0
-    worst = 0.0
-    for i in range(count):
+    kernels = []
+
+    def case(i):
         s1, s2 = _seeds(seed, 4, i, 2)
         H = gen_space(GenConfig(s1, (1, dim_max)))
         # two of every five cases force a kernel so the coverage quota
@@ -168,16 +169,12 @@ def bk_roundtrip_battery(seed: int, count: int = 1000, dim_max: int = 8,
         kp = 1.0 if i % 5 < 2 else 0.15
         C = gen_selfadjoint(GenConfig(s2, kernel_prob=kp), H)
         report = bk_verify(C, bk_factorize(C, tol), tol)
-        worst = max(worst, report["product_residual"])
-        if report["operator_indices"][2] > 0:
-            kernel_cases += 1
-        if not report["passed"]:
-            failures += 1
-    need_kernel = count // 5
-    return {"name": "bk_roundtrip", "cases": count, "failures": failures,
-            "kernel_cases": kernel_cases, "kernel_cases_required": need_kernel,
-            "worst_product_residual": float(worst),
-            "passed": failures == 0 and kernel_cases >= need_kernel}
+        kernels.append(report["operator_indices"][2] > 0)
+        return report["passed"], (report["product_residual"],)
+    report = _tally("bk_roundtrip", count, case, ("worst_product_residual",))
+    kernel_cases, need_kernel = sum(kernels), count // 5
+    return {**report, "kernel_cases": kernel_cases, "kernel_cases_required": need_kernel,
+            "passed": report["passed"] and kernel_cases >= need_kernel}
 
 
 def bk_converse_battery(seed: int, count: int = 1000, dim_max: int = 8,
@@ -188,12 +185,12 @@ def bk_converse_battery(seed: int, count: int = 1000, dim_max: int = 8,
               for n in range(1, dim_max + 1)
               for p in range(0, n + 1)
               for q in range(0, n - p + 1)]
-    failures = 0
-    for i in range(count):
+
+    def case(i):
         n, p, q = combos[i % len(combos)]
         _, C = _forced_product(seed, i, p, q, n)
-        if tuple(hermitian_indices(C, tol)) != (p, q, n - p - q):
-            failures += 1
+        return tuple(hermitian_indices(C, tol)) == (p, q, n - p - q), ()
+    report = _tally("bk_converse", count, case)
 
     refactor_failures = 0
     if refactor > 0 and count > 0:
@@ -202,11 +199,10 @@ def bk_converse_battery(seed: int, count: int = 1000, dim_max: int = 8,
         for k in range(refactor):
             U = j_unitary(_stream(seed, 5, 10 ** 6 + k), A_space.J)
             Fk = BKFactorization(A_space, KOperator(A_space, H, A.matrix @ U))
-            if not bk_verify(C, Fk, tol)["passed"]:
-                refactor_failures += 1
-    return {"name": "bk_converse", "cases": count, "failures": failures,
-            "refactorizations": refactor, "refactorization_failures": refactor_failures,
-            "passed": failures == 0 and refactor_failures == 0}
+            refactor_failures += not bk_verify(C, Fk, tol)["passed"]
+    return {**report, "refactorizations": refactor,
+            "refactorization_failures": refactor_failures,
+            "passed": report["passed"] and refactor_failures == 0}
 
 
 def _forced_product(seed: int, case: int, p: int, q: int, n: int):
@@ -229,22 +225,19 @@ def keyth_battery(seed: int, count: int = 300, dim_max: int = 8,
     defect operators of the extension have full rank on the graph
     domains.
     """
-    failures = 0
-    for i in range(count):
+    def case(i):
         rng = _stream(seed, 6, i)
         p, q = _draw_split(rng, 1, dim_max)
         n = p + q
         signs = np.concatenate([np.ones(p), -np.ones(q)])
-        lam = rng.uniform(0.1, 3.0, n) * signs
+        lam = rng.uniform(_EIG_LO, _EIG_HI, n) * signs
         Q = haar_unitary(rng, n)
-        C_mat = (Q * lam) @ Q.conj().T
-        C_mat = 0.5 * (C_mat + C_mat.conj().T)
+        C_mat = _hermitian_part((Q * lam) @ Q.conj().T)
         T0 = np.sqrt(np.abs(lam))[:, None] * Q.conj().T
         S_diag = np.diag(signs.astype(complex))
         W = j_unitary(rng, S_diag)
         R = haar_unitary(rng, n)
-        J_A = R @ S_diag @ R.conj().T
-        J_A = 0.5 * (J_A + J_A.conj().T)
+        J_A = _hermitian_part(R @ S_diag @ R.conj().T)
         T_mat = R @ W @ T0
 
         E = hilbert_space(n)
@@ -252,8 +245,7 @@ def keyth_battery(seed: int, count: int = 300, dim_max: int = 8,
         fact = SignatureFactorization(K_space=E,
                                       J_A=KOperator(E, E, J_A),
                                       T=KOperator(E, E, T_mat), tol=tol)
-        report = keyth_verify(C, fact, tol)
-        ok = report["passed"]
+        ok = keyth_verify(C, fact, tol)["passed"]
 
         A_kre = fact.A_space
         pA, qA = space_indices(A_kre)
@@ -267,20 +259,14 @@ def keyth_battery(seed: int, count: int = 300, dim_max: int = 8,
         G = ext.G
         dens_p = rank(gp.M.basis - G.conj().T @ (G @ gp.M.basis), tol)
         dens_m = rank(gm.M.basis - G @ (G.conj().T @ gm.M.basis), tol)
-        ok = ok and dens_p == pA and dens_m == qA
-        if not ok:
-            failures += 1
-    return {"name": "keyth_pipeline", "cases": count, "failures": failures,
-            "passed": failures == 0}
+        return ok and dens_p == pA and dens_m == qA, ()
+    return _tally("keyth_pipeline", count, case)
 
 
 def phillips_battery(seed: int, count: int = 300, dim_max: int = 8,
                      tol: Tolerance = Tolerance()) -> dict:
     """Random compatible semidefinite pairs through the full completion."""
-    failures = 0
-    worst_norm = 0.0
-    worst_restrict = 0.0
-    for i in range(count):
+    def case(i):
         rng = _stream(seed, 7, i)
         p, q = _draw_split(rng, 1, dim_max)
         s1 = _seeds(seed, 7, 10 ** 6 + i, 1)[0]
@@ -300,24 +286,19 @@ def phillips_battery(seed: int, count: int = 300, dim_max: int = 8,
 
         norm = spectral_norm(G)
         level = max(spectral_norm(gp.angle), spectral_norm(gm.angle))
-        worst_norm = max(worst_norm, norm)
         r1 = spectral_norm(G @ gp.M.basis - gp.angle)
         r2 = spectral_norm(G.conj().T @ gm.M.basis - gm.angle)
-        worst_restrict = max(worst_restrict, r1, r2)
         ok = norm <= 1.0 + tol.residual_tol
         ok = ok and norm <= level + tol.residual_tol
         ok = ok and r1 <= tol.residual_tol and r2 <= tol.residual_tol
         ok = ok and _contained(represented(gp, tol), ext.G_tilde_plus, tol)
         ok = ok and _contained(represented(gm, tol), ext.G_tilde_minus, tol)
-        gram = ext.G_tilde_minus.basis.conj().T @ A_kre.J @ ext.G_tilde_plus.basis
-        ok = ok and norm_within(gram, tol.residual_tol)
+        ok = ok and c_orthogonal(identity_op(A_kre), ext.G_tilde_plus,
+                                 ext.G_tilde_minus, tol)
         ok = ok and ext.G_tilde_plus.dim == p and ext.G_tilde_minus.dim == q
-        if not ok:
-            failures += 1
-    return {"name": "phillips_extension", "cases": count, "failures": failures,
-            "worst_contraction_norm": float(worst_norm),
-            "worst_restriction_residual": float(worst_restrict),
-            "passed": failures == 0}
+        return ok, (norm, max(r1, r2))
+    return _tally("phillips_extension", count, case,
+                  ("worst_contraction_norm", "worst_restriction_residual"))
 
 
 def _random_contraction(rng: np.random.Generator, rows: int, cols: int,
@@ -344,9 +325,7 @@ def identities_battery(seed: int, count: int = 500, dim_max: int = 8,
     orthocomplement of the kernel), and |D|^(1/2) leaves both spectral
     bands invariant.
     """
-    failures = 0
-    worst = 0.0
-    for i in range(count):
+    def case(i):
         s2 = _seeds(seed, 8, i, 2)[1]
         rng = _stream(seed, 8, i)
         n = int(rng.integers(1, dim_max + 1))
@@ -365,11 +344,9 @@ def identities_battery(seed: int, count: int = 500, dim_max: int = 8,
         rscale = max(1.0, spectral_norm(root))
         r2 = spectral_norm(root @ B_plus - P_plus @ (root @ B_plus)) / rscale
         r3 = spectral_norm(root @ B_minus - P_minus @ (root @ B_minus)) / rscale
-        worst = max(worst, r1, r2, r3)
-        if max(r1, r2, r3) > tol.residual_tol:
-            failures += 1
-    return {"name": "keyfact_identities", "cases": count, "failures": failures,
-            "worst_residual": float(worst), "passed": failures == 0}
+        resid = max(r1, r2, r3)
+        return not resid > tol.residual_tol, (resid,)
+    return _tally("keyfact_identities", count, case, ("worst_residual",))
 
 
 # each battery's `count=` default is its size in a default suite run

@@ -310,6 +310,23 @@ def test_congruent_at_any_scale(capsys, tmp_path, a):
     assert np.linalg.cond(X) == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("operand, triple", [
+    ({"operator": matrix_to_obj(np.diag([1.5e308, -1.0]))}, [1, 0, 1]),
+    (matrix_to_obj(np.array([[1e308]])), [1, 0, 0]),
+])
+def test_finite_entries_up_to_the_largest_double(capsys, tmp_path, operand, triple):
+    # J C + (J C)^H overflows on these operators; their Hermitian part does not
+    f = write(tmp_path / "big.json", operand)
+    code, rep = run_machine(capsys, ["indices", "-i", f, "--machine"])
+    assert code == 0 and rep["indices"] == triple
+    code, rep = run_machine(capsys, ["decompose", "-i", f, "--machine"])
+    assert code == 0 and rep["validation"]["passed"]
+    assert rep["validation"]["indices"] == triple
+    code, rep = run_machine(capsys, ["factorize", "-i", f, "--machine"])
+    assert code == 0 and rep["verify"]["passed"]
+    assert rep["verify"]["operator_indices"] == triple
+
+
 def test_phillips_half_pair(capsys, tmp_path):
     p = write(tmp_path / "p.json", matrix_to_obj(np.array([[1.0], [0.5]])))
     m = write(tmp_path / "m.json", matrix_to_obj(np.array([[0.5], [1.0]])))

@@ -148,6 +148,30 @@ def test_conditioned_svd_passes_identity():
     assert np.array_equal(s, np.ones(3))
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_hermitian_part_is_the_halved_sum(seed):
+    # magnitudes from subnormal to 1e300, and signed zeros: the part has the
+    # bits of (A + A^H) * 0.5 wherever that sum is finite
+    rng = np.random.default_rng(seed)
+    n = 1 + seed
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    A *= 10.0 ** rng.choice([-318, -312, -200, 0, 200, 299], (n, n))
+    A[rng.random((n, n)) < 0.2] = rng.choice([0.0, -0.0, complex(-0.0, -0.0)])
+    expected = (A + A.conj().T) * 0.5
+    assert np.array_equal(densela._hermitian_part(A).view(np.uint64), expected.view(np.uint64))
+    assert np.array_equal(densela._hermitian_part(np.diag([1, -1])), np.diag([1, -1]))
+
+
+def test_hermitian_part_near_the_largest_double():
+    # the sum overflows, the part is formed from the halves
+    big = 1.7e308
+    A = np.array([[big, big + 1j * big], [-big, -big]])
+    H = densela._hermitian_part(A)
+    assert np.isfinite(H).all()
+    assert np.array_equal(H, H.conj().T)
+    assert np.array_equal(H, np.array([[big, 0.5j * big], [-0.5j * big, -big]]))
+
+
 def test_psd_sqrt_oracle():
     M = np.array([[2.0, 1.0], [1.0, 2.0]])
     R = psd_sqrt(M)

@@ -15,9 +15,11 @@ meant to change) with
     python tests/test_golden.py
 """
 
+import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -47,12 +49,16 @@ CASES = {
 }
 
 
-def run_case(argv) -> bytes:
+def child_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def run_case(argv) -> bytes:
     done = subprocess.run([sys.executable, "-m", "kreinalg", *argv], cwd=GOLDEN,
-                          env=env, capture_output=True, check=True)
+                          env=child_env(), capture_output=True, check=True)
     return done.stdout
 
 
@@ -66,6 +72,27 @@ def test_golden_report(name):
 def test_golden_text(name):
     expected = (GOLDEN / f"{name}.txt").read_bytes()
     assert run_case(CASES[name]) == expected
+
+
+def test_every_command_runs_with_scipy_blocked():
+    # scipy is a test extra only: with every import of it failing (a None
+    # entry in sys.modules), each case must still print its golden report
+    code = textwrap.dedent("""
+        import contextlib, io, json, sys
+        sys.modules["scipy"] = None
+        from kreinalg.cli import main
+        out = {}
+        for name, argv in json.loads(sys.argv[1]).items():
+            with contextlib.redirect_stdout(io.StringIO()) as buf:
+                main([*argv, "--machine"])
+            out[name] = buf.getvalue()
+        print(json.dumps(out))
+    """)
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(CASES)], cwd=GOLDEN,
+                          env=child_env(), capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    for name, out in json.loads(done.stdout).items():
+        assert out.encode() == (GOLDEN / f"{name}.out").read_bytes(), name
 
 
 def write_inputs() -> None:

@@ -32,6 +32,25 @@ def test_count_zero_is_vacuous():
     assert rep["passed"]
     for b in rep["batteries"]:
         assert b["cases"] == 0 and b["failures"] == 0
+    # every field is reported when no case ran: worst values 0.0, no best
+    # non-congruent residual, and the refactorizations skipped
+    zero = {"cases": 0, "failures": 0, "passed": True}
+    assert rep["batteries"] == [
+        {"name": "congruence_invariance", **zero},
+        {"name": "sylvester_classification", **zero,
+         "worst_congruent_residual": 0.0, "best_noncongruent_residual": None},
+        {"name": "decomposition", **zero, "worst_projection_residual": 0.0},
+        {"name": "bk_roundtrip", **zero, "kernel_cases": 0,
+         "kernel_cases_required": 0, "worst_product_residual": 0.0},
+        {"name": "bk_converse", **zero, "refactorizations": 50,
+         "refactorization_failures": 0},
+        {"name": "keyth_pipeline", **zero},
+        {"name": "phillips_extension", **zero, "worst_contraction_norm": 0.0,
+         "worst_restriction_residual": 0.0},
+        {"name": "keyfact_identities", **zero, "worst_residual": 0.0},
+    ]
+    assert all(type(v) is float for b in rep["batteries"]
+               for k, v in b.items() if k.startswith("worst_"))
 
 
 def test_seed_changes_streams():
