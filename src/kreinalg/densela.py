@@ -180,10 +180,10 @@ def norm_within(R, t: float, S=None, floor: float = 0.0, power: int = 1) -> bool
 
 
 def _hermitian_part(A: np.ndarray) -> np.ndarray:
-    """(A + A^H) / 2, exactly Hermitian.  The sum is halved in place, so a
-    finite sum gives the bits of ``(A + A^H) * 0.5``; only a sum that
-    overflows is formed again as ``A/2 + (A/2)^H``, so the part of a finite
-    matrix is finite up to the largest double."""
+    """(A + A^H) / 2 as a complex array, exactly Hermitian.  The sum is
+    halved in place, so a finite sum gives the bits of ``(A + A^H) * 0.5``;
+    only a sum that overflows is formed again as ``A/2 + (A/2)^H``, so the
+    part of a finite matrix is finite up to the largest double."""
     A = np.asarray(A, dtype=complex)
     with np.errstate(over="ignore"):
         H = A + A.conj().T
