@@ -30,8 +30,8 @@ from .densela import Tolerance, spectral_norm
 from .errors import DimensionMismatch, InputError, KreinError, PreconditionError
 from .hermdex import (build_congruence, hermitian_indices, require_equal_dims,
                       transport)
-from .krein import (KOperator, KreinSpace, hilbert_space, make_space,
-                    make_subspace, space_indices)
+from .krein import (IndexTriple, KOperator, KreinSpace, hilbert_space, make_space,
+                    make_subspace, selfadjoint_split, space_indices)
 from .phillips import graph_rep, phillips_extend
 from .serial import (_square_from_obj, matrix_from_obj, problem_from_obj,
                      read_json, write_json)
@@ -169,7 +169,10 @@ def cmd_factorize(args) -> tuple:
 def cmd_congruent(args) -> tuple:
     (A, B), tol = _load_operators(args, args.input_a, args.input_b)
     require_equal_dims(A, B)
-    idx_a, idx_b = hermitian_indices(A, tol), hermitian_indices(B, tol)
+    # cut from the eigendecompositions a congruence is built from, not from
+    # eigenvalues taken before them
+    idx_a, idx_b = (IndexTriple(*selfadjoint_split(C, tol, "the hermitian index triple")
+                                .counts) for C in (A, B))
     report = {
         "indices_a": list(idx_a),
         "indices_b": list(idx_b),

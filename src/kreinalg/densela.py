@@ -123,11 +123,12 @@ def _as_matrix(M) -> np.ndarray:
 
 
 def spectral_norm(M) -> float:
-    """Largest singular value; 0.0 for matrices with an empty axis."""
+    """Largest singular value; 0.0 for matrices with an empty axis.  The
+    values-only SVD ``np.linalg.norm(A, 2)`` takes, without its wrapper."""
     A = _as_matrix(M)
     if min(A.shape) == 0:
         return 0.0
-    return float(np.linalg.norm(A, 2))
+    return float(_svd(A, compute_uv=False)[0])
 
 
 # Relative slack of the cheap-first decisions: the widening of the Frobenius
@@ -179,14 +180,16 @@ def norm_within(R, t: float, S=None, floor: float = 0.0, power: int = 1) -> bool
     return norms[0] <= _threshold(t, floor, math.prod(norms[1:]), power)
 
 
-def _hermitian_part(A: np.ndarray) -> np.ndarray:
-    """(A + A^H) / 2 as a complex array, exactly Hermitian.  The sum is
-    halved in place, so a finite sum gives the bits of ``(A + A^H) * 0.5``;
-    only a sum that overflows is formed again as ``A/2 + (A/2)^H``, so the
-    part of a finite matrix is finite up to the largest double."""
+def _hermitian_part(A: np.ndarray, AH: np.ndarray | None = None) -> np.ndarray:
+    """(A + A^H) / 2 as a complex array, exactly Hermitian; ``AH`` is A^H
+    when the caller has it.  The sum is halved in place, so a finite sum
+    gives the bits of ``(A + A^H) * 0.5``; only a sum that overflows is
+    formed again as ``A/2 + (A/2)^H``, so the part of a finite matrix is
+    finite up to the largest double."""
     A = np.asarray(A, dtype=complex)
+    AH = A.conj().T if AH is None else AH
     with np.errstate(over="ignore"):
-        H = A + A.conj().T
+        H = A + AH
     if np.isfinite(H).all():
         H *= 0.5
         return H
@@ -194,14 +197,67 @@ def _hermitian_part(A: np.ndarray) -> np.ndarray:
     return half + half.conj().T
 
 
+def _hermitian_input(A: np.ndarray) -> np.ndarray:
+    """What :func:`_require_hermitian` hands LAPACK for ``_hermitian_part(A)``,
+    bit for bit, without its check: the Hermitian part taken twice.  The
+    first pass leaves exact conjugate pairs and a real diagonal, so the
+    second doubles and halves each part exactly and returns the same bits,
+    except where an off-diagonal part is zero (the complex halving can flip
+    its sign, and LAPACK's output depends on it) or a part reaches 2**1023
+    (its doubling overflows, and the pass halves first).  Only then is the
+    second pass formed."""
+    H = _hermitian_part(A)
+    v = H.ravel().view(float)
+    zeros = v.size - np.count_nonzero(v)
+    # every diagonal imaginary part is +0, and a second pass keeps the diagonal
+    diagonal_zeros = 2 * H.shape[0] - np.count_nonzero(H.diagonal().real)
+    if zeros == diagonal_zeros and (not v.size or max(v.max(), -v.min()) < 2.0 ** 1023):
+        return H
+    return _hermitian_part(H)
+
+
+def _hermitian_within(A: np.ndarray, t: float, S, floor: float = 0.0,
+                      AH: np.ndarray | None = None) -> bool:
+    """The deviation test ``||A - A^H||_2 <= t * max(floor, ||S||_2)`` of
+    :func:`norm_within`, safe from overflow: when a finite A - A^H
+    overflows, both sides are halved and A/2 - (A/2)^H is held against
+    ``S/2`` and ``floor/2``, so a finite matrix near the largest double is
+    decided instead of refused as non-finite.  Wherever A - A^H is finite
+    the verdict is :func:`norm_within`'s on it.  ``AH`` is A^H when the
+    caller has it."""
+    AH = A.conj().T if AH is None else AH
+    try:
+        with np.errstate(over="raise", invalid="ignore"):
+            D = A - AH
+    except FloatingPointError:
+        half = A * 0.5
+        return norm_within(half - half.conj().T, t, np.asarray(S) * 0.5, floor * 0.5)
+    return norm_within(D, t, S, floor)
+
+
 def _require_hermitian(A: np.ndarray, tol: Tolerance) -> np.ndarray:
     if A.shape[0] != A.shape[1]:
         raise NotHermitian(f"matrix is not square: shape {A.shape}")
-    if not norm_within(A - A.conj().T, tol.residual_tol, A):
+    AH = A.conj().T
+    if not _hermitian_within(A, tol.residual_tol, A, AH=AH):
         raise NotHermitian("matrix deviates from its conjugate transpose "
                            "beyond residual tolerance")
     # Work with the Hermitian part so LAPACK sees an exactly symmetric input.
-    return _hermitian_part(A)
+    return _hermitian_part(A, AH)
+
+
+def _eigh(A: np.ndarray, vectors: bool = True) -> HermEig:
+    """LAPACK's eigendecomposition of an exactly Hermitian matrix, or its
+    eigenvalues alone without ``vectors``: the one kernel behind every
+    Hermitian spectrum.  Only finiteness is checked; callers hand it a
+    matrix checked by :func:`_require_hermitian` or made by
+    :func:`_hermitian_input`.  ``NoConvergence`` when the driver gives up."""
+    A = _as_matrix(A)
+    try:
+        w, V = np.linalg.eigh(A) if vectors else (np.linalg.eigvalsh(A), None)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+    return HermEig(eigenvalues=w, eigenvectors=V)
 
 
 def herm_eig(M, tol: Tolerance = Tolerance(), vectors: bool = True) -> HermEig:
@@ -211,12 +267,7 @@ def herm_eig(M, tol: Tolerance = Tolerance(), vectors: bool = True) -> HermEig:
     Raises ``NotHermitian`` when the symmetry check fails and
     ``NoConvergence`` when the LAPACK driver gives up.
     """
-    A = _require_hermitian(_as_matrix(M), tol)
-    try:
-        w, V = np.linalg.eigh(A) if vectors else (np.linalg.eigvalsh(A), None)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-    return HermEig(eigenvalues=w, eigenvectors=V)
+    return _eigh(_require_hermitian(_as_matrix(M), tol), vectors)
 
 
 def spectral_split(M, tol: Tolerance = Tolerance(),
@@ -252,8 +303,24 @@ def inertia(M, tol: Tolerance = Tolerance(),
             scale: float | None = None) -> tuple[int, int, int]:
     """Counts (n_plus, n_minus, n_zero) of the bands of :func:`spectral_split`,
     cut from the eigenvalues alone unless one lies within the slack of the band."""
-    split = band_split(herm_eig(M, tol, False), tol, scale, margin=True)
-    return (split or spectral_split(M, tol, scale)).counts
+    return _inertia(_require_hermitian(_as_matrix(M), tol), tol, scale)
+
+
+def _inertia(H: np.ndarray, tol: Tolerance, scale=None,
+             bounds: tuple[float, float] | None = None) -> tuple[int, int, int]:
+    """:func:`inertia` of an exactly Hermitian ``H``, unchecked.  ``scale``
+    is None, a float, or a function that returns one.  With ``bounds``
+    (lo, hi) on the scale, eigenvalues that clear the slack at both bounds
+    with equal counts decide without it: the band and the slack grow with
+    the scale, so a value clear at both is clear at every scale between."""
+    eig = _eigh(H, False)
+    if bounds is not None:
+        lo, hi = (band_split(eig, tol, s, margin=True) for s in bounds)
+        if lo and hi and lo.counts == hi.counts:
+            return lo.counts
+    scale = scale() if callable(scale) else scale
+    split = band_split(eig, tol, scale, margin=True)
+    return (split or band_split(_eigh(H), tol, scale)).counts
 
 
 def psd_sqrt(M, tol: Tolerance = Tolerance(), scale: float | None = None) -> np.ndarray:

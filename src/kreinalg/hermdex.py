@@ -21,7 +21,7 @@ from .densela import Tolerance, conditioned_svd, norm_within
 from .errors import (DimensionMismatch, NotCongruent, NotInvertible,
                      NotSelfadjoint)
 from .krein import (IndexTriple, KOperator, hilbert_space, is_selfadjoint,
-                    k_adjoint, selfadjoint_split)
+                    k_adjoint, selfadjoint_counts, selfadjoint_split)
 
 __all__ = [
     "COND_CAP",
@@ -70,8 +70,10 @@ class CanonicalForm:
 
 
 def hermitian_indices(C: KOperator, tol: Tolerance = Tolerance()) -> IndexTriple:
-    """(h_plus, h_minus, h_zero) via the inertia of J C."""
-    return IndexTriple(*selfadjoint_split(C, tol, "the hermitian index triple").counts)
+    """(h_plus, h_minus, h_zero) via the inertia of J C, counted from its
+    eigenvalues alone unless C's eigendecomposition is cached or a value
+    lies within the slack of the band (`krein.selfadjoint_counts`)."""
+    return IndexTriple(*selfadjoint_counts(C, tol, "the hermitian index triple"))
 
 
 def transport(B: KOperator, X: Congruence, tol: Tolerance = Tolerance()) -> KOperator:

@@ -21,9 +21,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .densela import (HermEig, SpectralSplit, Tolerance, _hermitian_part,
-                      band_split, herm_eig, inertia, norm_within, range_basis,
-                      spectral_norm, spectral_split)
+from .densela import (HermEig, SpectralSplit, Tolerance, _eigh, _hermitian_input,
+                      _hermitian_within, _inertia, _two_norm_bounds, band_split,
+                      norm_within, range_basis, spectral_norm)
 from .errors import DimensionMismatch, InputError, NotSelfadjoint, NotSymmetry
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "k_adjoint",
     "is_selfadjoint",
     "selfadjoint_split",
+    "selfadjoint_counts",
     "make_subspace",
     "classify_subspace",
     "c_orthogonal",
@@ -59,7 +60,7 @@ class KreinSpace:
         its +1 and -1 eigenspaces, taken once per space; a zero band raises
         ``NotSymmetry``.  No tolerance enters: a symmetry `make_space` accepts
         has every eigenvalue near +1 or -1, far outside any valid band."""
-        split = spectral_split(_hermitian_part(self.J))
+        split = band_split(_eigh(_hermitian_input(self.J)))
         if split.counts[2]:
             raise NotSymmetry("fundamental symmetry has a numerically zero eigenvalue")
         return split
@@ -70,7 +71,7 @@ class KreinSpace:
         ``signature`` when it is cached, else counted by `inertia`; a zero
         count defers to ``signature``, which raises ``NotSymmetry``."""
         if "signature" not in vars(self):
-            p, q, z = inertia(_hermitian_part(self.J))
+            p, q, z = _inertia(_hermitian_input(self.J), Tolerance())
             if not z:
                 return p, q
         return self.signature.counts[:2]
@@ -114,15 +115,40 @@ class KOperator:
         tolerance enters: the Hermitian part is exactly Hermitian, and
         whether C is selfadjoint is decided by the caller.  Its arrays are
         read-only: every engine shares them."""
-        eig = herm_eig(_hermitian_part(self.jc))
+        eig = _eigh(_hermitian_input(self.jc))
         eig.eigenvalues.flags.writeable = False
         eig.eigenvectors.flags.writeable = False
+        return eig
+
+    @cached_property
+    def hermitian_eigvals(self) -> HermEig:
+        """The eigenvalues alone of the Hermitian part of J C (eigenvectors
+        None), taken once per operator for `selfadjoint_counts` while
+        `hermitian_eig` is not cached; read-only like it."""
+        eig = _eigh(_hermitian_input(self.jc), vectors=False)
+        eig.eigenvalues.flags.writeable = False
         return eig
 
     @cached_property
     def norm(self) -> float:
         """The spectral norm of the matrix, taken once per operator."""
         return spectral_norm(self.matrix)
+
+    @cached_property
+    def norm_bounds(self) -> tuple[float, float]:
+        """(lo, hi) with lo <= `norm` <= hi, for verdicts that print no norm:
+        the Frobenius bounds of `densela.norm_within` while `norm` is not
+        cached, else, or when those cannot bound it, `norm` twice."""
+        if "norm" not in vars(self):
+            bounds = _two_norm_bounds(self.matrix)
+            if bounds is not None:
+                return bounds
+        return self.norm, self.norm
+
+    @cached_property
+    def _selfadjoint(self) -> dict:
+        """`is_selfadjoint`'s verdict under each tolerance it was asked."""
+        return {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,7 +188,7 @@ def make_space(J, tol: Tolerance = Tolerance()) -> KreinSpace:
     if J.size and not np.isfinite(J).all():
         raise InputError("fundamental symmetry contains NaN or Inf entries")
     n = J.shape[0]
-    if not norm_within(J - J.conj().T, tol.residual_tol, J, floor=1.0):
+    if not _hermitian_within(J, tol.residual_tol, J, floor=1.0):
         raise NotSymmetry("candidate symmetry is not Hermitian")
     if not norm_within(J @ J - np.eye(n), tol.residual_tol, J, floor=1.0, power=2):
         raise NotSymmetry("candidate symmetry does not square to the identity")
@@ -213,18 +239,38 @@ def _require_endomorphism(C: KOperator):
 
 def is_selfadjoint(C: KOperator, tol: Tolerance = Tolerance()) -> bool:
     """True iff C = C*, equivalently iff J C is Hermitian within tolerance;
-    decided on every call, under ``tol``, from C's cached J C."""
-    return norm_within(C.jc - C.jc.conj().T, tol.residual_tol, C.matrix)
+    decided from C's cached J C once per operator and tolerance."""
+    verdicts = C._selfadjoint
+    if tol not in verdicts:
+        verdicts[tol] = _hermitian_within(C.jc, tol.residual_tol, C.matrix)
+    return verdicts[tol]
+
+
+def _require_selfadjoint(C: KOperator, tol: Tolerance, what: str):
+    if not is_selfadjoint(C, tol):
+        raise NotSelfadjoint(f"{what} requires a selfadjoint operator")
 
 
 def selfadjoint_split(C: KOperator, tol: Tolerance, what: str) -> SpectralSplit:
     """Spectral split of J C; raises ``NotSelfadjoint`` naming ``what``
-    unless C is selfadjoint under ``tol``, checked on every call.  The bands
-    follow ``tol`` too; the eigendecomposition is C's cached one.  Every
-    engine reads its bands from here."""
-    if not is_selfadjoint(C, tol):
-        raise NotSelfadjoint(f"{what} requires a selfadjoint operator")
+    unless C is selfadjoint under ``tol``.  The bands follow ``tol`` too;
+    the eigendecomposition is C's cached one.  Every engine that reads
+    eigenvectors reads its bands from here."""
+    _require_selfadjoint(C, tol, what)
     return band_split(C.hermitian_eig, tol)
+
+
+def selfadjoint_counts(C: KOperator, tol: Tolerance, what: str) -> tuple[int, int, int]:
+    """The counts of :func:`selfadjoint_split`, cut from C's cached
+    eigenvalues alone while its eigendecomposition is not cached.  A value
+    within the slack of the band sends them to the eigendecomposition, the
+    rule of `densela.inertia`."""
+    if "hermitian_eig" not in vars(C):
+        _require_selfadjoint(C, tol, what)
+        split = band_split(C.hermitian_eigvals, tol, margin=True)
+        if split is not None:
+            return split.counts
+    return selfadjoint_split(C, tol, what).counts
 
 
 def make_subspace(H: KreinSpace, vectors, tol: Tolerance = Tolerance()) -> Subspace:
@@ -250,10 +296,11 @@ def classify_subspace(C: KOperator, M: Subspace,
     """
     if M.space.dim != C.domain.dim:
         raise DimensionMismatch("subspace does not live in the operator's space")
-    G = _hermitian_part(_gram(C, M, M))
+    G = _hermitian_input(_gram(C, M, M))
     # band against the ambient operator norm: the Gram of a neutral
-    # subspace cancels to round-off, its own norm is no yardstick
-    p, q, z = inertia(G, tol, scale=C.norm)
+    # subspace cancels to round-off, its own norm is no yardstick; its
+    # bounds decide unless a value lies near a band some norm between allows
+    p, q, z = _inertia(G, tol, lambda: C.norm, C.norm_bounds)
     if p and q:
         return SubspaceClass.INDEFINITE
     if p:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import gc
 import io
 import json
+import math
 import re
 from contextlib import contextmanager, suppress
 from itertools import chain
@@ -228,7 +229,9 @@ def _render_rows(block) -> str:
     """The [re, im] pairs of ``block``, comma-separated, without brackets,
     as json writes them.  orjson writes NaN and ±inf as ``null``, non-zero
     magnitudes below 1e-4 and from 1e16 unlike ``float.__repr__``: those
-    go in as NaN, and their json text replaces each ``null`` in order."""
+    go in as NaN, and their json text replaces each ``null`` in order.
+    json writes a finite float as ``float.__repr__`` does, so only NaN and
+    ±inf go through json."""
     import orjson
     A = np.asarray(block, dtype=complex)
     pairs = np.stack([A.real, A.imag], -1).reshape(-1, 2)
@@ -240,7 +243,8 @@ def _render_rows(block) -> str:
     if not special:
         return text
     first, *rest = text.split("null")
-    return first + "".join(json.dumps(x) + part for x, part in zip(special, rest))
+    return first + "".join((repr(x) if math.isfinite(x) else json.dumps(x)) + part
+                           for x, part in zip(special, rest))
 
 
 def _pieces(obj):

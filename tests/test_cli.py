@@ -625,8 +625,8 @@ def test_large_dimension_smoke(capsys, tmp_path):
 
 
 def test_indices_counts_the_space_without_its_eigenvectors(monkeypatch, capsys, tmp_path):
-    # the space's signature is counted from J's eigenvalues alone; the only
-    # eigendecomposition with vectors is that of J C
+    # the space's signature is counted from J's eigenvalues alone, and the
+    # operator's triple from J C's: no eigendecomposition with vectors
     from kreinalg.genrand import GenConfig, gen_space_with_split
     J = gen_space_with_split(GenConfig(3), 5, 3).J
     G = np.random.default_rng(4).standard_normal((8, 8))
@@ -647,5 +647,91 @@ def test_indices_counts_the_space_without_its_eigenvectors(monkeypatch, capsys, 
     code, report = run_machine(capsys, ["indices", "-i", path, "--machine"])
     assert code == 0
     assert report["space"] == {"dim": 8, "ind_plus": 5, "ind_minus": 3}
-    assert [np.allclose(A, J) for A in calls["eigh"]] == [False]
-    assert [np.allclose(A, J) for A in calls["eigvalsh"]] == [True]
+    assert calls["eigh"] == []
+    assert [np.allclose(A, J) for A in calls["eigvalsh"]] == [False, True]
+
+
+def _problem64(tmp_path, name="p64.json", seed=21):
+    """A problem file at n = 64 (the generators' cap) and its matrices."""
+    from kreinalg.genrand import GenConfig, gen_selfadjoint, gen_space_with_split
+    H = gen_space_with_split(GenConfig(seed), 30, 34)
+    C = gen_selfadjoint(GenConfig(seed + 1, kernel_prob=1.0), H)
+    return write(tmp_path / name, {"space": {"J": matrix_to_obj(H.J)},
+                                   "operator": matrix_to_obj(C.matrix)}), H.J, C.matrix
+
+
+def _count_kernel(monkeypatch, *names) -> dict:
+    """Patch each ``np.linalg`` kernel named; returns name -> list of operands."""
+    calls = {name: [] for name in names}
+
+    def counting(name):
+        f = getattr(np.linalg, name)
+
+        def counted(A, *args, **kw):
+            calls[name].append(np.array(A))
+            return f(A, *args, **kw)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    return calls
+
+
+def test_indices_takes_no_eigendecomposition_with_vectors(monkeypatch, capsys, tmp_path):
+    path, _, _ = _problem64(tmp_path)
+    calls = _count_kernel(monkeypatch, "eigh", "eigvalsh")
+    code, report = run_machine(capsys, ["indices", "-i", path, "--machine"])
+    assert code == 0 and report["space"]["dim"] == 64 and report["indices"][2] >= 1
+    assert calls["eigh"] == [] and len(calls["eigvalsh"]) == 2
+
+
+def test_decompose_takes_no_svd_of_the_operator(monkeypatch, capsys, tmp_path):
+    path, _, C = _problem64(tmp_path)
+    calls = _count_kernel(monkeypatch, "svd", "norm")
+    code, report = run_machine(capsys, ["decompose", "-i", path, "--machine"])
+    assert code == 0 and report["validation"]["passed"]
+    assert calls["norm"] == [] and calls["svd"]
+    assert not any(A.shape == C.shape and np.array_equal(A, C) for A in calls["svd"])
+
+
+def test_congruent_pair_takes_one_eigendecomposition_per_operator(monkeypatch, capsys,
+                                                                   tmp_path):
+    a, _, _ = _problem64(tmp_path, "a.json")
+    calls = _count_kernel(monkeypatch, "eigh", "eigvalsh")
+    code, report = run_machine(capsys, ["congruent", a, a, "--machine"])
+    assert code == 0 and report["congruent"]
+    assert len(calls["eigh"]) == 2 and calls["eigvalsh"] == []
+
+
+@pytest.mark.parametrize("command", ["indices", "decompose", "factorize", "congruent"])
+def test_no_matrix_is_checked_for_hermitian_twice(monkeypatch, capsys, tmp_path, command):
+    from kreinalg import densela, krein
+    path, J, C = _problem64(tmp_path)
+    checked, within = [], densela._hermitian_within
+
+    def counted(A, *rest, **kw):
+        checked.append(np.array(A))
+        return within(A, *rest, **kw)
+
+    for mod in (densela, krein):
+        monkeypatch.setattr(mod, "_hermitian_within", counted)
+    argv = [path, path] if command == "congruent" else ["-i", path]
+    assert main([command, *argv, "--machine"]) == 0
+    capsys.readouterr()
+    # J once per space read, J C once per operator, and nothing else
+    operands = 2 if command == "congruent" else 1
+    assert [np.array_equal(A, J) for A in checked] == [True] * operands + [False] * operands
+    assert all(np.allclose(A, J @ C) for A in checked[operands:])
+
+
+def test_overflowing_deviation_is_a_precondition_failure(capsys, tmp_path):
+    # A - A^H overflows for these finite entries: decided on A/2, not refused
+    m = write(tmp_path / "m.json", matrix_to_obj(np.array([[1e308, 1e308], [-1e308, 1.0]])))
+    assert main(["indices", "-i", m]) == 3
+    assert capsys.readouterr().err == (
+        "error: the hermitian index triple requires a selfadjoint operator\n")
+    p = write(tmp_path / "p.json",
+              {"space": {"J": matrix_to_obj(np.array([[1e308, 1e308], [-1e308, 1.0]]))},
+               "operator": matrix_to_obj(np.eye(2))})
+    assert main(["indices", "-i", p]) == 3
+    assert capsys.readouterr().err == "error: candidate symmetry is not Hermitian\n"

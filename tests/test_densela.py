@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import kreinalg.densela as densela
 from kreinalg.densela import (Tolerance, conditioned_svd, herm_eig, inertia,
@@ -160,6 +160,41 @@ def test_hermitian_part_is_the_halved_sum(seed):
     expected = (A + A.conj().T) * 0.5
     assert np.array_equal(densela._hermitian_part(A).view(np.uint64), expected.view(np.uint64))
     assert np.array_equal(densela._hermitian_part(np.diag([1, -1])), np.diag([1, -1]))
+
+
+_PARTS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 3e-310, 1.0, -1.0, 0.5, -2.5,
+                          1e300, 2.0 ** 1023, -1.7e308, 1.7976931348623157e308]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.lists(
+    st.builds(complex, _PARTS, _PARTS), min_size=n * n, max_size=n * n)))
+# the first pass halves first and leaves a part of one ulp, which the
+# second pass, halving first again, rounds to zero
+@example([1.0, 1e-323 + 1j, 3j, 1.7e308])
+def test_hermitian_input_is_the_part_taken_twice(entries):
+    # the bits LAPACK saw behind _require_hermitian's check: signed zeros,
+    # subnormals and parts near the largest double included
+    n = int(round(len(entries) ** 0.5))
+    A = np.array(entries, dtype=complex).reshape(n, n)
+    twice = densela._hermitian_part(densela._hermitian_part(A))
+    assert np.array_equal(densela._hermitian_input(A).view(np.uint64), twice.view(np.uint64))
+    assert np.array_equal(densela._hermitian_input(A.T).view(np.uint64),
+                          densela._hermitian_part(densela._hermitian_part(A.T)).view(np.uint64))
+
+
+def test_hermitian_input_skips_the_second_pass_of_a_dense_matrix(monkeypatch):
+    rng = np.random.default_rng(3)
+    A = random_complex(rng, 6, 6)
+    passes = []
+    part = densela._hermitian_part
+    monkeypatch.setattr(densela, "_hermitian_part", lambda M: passes.append(M) or part(M))
+    densela._hermitian_input(A)
+    assert len(passes) == 1
+    A[0, 1] = A[1, 0] = 1.0             # a real pair: the part's imaginary part is zero
+    densela._hermitian_input(A)
+    assert len(passes) == 3
 
 
 def test_hermitian_part_near_the_largest_double():
@@ -480,3 +515,38 @@ def test_values_only_spectra_defer_inside_the_slack(monkeypatch):
         eigs.clear()
         assert inertia(M, loose) == counts
         assert eigs == (["eigvalsh", "eigh"] if fallback else ["eigvalsh"])
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1), (70, 5), (5, 70),
+                                   *((n, n) for n in (2, 7, 33, 70))])
+def test_spectral_norm_is_numpys_two_norm_bit_for_bit(shape):
+    # the matrix is complex, as spectral_norm takes every operand
+    rng = np.random.default_rng(sum(shape))
+    for A in (rng.standard_normal(shape) + 0j, random_complex(rng, *shape)):
+        got, want = spectral_norm(A), float(np.linalg.norm(A, 2))
+        assert type(got) is float and got.hex() == want.hex()
+
+
+def test_hermitian_deviation_test_is_norm_within_while_the_difference_is_finite():
+    rng = np.random.default_rng(8)
+    for n in (1, 3, 8):
+        H = random_complex(rng, n, n)
+        H = H + H.conj().T
+        for skew in (0.0, 1e-12, 1e-9, 1e-8, 1e-7):
+            A = H + skew * random_complex(rng, n, n)
+            for S, floor in ((A, 0.0), (A, 1.0), (rng.standard_normal((n, 2)), 0.0)):
+                assert (densela._hermitian_within(A, 1e-8, S, floor)
+                        == norm_within(A - A.conj().T, 1e-8, S, floor))
+
+
+def test_hermitian_deviation_test_halves_an_overflowing_difference():
+    # A - A^H overflows here; A/2 - (A/2)^H against ||A/2|| decides instead
+    A = np.array([[1e308, 1e308], [-1e308, 1.0]], dtype=complex)
+    assert not densela._hermitian_within(A, 1e-2, A)
+    with pytest.raises(NotHermitian):
+        herm_eig(A)
+    # a finite difference is never halved: the verdict stays norm_within's
+    B = np.array([[1e308, 1e308], [1e308, 1.0]], dtype=complex)
+    assert densela._hermitian_within(B, 1e-8, B) and herm_eig(B).eigenvalues.size == 2
+    with pytest.raises(InputError, match="NaN or Inf"):
+        densela._hermitian_within(np.array([[np.inf, 0.0], [1.0, 0.0]]), 1e-8, np.eye(2))

@@ -43,17 +43,19 @@ def test_hilbert_space():
 @pytest.mark.parametrize("n", [0, 1, 5, 64])
 def test_hilbert_space_signature_is_seeded(monkeypatch, n):
     import kreinalg.densela as densela
+    import kreinalg.krein as krein
     from kreinalg.phillips import canonical_frames
     # the seed is exactly the split an eigendecomposition of I gives
     split = densela.spectral_split(np.eye(n, dtype=complex))
     calls = []
-    herm_eig = densela.herm_eig
+    eigh = densela._eigh
 
     def counted(M, *rest):
         calls.append(M)
-        return herm_eig(M, *rest)
+        return eigh(M, *rest)
 
-    monkeypatch.setattr(densela, "herm_eig", counted)
+    for mod in (densela, krein):
+        monkeypatch.setattr(mod, "_eigh", counted)
     assert space_indices(hilbert_space(n)) == (n, 0)
     U_plus, U_minus = canonical_frames(hilbert_space(n))
     assert calls == []
@@ -235,3 +237,79 @@ def test_space_indices_refuse_a_zero_eigenvalue_every_time():
                            match="^fundamental symmetry has a numerically zero eigenvalue$"):
             space_indices(degenerate)
     assert "signature" not in vars(degenerate)
+
+
+def _record_eigh(monkeypatch) -> list:
+    """Patch the one Hermitian eigen-kernel; returns the list of its calls,
+    True for each taken with eigenvectors and False for eigenvalues alone."""
+    import kreinalg.densela as densela
+    import kreinalg.krein as krein
+    calls, eigh = [], densela._eigh
+
+    def counted(A, vectors=True):
+        calls.append(vectors)
+        return eigh(A, vectors)
+
+    for mod in (densela, krein):
+        monkeypatch.setattr(mod, "_eigh", counted)
+    return calls
+
+
+@pytest.mark.parametrize("value, triple, fallback", [
+    (1e-10 * (1.0 + 1e-13), (2, 1, 1), True),     # within the slack, above the band
+    (1e-10, (1, 1, 2), True),                     # at the band: counted zero
+    (1e-10 * (1.0 - 1e-13), (1, 1, 2), True),     # within the slack, inside the band
+    (2e-10, (2, 1, 1), False),
+    (0.5e-10, (1, 1, 2), False),
+])
+def test_index_triple_falls_back_to_the_eigendecomposition_near_the_band(
+        monkeypatch, value, triple, fallback):
+    # J C = diag(1, -0.5, value, 0), so the band is 1e-10 exactly
+    J = np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex)
+    C = KOperator(make_space(J), make_space(J), J @ np.diag([1.0, -0.5, value, 0.0]))
+    calls = _record_eigh(monkeypatch)
+    assert hermitian_indices(C) == triple
+    assert calls == ([False, True] if fallback else [False])
+    assert hermitian_indices(C) == triple == canonical_form(C).indices
+    assert calls == [False, True]
+
+
+@pytest.mark.parametrize("g, cls, exact", [
+    (1.3e-10, SubspaceClass.STRICTLY_POSITIVE, True),
+    (0.9e-10, SubspaceClass.NEUTRAL, True),
+    (2e-10, SubspaceClass.STRICTLY_POSITIVE, False),
+    (0.5e-10, SubspaceClass.NEUTRAL, False),
+])
+def test_classify_takes_the_norm_only_between_the_frobenius_bands(g, cls, exact):
+    # ||C||_2 = 1 lies between ||C||_F / 2 (about 0.87) and ||C||_F (about
+    # 1.73); the Gram [[g]] of e1 is counted against the band 1e-10 * ||C||_2
+    import kreinalg.densela as densela
+    H = hilbert_space(4)
+    C = KOperator(H, H, np.diag([g, 1.0, 1.0, -1.0]).astype(complex))
+    e1 = make_subspace(H, np.eye(4)[:, :1])
+    assert classify_subspace(C, e1) == cls
+    assert ("norm" in vars(C)) == exact
+    # the class the exact norm gives
+    p, _, _ = densela.inertia(np.array([[g]]), scale=densela.spectral_norm(C.matrix))
+    assert (cls == SubspaceClass.STRICTLY_POSITIVE) == bool(p)
+
+
+def test_selfadjointness_is_decided_once_per_tolerance(monkeypatch):
+    import kreinalg.krein as krein
+    # a 1e-5 skew in J C passes residual_tol 1e-2 but not the default 1e-8
+    H = make_space(np.diag([1.0, -1.0, 1.0]))
+    M = np.diag([2.0, 1.0, -0.5]).astype(complex)
+    M[0, 1] = 1e-5
+    C = KOperator(H, H, M)
+    checked, within = [], krein._hermitian_within
+
+    def counted(A, *rest, **kw):
+        checked.append(A)
+        return within(A, *rest, **kw)
+
+    monkeypatch.setattr(krein, "_hermitian_within", counted)
+    for _ in range(2):
+        assert is_selfadjoint(C, Tolerance(residual_tol=1e-2))
+        assert not is_selfadjoint(C)
+        assert not is_selfadjoint(C, Tolerance(rank_tol=1e-8))
+    assert len(checked) == 3 and all(A is C.jc for A in checked)

@@ -4,7 +4,8 @@ taken once.
 `KOperator.jc`, `KOperator.hermitian_eig` and `KOperator.norm` are
 cached; these tests count the products and kernels behind them across
 the engines and check that the caches never carry one call's tolerance
-into another.
+into another.  Eigendecompositions are counted at `densela._eigh`, the
+one kernel behind every Hermitian spectrum.
 """
 
 import dataclasses
@@ -28,20 +29,22 @@ from kreinalg.phillips import graph_rep
 
 # every module that binds each kernel name, so calls from any of them count
 _BINDERS = {
-    "herm_eig": (densela, krein),
+    "_eigh": (densela, krein),
     "spectral_norm": (densela, krein, bkfact, decomp, phillips, cli, suite),
     "svd": (densela, decomp, suite),
 }
 
 
-def _record(monkeypatch, name, seen=None):
+def _record(monkeypatch, name, seen=None, keep=lambda *rest, **kw: True):
     """Patch ``name`` wherever it is bound; returns the list its first
-    arguments are appended to (``seen``, or a new one)."""
+    arguments are appended to (``seen``, or a new one) whenever ``keep``
+    holds for the other arguments."""
     seen = [] if seen is None else seen
     original = getattr(densela, name)
 
     def recorded(M, *rest, **kw):
-        seen.append(np.asarray(M))
+        if keep(*rest, **kw):
+            seen.append(np.asarray(M))
         return original(M, *rest, **kw)
 
     for mod in _BINDERS[name]:
@@ -91,8 +94,9 @@ def _congruent_pair():
 
 
 def test_each_operator_is_eigendecomposed_once(monkeypatch):
+    # one pass with eigenvectors per operator
     C, B = _congruent_pair()
-    seen = _record(monkeypatch, "herm_eig")
+    seen = _record(monkeypatch, "_eigh", keep=lambda vectors=True: vectors)
     assert hermitian_indices(C) == canonical_form(C).indices
     dec = decompose(C)
     assert validate(C, dec)["passed"]
@@ -192,7 +196,7 @@ def test_cache_keeps_the_selfadjointness_check():
     M[0, 1] = 1e-5
     C = KOperator(H, H, M)
     assert hermitian_indices(C, Tolerance(residual_tol=1e-2)) == (1, 2, 0)
-    assert "jc" in vars(C) and "hermitian_eig" in vars(C)
+    assert "jc" in vars(C) and "hermitian_eigvals" in vars(C)
     assert not is_selfadjoint(C)
     with pytest.raises(NotSelfadjoint):
         hermitian_indices(C, Tolerance())

@@ -39,16 +39,18 @@ def test_canonical_frames_split():
 
 def test_symmetry_is_split_once_per_space(monkeypatch):
     import kreinalg.densela as densela
+    import kreinalg.krein as krein
     H = make_space(J4)
     splits = []
-    herm_eig = densela.herm_eig
+    eigh = densela._eigh
 
     def counted(M, *rest):
         if np.shape(M) == H.J.shape and np.allclose(M, H.J):
             splits.append(M)
-        return herm_eig(M, *rest)
+        return eigh(M, *rest)
 
-    monkeypatch.setattr(densela, "herm_eig", counted)
+    for mod in (densela, krein):
+        monkeypatch.setattr(mod, "_eigh", counted)
     gp = graph_rep(make_subspace(H, col(1.0, 0.0, 0.5, 0.5)), "plus")
     gm = graph_rep(make_subspace(H, col(0.5, 0.5, 1.0, 0.0)), "minus")
     phillips_extend(gp, gm)

@@ -582,6 +582,8 @@ render_shapes = hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=7)
 @example(np.array([_EDGES, _EDGES[::-1]]).T.copy().view(complex))
 @example(np.array([[1.5 - 2j, 0.0], [0.1j, 1e15 + 3j]]))      # no special entry
 @example(np.array([[float("nan"), -1e-300], [-float("inf"), 2e16]]))    # only special
+@example(np.array([[5e-324, 9.999999999999999e-05, 1e16, 1.7976931348623157e308],
+                   [-5e-324, -9.999999999999999e-05, -1e16, -1.7976931348623157e308]]))
 def test_render_rows_is_json_text(block):
     assert serial._render_rows(block) == reference_rows(block)
 
