@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .densela import Tolerance, count_above_cut, rank, spectral_norm, svd
+from .densela import Tolerance, count_above_cut, norm_within, rank, spectral_norm, svd
 from .errors import DimensionMismatch, NotDirect
 from .hermdex import hermitian_indices
 from .krein import (KOperator, Subspace, SubspaceClass, c_orthogonal,
@@ -92,14 +92,10 @@ def validate(C: KOperator, dec: Decomposition, tol: Tolerance = Tolerance()) -> 
 
     cls_plus = classify_subspace(C, mp, tol)
     cls_minus = classify_subspace(C, mm, tol)
-    kernel_residual = spectral_norm(C.matrix @ mz.basis)
-    # norm_within's comparison: the residual is printed, so exact; ||C||_2
-    # is not, so its bounds decide unless the residual falls between them
-    lo, hi = (tol.residual_tol * max(1.0, s) for s in C.norm_bounds)
+    R = C.matrix @ mz.basis
+    kernel_residual = spectral_norm(R)
     kernel_ok = (mz.dim == idx.h_zero
-                 and (kernel_residual <= lo
-                      or kernel_residual <= hi
-                      and kernel_residual <= tol.residual_tol * max(1.0, C.norm)))
+                 and norm_within(R, tol.residual_tol, C.matrix, floor=1.0))
     sign_ok = ((mp.dim == 0 or cls_plus == SubspaceClass.STRICTLY_POSITIVE)
                and (mm.dim == 0 or cls_minus == SubspaceClass.STRICTLY_NEGATIVE)
                and kernel_ok)

@@ -14,10 +14,10 @@ SVD.  All of them share a single two-knob :class:`Tolerance`:
 Every relative ``rank_tol`` decision is made in one of two places:
 eigenvalues are split into plus/minus/zero bands by :func:`band_split`
 (behind :func:`spectral_split`), and singular values are cut by
-:func:`count_above_cut` (behind :func:`rank`).  The two counts, :func:`rank`
-and :func:`inertia` (every sign count of a Hermitian matrix), decide from a
-values-only spectrum: asked for a ``margin``, either site declines (None)
-when a value lies within 1e-12 of the largest from its cut, and the
+:func:`count_above_cut` (behind :func:`rank`).  The counts, :func:`rank` and
+:meth:`HermSpectrum.counts` (every sign count of a Hermitian matrix), decide
+from a values-only spectrum: asked for a ``margin``, either site declines
+(None) when a value lies within 1e-12 of the largest from its cut, and the
 spectrum with vectors decides, as before.
 
 A yes/no residual check ``||R||_2 <= t * scale(||S||_2)`` whose norm is
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -199,21 +200,10 @@ def _hermitian_part(A: np.ndarray, AH: np.ndarray | None = None) -> np.ndarray:
 
 def _hermitian_input(A: np.ndarray) -> np.ndarray:
     """What :func:`_require_hermitian` hands LAPACK for ``_hermitian_part(A)``,
-    bit for bit, without its check: the Hermitian part taken twice.  The
-    first pass leaves exact conjugate pairs and a real diagonal, so the
-    second doubles and halves each part exactly and returns the same bits,
-    except where an off-diagonal part is zero (the complex halving can flip
-    its sign, and LAPACK's output depends on it) or a part reaches 2**1023
-    (its doubling overflows, and the pass halves first).  Only then is the
-    second pass formed."""
-    H = _hermitian_part(A)
-    v = H.ravel().view(float)
-    zeros = v.size - np.count_nonzero(v)
-    # every diagonal imaginary part is +0, and a second pass keeps the diagonal
-    diagonal_zeros = 2 * H.shape[0] - np.count_nonzero(H.diagonal().real)
-    if zeros == diagonal_zeros and (not v.size or max(v.max(), -v.min()) < 2.0 ** 1023):
-        return H
-    return _hermitian_part(H)
+    bit for bit, without its check: the Hermitian part taken twice.  A second
+    pass is not the identity on signed zeros, and LAPACK's output follows
+    them, so it is formed even where it returns the first pass's bits."""
+    return _hermitian_part(_hermitian_part(A))
 
 
 def _hermitian_within(A: np.ndarray, t: float, S, floor: float = 0.0,
@@ -249,9 +239,9 @@ def _require_hermitian(A: np.ndarray, tol: Tolerance) -> np.ndarray:
 def _eigh(A: np.ndarray, vectors: bool = True) -> HermEig:
     """LAPACK's eigendecomposition of an exactly Hermitian matrix, or its
     eigenvalues alone without ``vectors``: the one kernel behind every
-    Hermitian spectrum.  Only finiteness is checked; callers hand it a
-    matrix checked by :func:`_require_hermitian` or made by
-    :func:`_hermitian_input`.  ``NoConvergence`` when the driver gives up."""
+    Hermitian spectrum.  Only finiteness is checked; its callers,
+    :func:`herm_eig` and :class:`HermSpectrum`, hand it exactly Hermitian
+    matrices.  ``NoConvergence`` when the driver gives up."""
     A = _as_matrix(A)
     try:
         w, V = np.linalg.eigh(A) if vectors else (np.linalg.eigvalsh(A), None)
@@ -302,25 +292,50 @@ def band_split(eig: HermEig, tol: Tolerance = Tolerance(),
 def inertia(M, tol: Tolerance = Tolerance(),
             scale: float | None = None) -> tuple[int, int, int]:
     """Counts (n_plus, n_minus, n_zero) of the bands of :func:`spectral_split`,
-    cut from the eigenvalues alone unless one lies within the slack of the band."""
-    return _inertia(_require_hermitian(_as_matrix(M), tol), tol, scale)
+    by the rule of :meth:`HermSpectrum.counts`."""
+    H = _require_hermitian(_as_matrix(M), tol)
+    return HermSpectrum(lambda: H).counts(tol, scale)
 
 
-def _inertia(H: np.ndarray, tol: Tolerance, scale=None,
-             bounds: tuple[float, float] | None = None) -> tuple[int, int, int]:
-    """:func:`inertia` of an exactly Hermitian ``H``, unchecked.  ``scale``
-    is None, a float, or a function that returns one.  With ``bounds``
-    (lo, hi) on the scale, eigenvalues that clear the slack at both bounds
-    with equal counts decide without it: the band and the slack grow with
-    the scale, so a value clear at both is clear at every scale between."""
-    eig = _eigh(H, False)
-    if bounds is not None:
-        lo, hi = (band_split(eig, tol, s, margin=True) for s in bounds)
-        if lo and hi and lo.counts == hi.counts:
-            return lo.counts
-    scale = scale() if callable(scale) else scale
-    split = band_split(eig, tol, scale, margin=True)
-    return (split or band_split(_eigh(H), tol, scale)).counts
+class HermSpectrum:
+    """The two LAPACK passes over one exactly Hermitian matrix: ``values``,
+    the eigenvalues alone, and ``eig``, the eigendecomposition.  ``form``
+    returns the matrix and is called once per pass, so a cached spectrum
+    need not keep it; each pass is taken at most once and is read-only."""
+
+    def __init__(self, form):
+        self._form = form
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        w = _eigh(self._form(), False).eigenvalues
+        w.flags.writeable = False
+        return w
+
+    @cached_property
+    def eig(self) -> HermEig:
+        eig = _eigh(self._form())
+        eig.eigenvalues.flags.writeable = False
+        eig.eigenvectors.flags.writeable = False
+        return eig
+
+    def counts(self, tol: Tolerance, scale=None,
+               bounds: tuple[float, float] | None = None) -> tuple[int, int, int]:
+        """The counts of :func:`band_split`: from ``eig`` once it is taken,
+        else from ``values`` unless one lies within the slack of the band,
+        else from ``eig``.  ``scale`` is None, a float, or a function that
+        returns one.  With ``bounds`` (lo, hi) on the scale, values that
+        clear the slack at both bounds with equal counts decide without it:
+        the band and the slack grow with the scale, so a value clear at both
+        is clear at every scale between."""
+        values = None if "eig" in vars(self) else HermEig(self.values, None)
+        if values and bounds:
+            lo, hi = (band_split(values, tol, s, margin=True) for s in bounds)
+            if lo and hi and lo.counts == hi.counts:
+                return lo.counts
+        scale = scale() if callable(scale) else scale
+        split = values and band_split(values, tol, scale, margin=True)
+        return (split or band_split(self.eig, tol, scale)).counts
 
 
 def psd_sqrt(M, tol: Tolerance = Tolerance(), scale: float | None = None) -> np.ndarray:

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .densela import (HermEig, SpectralSplit, Tolerance, _eigh, _hermitian_input,
-                      _hermitian_within, _inertia, _two_norm_bounds, band_split,
-                      norm_within, range_basis, spectral_norm)
+from .densela import (HermEig, HermSpectrum, SpectralSplit, Tolerance, _hermitian_input,
+                      _hermitian_within, _two_norm_bounds, band_split, norm_within,
+                      range_basis, spectral_norm)
 from .errors import DimensionMismatch, InputError, NotSelfadjoint, NotSymmetry
 
 __all__ = [
@@ -55,26 +55,20 @@ class KreinSpace:
     J: np.ndarray
 
     @cached_property
+    def spectrum(self) -> HermSpectrum:
+        """The spectrum of J's Hermitian part, each pass taken once per space."""
+        return HermSpectrum(partial(_hermitian_input, self.J))
+
+    @cached_property
     def signature(self) -> SpectralSplit:
         """The fundamental decomposition: the split of J's Hermitian part into
-        its +1 and -1 eigenspaces, taken once per space; a zero band raises
-        ``NotSymmetry``.  No tolerance enters: a symmetry `make_space` accepts
-        has every eigenvalue near +1 or -1, far outside any valid band."""
-        split = band_split(_eigh(_hermitian_input(self.J)))
+        its +1 and -1 eigenspaces; a zero band raises ``NotSymmetry``.  No
+        tolerance enters: a symmetry `make_space` accepts has every
+        eigenvalue near +1 or -1, far outside any valid band."""
+        split = band_split(self.spectrum.eig)
         if split.counts[2]:
             raise NotSymmetry("fundamental symmetry has a numerically zero eigenvalue")
         return split
-
-    @cached_property
-    def _indices(self) -> tuple[int, int]:
-        """The signature's (n_plus, n_minus), once per space: read from
-        ``signature`` when it is cached, else counted by `inertia`; a zero
-        count defers to ``signature``, which raises ``NotSymmetry``."""
-        if "signature" not in vars(self):
-            p, q, z = _inertia(_hermitian_input(self.J), Tolerance())
-            if not z:
-                return p, q
-        return self.signature.counts[:2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +94,7 @@ class KOperator:
     @cached_property
     def jc(self) -> np.ndarray:
         """J C, C's Hilbert-space representative, formed once per operator
-        and read-only: `hermitian_eig`, `is_selfadjoint` and the C-Gram
+        and read-only: `spectrum`, `is_selfadjoint` and the C-Gram
         matrices all read it.  Raises ``DimensionMismatch`` unless C acts
         on a single space."""
         _require_endomorphism(self)
@@ -109,41 +103,16 @@ class KOperator:
         return JC
 
     @cached_property
-    def hermitian_eig(self) -> HermEig:
-        """Eigendecomposition of the Hermitian part of J C, taken once per
-        operator; every band cut of `selfadjoint_split` reads it.  No
-        tolerance enters: the Hermitian part is exactly Hermitian, and
-        whether C is selfadjoint is decided by the caller.  Its arrays are
-        read-only: every engine shares them."""
-        eig = _eigh(_hermitian_input(self.jc))
-        eig.eigenvalues.flags.writeable = False
-        eig.eigenvectors.flags.writeable = False
-        return eig
-
-    @cached_property
-    def hermitian_eigvals(self) -> HermEig:
-        """The eigenvalues alone of the Hermitian part of J C (eigenvectors
-        None), taken once per operator for `selfadjoint_counts` while
-        `hermitian_eig` is not cached; read-only like it."""
-        eig = _eigh(_hermitian_input(self.jc), vectors=False)
-        eig.eigenvalues.flags.writeable = False
-        return eig
+    def spectrum(self) -> HermSpectrum:
+        """The spectrum of the Hermitian part of J C, shared by every engine;
+        every band cut of `selfadjoint_split` and `selfadjoint_counts` reads
+        it.  No tolerance enters: whether C is selfadjoint is the caller's."""
+        return HermSpectrum(partial(_hermitian_input, self.jc))
 
     @cached_property
     def norm(self) -> float:
         """The spectral norm of the matrix, taken once per operator."""
         return spectral_norm(self.matrix)
-
-    @cached_property
-    def norm_bounds(self) -> tuple[float, float]:
-        """(lo, hi) with lo <= `norm` <= hi, for verdicts that print no norm:
-        the Frobenius bounds of `densela.norm_within` while `norm` is not
-        cached, else, or when those cannot bound it, `norm` twice."""
-        if "norm" not in vars(self):
-            bounds = _two_norm_bounds(self.matrix)
-            if bounds is not None:
-                return bounds
-        return self.norm, self.norm
 
     @cached_property
     def _selfadjoint(self) -> dict:
@@ -190,24 +159,31 @@ def make_space(J, tol: Tolerance = Tolerance()) -> KreinSpace:
     n = J.shape[0]
     if not _hermitian_within(J, tol.residual_tol, J, floor=1.0):
         raise NotSymmetry("candidate symmetry is not Hermitian")
-    if not norm_within(J @ J - np.eye(n), tol.residual_tol, J, floor=1.0, power=2):
+    with np.errstate(over="ignore", invalid="ignore"):
+        D = J @ J - np.eye(n)
+    # a Hermitian J whose square overflows has ||J||_2 >= 1e154, so J^2 - I is
+    # far beyond any bound the check allows: refusing it is the check's verdict
+    if not (np.isfinite(D).all() and norm_within(D, tol.residual_tol, J, floor=1.0, power=2)):
         raise NotSymmetry("candidate symmetry does not square to the identity")
     return KreinSpace(dim=n, J=J)
 
 
 def hilbert_space(n: int) -> KreinSpace:
-    """The Euclidean space of dimension n (J = I).  Its signature is seeded
+    """The Euclidean space of dimension n (J = I).  Its spectrum is seeded
     with what ``eigh(I)`` returns, every eigenvalue 1 and eigenvectors I,
     so it is never eigendecomposed; J and the eigenvectors are one array."""
     eye = np.eye(n, dtype=complex)
     H = KreinSpace(dim=n, J=eye)
-    vars(H)["signature"] = band_split(HermEig(np.ones(n), eye))
+    vars(H.spectrum)["eig"] = HermEig(np.ones(n), eye)
     return H
 
 
 def space_indices(H: KreinSpace) -> tuple[int, int]:
-    """(ind_plus, ind_minus): dimensions of the +1 and -1 eigenspaces of J."""
-    return H._indices
+    """(ind_plus, ind_minus): dimensions of the +1 and -1 eigenspaces of J,
+    counted from J's spectrum; a zero count defers to ``signature``, which
+    raises ``NotSymmetry``."""
+    p, q, z = H.spectrum.counts(Tolerance())
+    return H.signature.counts[:2] if z else (p, q)
 
 
 def identity_op(H: KreinSpace) -> KOperator:
@@ -257,20 +233,14 @@ def selfadjoint_split(C: KOperator, tol: Tolerance, what: str) -> SpectralSplit:
     the eigendecomposition is C's cached one.  Every engine that reads
     eigenvectors reads its bands from here."""
     _require_selfadjoint(C, tol, what)
-    return band_split(C.hermitian_eig, tol)
+    return band_split(C.spectrum.eig, tol)
 
 
 def selfadjoint_counts(C: KOperator, tol: Tolerance, what: str) -> tuple[int, int, int]:
-    """The counts of :func:`selfadjoint_split`, cut from C's cached
-    eigenvalues alone while its eigendecomposition is not cached.  A value
-    within the slack of the band sends them to the eigendecomposition, the
-    rule of `densela.inertia`."""
-    if "hermitian_eig" not in vars(C):
-        _require_selfadjoint(C, tol, what)
-        split = band_split(C.hermitian_eigvals, tol, margin=True)
-        if split is not None:
-            return split.counts
-    return selfadjoint_split(C, tol, what).counts
+    """The counts of :func:`selfadjoint_split`, by the rule of
+    `densela.HermSpectrum.counts` over C's cached spectrum."""
+    _require_selfadjoint(C, tol, what)
+    return C.spectrum.counts(tol)
 
 
 def make_subspace(H: KreinSpace, vectors, tol: Tolerance = Tolerance()) -> Subspace:
@@ -300,7 +270,7 @@ def classify_subspace(C: KOperator, M: Subspace,
     # band against the ambient operator norm: the Gram of a neutral
     # subspace cancels to round-off, its own norm is no yardstick; its
     # bounds decide unless a value lies near a band some norm between allows
-    p, q, z = _inertia(G, tol, lambda: C.norm, C.norm_bounds)
+    p, q, z = HermSpectrum(lambda: G).counts(tol, lambda: C.norm, _two_norm_bounds(C.matrix))
     if p and q:
         return SubspaceClass.INDEFINITE
     if p:

@@ -412,9 +412,6 @@ def test_exit_code_input_error(capsys, tmp_path):
         "huge_rows": json.dumps({"rows": 10 ** 10, "cols": 0, "data": []}),
         "unindexable_rows": json.dumps({"rows": 2 ** 62, "cols": 0, "data": []}),
         "huge_int_rows": json.dumps({"rows": 10 ** 400, "cols": 0, "data": []}),
-        "overflowing_symmetry": json.dumps(
-            {"operator": matrix_to_obj(np.eye(2)),
-             "space": {"J": matrix_to_obj(np.diag([1e300, -1.0]))}}),
     }
     for name, text in hostile.items():
         path = tmp_path / f"{name}.json"
@@ -425,6 +422,21 @@ def test_exit_code_input_error(capsys, tmp_path):
             assert main(["indices", "-i", str(path)]) == 2, name
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, name
+
+
+@pytest.mark.parametrize("diagonal", [[1e308, 1.0], [1e300, -1.0], [2.0, 1.0]])
+def test_symmetry_whose_square_overflows_does_not_square_to_the_identity(
+        capsys, tmp_path, diagonal):
+    # J^2 overflows for the first two: a Hermitian J whose square overflows
+    # has ||J||_2 >= 1e154, so it is refused as diag(2, 1) is, not as NaN/Inf
+    f = write(tmp_path / "p.json", {"operator": matrix_to_obj(np.eye(2)),
+                                    "space": {"J": matrix_to_obj(np.diag(diagonal))}})
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # a printed warning is a second line
+        assert main(["indices", "-i", f]) == 3
+    assert capsys.readouterr().err == (
+        "error: candidate symmetry does not square to the identity\n")
 
 
 def test_exit_code_precondition(capsys, tmp_path, monkeypatch):

@@ -184,19 +184,6 @@ def test_hermitian_input_is_the_part_taken_twice(entries):
                           densela._hermitian_part(densela._hermitian_part(A.T)).view(np.uint64))
 
 
-def test_hermitian_input_skips_the_second_pass_of_a_dense_matrix(monkeypatch):
-    rng = np.random.default_rng(3)
-    A = random_complex(rng, 6, 6)
-    passes = []
-    part = densela._hermitian_part
-    monkeypatch.setattr(densela, "_hermitian_part", lambda M: passes.append(M) or part(M))
-    densela._hermitian_input(A)
-    assert len(passes) == 1
-    A[0, 1] = A[1, 0] = 1.0             # a real pair: the part's imaginary part is zero
-    densela._hermitian_input(A)
-    assert len(passes) == 3
-
-
 def test_hermitian_part_near_the_largest_double():
     # the sum overflows, the part is formed from the halves
     big = 1.7e308

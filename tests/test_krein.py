@@ -43,7 +43,6 @@ def test_hilbert_space():
 @pytest.mark.parametrize("n", [0, 1, 5, 64])
 def test_hilbert_space_signature_is_seeded(monkeypatch, n):
     import kreinalg.densela as densela
-    import kreinalg.krein as krein
     from kreinalg.phillips import canonical_frames
     # the seed is exactly the split an eigendecomposition of I gives
     split = densela.spectral_split(np.eye(n, dtype=complex))
@@ -54,8 +53,7 @@ def test_hilbert_space_signature_is_seeded(monkeypatch, n):
         calls.append(M)
         return eigh(M, *rest)
 
-    for mod in (densela, krein):
-        monkeypatch.setattr(mod, "_eigh", counted)
+    monkeypatch.setattr(densela, "_eigh", counted)
     assert space_indices(hilbert_space(n)) == (n, 0)
     U_plus, U_minus = canonical_frames(hilbert_space(n))
     assert calls == []
@@ -243,15 +241,13 @@ def _record_eigh(monkeypatch) -> list:
     """Patch the one Hermitian eigen-kernel; returns the list of its calls,
     True for each taken with eigenvectors and False for eigenvalues alone."""
     import kreinalg.densela as densela
-    import kreinalg.krein as krein
     calls, eigh = [], densela._eigh
 
     def counted(A, vectors=True):
         calls.append(vectors)
         return eigh(A, vectors)
 
-    for mod in (densela, krein):
-        monkeypatch.setattr(mod, "_eigh", counted)
+    monkeypatch.setattr(densela, "_eigh", counted)
     return calls
 
 

@@ -1,7 +1,7 @@
 """Each operator forms J C once, is eigendecomposed once and its 2-norm
 taken once.
 
-`KOperator.jc`, `KOperator.hermitian_eig` and `KOperator.norm` are
+`KOperator.jc`, `KOperator.spectrum` and `KOperator.norm` are
 cached; these tests count the products and kernels behind them across
 the engines and check that the caches never carry one call's tolerance
 into another.  Eigendecompositions are counted at `densela._eigh`, the
@@ -9,6 +9,9 @@ one kernel behind every Hermitian spectrum.
 """
 
 import dataclasses
+import gc
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -24,12 +27,12 @@ from kreinalg.genrand import (GenConfig, gen_invertible, gen_selfadjoint,
 from kreinalg.hermdex import (build_congruence, canonical_form,
                               hermitian_indices, transport)
 from kreinalg.krein import (KOperator, hilbert_space, identity_op, is_selfadjoint,
-                            make_space, make_subspace, selfadjoint_split)
+                            make_space, make_subspace, selfadjoint_split, space_indices)
 from kreinalg.phillips import graph_rep
 
 # every module that binds each kernel name, so calls from any of them count
 _BINDERS = {
-    "_eigh": (densela, krein),
+    "_eigh": (densela,),
     "spectral_norm": (densela, krein, bkfact, decomp, phillips, cli, suite),
     "svd": (densela, decomp, suite),
 }
@@ -168,7 +171,7 @@ def test_decomposition_bases_are_read_only_views_of_the_cache():
     C, _ = _congruent_pair()
     dec = decompose(C)
     split = selfadjoint_split(C, Tolerance(), "the test")
-    V = C.hermitian_eig.eigenvectors
+    V = C.spectrum.eig.eigenvectors
     for part, mask in ((dec.M_plus, split.plus), (dec.M_minus, split.minus),
                        (dec.M_zero, split.zero)):
         assert part.dim and np.shares_memory(part.basis, V)
@@ -196,7 +199,7 @@ def test_cache_keeps_the_selfadjointness_check():
     M[0, 1] = 1e-5
     C = KOperator(H, H, M)
     assert hermitian_indices(C, Tolerance(residual_tol=1e-2)) == (1, 2, 0)
-    assert "jc" in vars(C) and "hermitian_eigvals" in vars(C)
+    assert "jc" in vars(C) and "values" in vars(C.spectrum)
     assert not is_selfadjoint(C)
     with pytest.raises(NotSelfadjoint):
         hermitian_indices(C, Tolerance())
@@ -227,3 +230,32 @@ def test_hilbert_space_holds_one_identity(n):
     H = hilbert_space(n)
     assert H.signature.eigenvectors is H.J
     assert n == 0 or np.shares_memory(H.J, H.signature.eigenvectors)
+
+
+def test_a_read_spectrum_is_freed_with_its_owner_and_keeps_no_matrix():
+    # a spectrum reaches the matrix it decomposes through its owner's arrays,
+    # never back to the owner, so reference counting alone frees both; and
+    # it forms the Hermitian matrix per pass without keeping it
+    C = _congruent_pair()[0]
+    H = C.domain
+    assert space_indices(H) == (4, 3) and H.signature.counts == (4, 3, 0)
+    assert hermitian_indices(C) == canonical_form(C).indices
+    refs = [weakref.ref(x) for x in (C, H, C.spectrum, H.spectrum)]
+    gc.disable()
+    try:
+        del C, H
+        assert [r() for r in refs] == [None] * 4
+    finally:
+        gc.enable()
+    n = 256
+    rng = np.random.default_rng(0)
+    E = hilbert_space(n)
+    C = KOperator(E, E, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    C.jc
+    tracemalloc.start()
+    try:
+        C.spectrum.values
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < n * n * np.dtype(complex).itemsize

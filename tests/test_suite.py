@@ -94,6 +94,18 @@ def test_keyth_battery_validates_each_symmetry_once(monkeypatch):
     assert len(read) == 6 and all(a is b for a, b in zip(read, spaces))
 
 
+def test_sylvester_battery_counts_from_its_eigendecompositions(monkeypatch):
+    # every case eigendecomposes both operators, so the congruence verdict
+    # takes no eigenvalues-only pass of its own
+    import kreinalg.densela as densela
+    passes, eigh = [], densela._eigh
+    monkeypatch.setattr(densela, "_eigh",
+                        lambda A, vectors=True: passes.append(vectors) or eigh(A, vectors))
+    report = suite.sylvester_battery(20260822, count=30)
+    assert report["passed"] and report["best_noncongruent_residual"] is not None
+    assert passes.count(True) == 50 and passes.count(False) == 0
+
+
 def test_default_suite_runs_each_battery_at_its_own_size(no_workers_left,
                                                          monkeypatch):
     # stubs that echo the count they receive; run with no count, each must
