@@ -86,9 +86,11 @@ def bk_factorize(C: KOperator, tol: Tolerance = Tolerance()) -> BKFactorization:
     lam = np.concatenate([w[plus], w[minus]])
     A_mat = H.J @ (W * np.sqrt(np.abs(lam)))
 
-    J_A = np.zeros((p + q, p + q), dtype=complex)
-    np.fill_diagonal(J_A, [1.0] * p + [-1.0] * q)
-    A_space = KreinSpace(dim=p + q, J=J_A)
+    # J_A = diag(+1 x p, -1 x q), its spectrum seeded with the bits eigvalsh returns
+    values = np.repeat([-1.0, 1.0], [q, p])
+    values.flags.writeable = False
+    A_space = KreinSpace(dim=p + q, J=np.diag(values[::-1]).astype(complex))
+    vars(A_space.spectrum)["values"] = values
     return BKFactorization(A_space=A_space, A=KOperator(A_space, H, A_mat))
 
 

@@ -95,7 +95,7 @@ def validate(C: KOperator, dec: Decomposition, tol: Tolerance = Tolerance()) -> 
     R = C.matrix @ mz.basis
     kernel_residual = spectral_norm(R)
     kernel_ok = (mz.dim == idx.h_zero
-                 and norm_within(R, tol.residual_tol, C.matrix, floor=1.0))
+                 and norm_within(R, tol.residual_tol, C, floor=1.0))
     sign_ok = ((mp.dim == 0 or cls_plus == SubspaceClass.STRICTLY_POSITIVE)
                and (mm.dim == 0 or cls_minus == SubspaceClass.STRICTLY_NEGATIVE)
                and kernel_ok)
@@ -111,7 +111,7 @@ def validate(C: KOperator, dec: Decomposition, tol: Tolerance = Tolerance()) -> 
 
     dims_ok = (mp.dim, mm.dim, mz.dim) == tuple(idx)
 
-    if k == 0:
+    if k == 0:   # no singular value: the empty sum is direct only in the zero space
         min_sv = 1.0 if H.dim == 0 else 0.0
     else:
         min_sv = float(dec.singular_values[-1]) if k <= H.dim else 0.0
@@ -146,13 +146,10 @@ def projections(C: KOperator, dec: Decomposition,
     B = dec.stacked()
     if B.shape[1] != H.dim or count_above_cut(dec.singular_values, tol) != H.dim:
         raise NotDirect("decomposition parts do not span the space directly")
-    if H.dim == 0:
-        E = np.zeros((0, 0), dtype=complex)
-    else:
-        try:
-            E = np.linalg.inv(B)
-        except np.linalg.LinAlgError as exc:
-            raise NotDirect(str(exc)) from exc
+    try:
+        E = np.linalg.inv(B)
+    except np.linalg.LinAlgError as exc:
+        raise NotDirect(str(exc)) from exc
     p, q = mp.dim, mm.dim
     Q_plus = B[:, :p] @ E[:p]
     Q_minus = B[:, p:p + q] @ E[p:p + q]

@@ -118,7 +118,7 @@ def _as_matrix(M) -> np.ndarray:
     A = np.asarray(M, dtype=complex)
     if A.ndim != 2:
         raise InputError(f"expected a 2-d matrix, got shape {A.shape}")
-    if A.size and not np.isfinite(A).all():
+    if not np.isfinite(A).all():
         raise InputError("matrix contains NaN or Inf entries")
     return A
 
@@ -127,7 +127,7 @@ def spectral_norm(M) -> float:
     """Largest singular value; 0.0 for matrices with an empty axis.  The
     values-only SVD ``np.linalg.norm(A, 2)`` takes, without its wrapper."""
     A = _as_matrix(M)
-    if min(A.shape) == 0:
+    if min(A.shape) == 0:   # no value to read, so no SVD is taken for it
         return 0.0
     return float(_svd(A, compute_uv=False)[0])
 
@@ -159,15 +159,16 @@ def _threshold(t: float, floor: float, scale: float, power: int) -> float:
 def norm_within(R, t: float, S=None, floor: float = 0.0, power: int = 1) -> bool:
     """Decide ``||R||_2 <= t * max(floor, ||S||_2) ** power``.
 
-    ``S`` is a matrix, a tuple of matrices whose 2-norms multiply, or
-    None, which stands for a scale of 1.  Frobenius bounds settle the
-    question whenever they clear the threshold; otherwise, and for any
-    non-finite or under/overflowing Frobenius value, the exact 2-norms
-    are compared, so NaN/Inf entries raise ``InputError`` from
-    ``spectral_norm``.
+    ``S`` is a matrix, an operator (its ``matrix``, whose exact 2-norm is its
+    cached ``norm``), a tuple of these whose 2-norms multiply, or None, for
+    a scale of 1.  Frobenius bounds settle the question whenever they clear
+    the threshold; otherwise, and for any non-finite or under/overflowing
+    Frobenius value, the exact 2-norms are compared, so NaN/Inf entries
+    raise ``InputError`` from ``spectral_norm``.
     """
     factors = () if S is None else S if isinstance(S, tuple) else (S,)
-    mats = [np.asarray(A, dtype=complex) for A in (R,) + factors]
+    ops = (R,) + factors
+    mats = [np.asarray(getattr(A, "matrix", A), dtype=complex) for A in ops]
     bounds = [_two_norm_bounds(A) for A in mats]
     if None not in bounds:
         r_lo, r_hi = bounds[0]
@@ -177,7 +178,7 @@ def norm_within(R, t: float, S=None, floor: float = 0.0, power: int = 1) -> bool
             return True
         if r_lo > _threshold(t, floor, s_hi, power):
             return False
-    norms = [spectral_norm(A) for A in mats]
+    norms = [A.norm if hasattr(A, "norm") else spectral_norm(M) for A, M in zip(ops, mats)]
     return norms[0] <= _threshold(t, floor, math.prod(norms[1:]), power)
 
 
@@ -250,14 +251,13 @@ def _eigh(A: np.ndarray, vectors: bool = True) -> HermEig:
     return HermEig(eigenvalues=w, eigenvectors=V)
 
 
-def herm_eig(M, tol: Tolerance = Tolerance(), vectors: bool = True) -> HermEig:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending;
-    without ``vectors``, the eigenvalues alone and ``eigenvectors`` None.
+def herm_eig(M, tol: Tolerance = Tolerance()) -> HermEig:
+    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
     Raises ``NotHermitian`` when the symmetry check fails and
     ``NoConvergence`` when the LAPACK driver gives up.
     """
-    return _eigh(_require_hermitian(_as_matrix(M), tol), vectors)
+    return _eigh(_require_hermitian(_as_matrix(M), tol))
 
 
 def spectral_split(M, tol: Tolerance = Tolerance(),
@@ -279,7 +279,7 @@ def band_split(eig: HermEig, tol: Tolerance = Tolerance(),
     """The sign bands of :func:`spectral_split` over a known eigendecomposition;
     with ``margin``, None when some |eigenvalue| lies within the slack of the band."""
     w = eig.eigenvalues
-    top = max(float(np.abs(w).max()) if w.size else 0.0, scale or 0.0)
+    top = max(float(np.abs(w).max(initial=0.0)), scale or 0.0)
     band = tol.rank_tol * top
     if margin and (np.abs(np.abs(w) - band) <= _SLACK * top).any():
         return None
@@ -359,6 +359,7 @@ def count_above_cut(s: np.ndarray, tol: Tolerance, margin: bool = False) -> int 
     """The rank cut: how many of the nonincreasing singular values ``s``
     exceed ``rank_tol`` times the largest; with ``margin``, None when some
     value lies within the slack of the cut."""
+    # the guards on s.size keep s[0] from an empty spectrum
     if margin and s.size and np.any(np.abs(s - tol.rank_tol * s[0]) <= _SLACK * s[0]):
         return None
     return int(np.count_nonzero(s > tol.rank_tol * s[0])) if s.size else 0
@@ -403,8 +404,6 @@ def pinv(M, tol: Tolerance = Tolerance()) -> np.ndarray:
     A = _as_matrix(M)
     U, s, Vh = _svd(A, True)
     r = count_above_cut(s, tol)
-    if r == 0:
-        return np.zeros((A.shape[1], A.shape[0]), dtype=complex)
     inv = 1.0 / s[:r]
     return (Vh[:r].conj().T * inv) @ U[:, :r].conj().T
 
@@ -426,6 +425,7 @@ def conditioned_svd(M, tol: Tolerance, cond_cap: float) -> np.ndarray:
     it by the slack, else the thin SVD with vectors decides and words it."""
     A = _as_matrix(M)
     s = _svd(A, compute_uv=False)
+    # the guards on s.size keep s[0] and s[-1] from an empty spectrum
     if s.size and (count_above_cut(s, tol, margin=True) != s.size
                    or s[-1] - s[0] / cond_cap <= _SLACK * s[0]):
         s = _svd(A)[1]

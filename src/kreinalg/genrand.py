@@ -80,8 +80,6 @@ def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarr
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-distributed unitary via QR with the R-diagonal phase fix."""
-    if n == 0:
-        return np.zeros((0, 0), dtype=complex)
     Q, R = np.linalg.qr(complex_gaussian(rng, n, n))
     d = np.diagonal(R).copy()
     d[d == 0] = 1.0
@@ -101,7 +99,7 @@ def j_unitary(rng: np.random.Generator, J: np.ndarray, clamp: float = 2.0) -> np
     1.9e-15 ||U||_2^2, or 2.4e-14 at the default clamp.
     """
     n = J.shape[0]
-    if n == 0:
+    if n == 0:   # np.linalg.norm(S, 2) of a 0 x 0 S is unchecked on older numpy
         return np.zeros((0, 0), dtype=complex)
     Z = complex_gaussian(rng, n, n)
     K = 0.5 * (Z - Z.conj().T)
@@ -184,9 +182,6 @@ def gen_invertible(cfg: GenConfig, H: KreinSpace, K: KreinSpace) -> Congruence:
             f"invertible maps need equal dimensions, got {H.dim} and {K.dim}")
     rng = _stream(cfg.seed, _KIND_INVERTIBLE)
     n = H.dim
-    if n == 0:
-        empty = np.zeros((0, 0), dtype=complex)
-        return Congruence(KOperator(H, K, empty), KOperator(K, H, empty))
     U, _, Vh = np.linalg.svd(complex_gaussian(rng, n, n))
     root = np.sqrt(_COND_CAP)
     s = np.sort(rng.uniform(1.0 / root, root, n))[::-1]
@@ -206,8 +201,6 @@ def gen_injective_factor(cfg: GenConfig, A_space: KreinSpace, H: KreinSpace) -> 
             f"factor space dimension {A_space.dim} exceeds target dimension {H.dim}")
     rng = _stream(cfg.seed, _KIND_FACTOR)
     n, r = H.dim, A_space.dim
-    if r == 0:
-        return KOperator(A_space, H, np.zeros((n, 0), dtype=complex))
     U, _, Vh = np.linalg.svd(complex_gaussian(rng, n, r), full_matrices=False)
     s = np.sort(rng.uniform(1.0 / _COND_CAP, 1.5, r))[::-1]
     A = (U * s) @ Vh

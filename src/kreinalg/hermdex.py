@@ -141,7 +141,7 @@ def build_congruence(A: KOperator, B: KOperator,
         raise NotCongruent(f"index triples differ: {tuple(ia)} vs {tuple(ib)}")
     k = ia[0] + ia[1]
     r = sa[:k] / sb[:k]
-    t = np.clip(1.0, r.min(), r.max()) if k else 1.0
+    t = np.clip(1.0, r.min(), r.max()) if k else 1.0   # r.min() of no ratio raises
     Xa[k:] *= t
     Xa_inv[:, k:] /= t
     return Congruence(KOperator(A.domain, B.domain, Xb_inv @ Xa),

@@ -154,7 +154,7 @@ def make_space(J, tol: Tolerance = Tolerance()) -> KreinSpace:
     J = np.asarray(J, dtype=complex)
     if J.ndim != 2 or J.shape[0] != J.shape[1]:
         raise NotSymmetry(f"fundamental symmetry must be square, got {J.shape}")
-    if J.size and not np.isfinite(J).all():
+    if not np.isfinite(J).all():
         raise InputError("fundamental symmetry contains NaN or Inf entries")
     n = J.shape[0]
     if not _hermitian_within(J, tol.residual_tol, J, floor=1.0):
@@ -285,4 +285,4 @@ def c_orthogonal(C: KOperator, M: Subspace, N: Subspace,
     """True iff <m, n>_C vanishes for all m in M, n in N, within tolerance."""
     if M.space.dim != C.domain.dim or N.space.dim != C.domain.dim:
         raise DimensionMismatch("subspaces do not live in the operator's space")
-    return norm_within(_gram(C, M, N), tol.residual_tol, C.matrix)
+    return norm_within(_gram(C, M, N), tol.residual_tol, C)

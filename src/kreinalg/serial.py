@@ -104,7 +104,7 @@ def matrix_from_obj(obj, what: str = "matrix") -> np.ndarray:
                 out[k] = complex(pair[0], pair[1])
             except OverflowError:
                 raise InputError(f"{what}: entry {k} does not fit in a double") from None
-    if rows * cols and not np.isfinite(out).all():
+    if not np.isfinite(out).all():
         raise InputError(f"{what}: entries must be finite")
     try:
         return out.reshape(rows, cols)
@@ -261,6 +261,7 @@ def _pieces(obj):
     elif isinstance(obj, np.ndarray):
         rows, cols = obj.shape[0], obj.shape[1]
         yield f'{{"cols":{cols},"data":['
+        # with no columns the blocks are empty text: rows x 0 data is [], not [,,,]
         for r in range(0, rows if cols else 0, _BLOCK_ROWS):
             if r:
                 yield ","

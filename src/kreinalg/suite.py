@@ -305,16 +305,12 @@ def phillips_battery(seed: int, count: int = 300, dim_max: int = 8,
 
 def _random_contraction(rng: np.random.Generator, rows: int, cols: int,
                         cap: float) -> np.ndarray:
-    if rows == 0 or cols == 0:
-        return np.zeros((rows, cols), dtype=complex)
     U, _, Vh = np.linalg.svd(complex_gaussian(rng, rows, cols), full_matrices=False)
     s = rng.uniform(0.0, cap, min(rows, cols))
     return (U * s) @ Vh
 
 
 def _contained(small, big, tol: Tolerance) -> bool:
-    if small.dim == 0:
-        return True
     proj = big.basis @ (big.basis.conj().T @ small.basis)
     return norm_within(proj - small.basis, tol.residual_tol)
 

@@ -187,6 +187,38 @@ def test_kernel_counts_come_from_the_split_and_the_rank_cut(monkeypatch):
     assert calls == ["eig"]
 
 
+def test_factor_space_is_seeded_with_the_values_eigvalsh_returns():
+    import kreinalg.densela as densela
+    for p in range(9):
+        for q in range(9):
+            F = bk_factorize(op(hilbert_space(p + q + 1),
+                                np.diag([2.0] * p + [-3.0] * q + [0.0])))
+            J_A = np.zeros((p + q, p + q), dtype=complex)
+            np.fill_diagonal(J_A, [1.0] * p + [-1.0] * q)
+            assert F.A_space.J.dtype == complex and F.A_space.J.tobytes() == J_A.tobytes()
+            seeded = vars(F.A_space.spectrum)["values"]
+            taken = densela._eigh(densela._hermitian_input(J_A), False).eigenvalues
+            assert seeded.dtype == taken.dtype and seeded.shape == taken.shape
+            assert seeded.tobytes() == taken.tobytes() and not seeded.flags.writeable
+            assert space_indices(F.A_space) == (p, q)
+
+
+def test_factorize_takes_only_the_eigendecomposition_of_jc(monkeypatch, capsys):
+    # the factor space's indices read its seeded values, so no values-only
+    # pass follows the one eigendecomposition of J C
+    import os
+    import kreinalg.densela as densela
+    from kreinalg.cli import main
+    eigh, calls = densela._eigh, []
+    monkeypatch.setattr(densela, "_eigh", lambda A, vectors=True:
+                        calls.append((A.shape[0], vectors)) or eigh(A, vectors))
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+    assert main(["factorize", "-i", os.path.join(golden, "problem8.json"), "--machine"]) == 0
+    with open(os.path.join(golden, "factorize.out")) as fh:
+        assert capsys.readouterr().out == fh.read()
+    assert calls == [(8, True)]
+
+
 def test_signature_factorization_validates():
     E = hilbert_space(2)
     with pytest.raises(NotSymmetry):

@@ -245,6 +245,15 @@ def test_pinv_moore_penrose():
     assert np.allclose((P @ A).conj().T, P @ A, atol=1e-10)
 
 
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3), (1, 1), (0, 3), (3, 0), (0, 0)])
+def test_pinv_of_zero_and_empty_matrices_is_zeros(shape):
+    # rank 0: the product over no singular value has the bits of +0 zeros
+    P = pinv(np.zeros(shape))
+    want = np.zeros(shape[::-1], dtype=complex)
+    assert P.shape == want.shape and P.dtype == complex
+    assert P.tobytes() == want.tobytes()
+
+
 def test_svd_reconstructs():
     rng = np.random.default_rng(11)
     A = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))

@@ -176,6 +176,26 @@ def test_gen_injective_factor():
                              gen_space(GenConfig(25, (5, 5))))
 
 
+def test_empty_haar_unitary_takes_no_randomness():
+    # a size-0 draw leaves the stream where it was, so a stream shared with
+    # later draws (the phillips battery's) reads on as if it were not made
+    rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+    U = haar_unitary(rng, 0)
+    assert U.shape == (0, 0) and U.dtype == complex
+    assert rng.random() == twin.random()
+
+
+def test_empty_spaces_get_empty_complex_maps():
+    cfg = GenConfig(17)
+    E = gen_space_with_split(cfg, 0, 0)
+    X = gen_invertible(cfg, E, E)
+    for M in (X.X.matrix, X.X_inv.matrix):
+        assert M.shape == (0, 0) and M.dtype == complex
+    for H, shape in ((E, (0, 0)), (gen_space(GenConfig(18, (5, 5))), (5, 0))):
+        A = gen_injective_factor(cfg, E, H).matrix
+        assert A.shape == shape and A.dtype == complex
+
+
 def test_complex_gaussian_shape():
     rng = np.random.default_rng(2)
     Z = complex_gaussian(rng, 3, 2)

@@ -48,6 +48,12 @@ def test_empty_matrix():
     assert matrix_from_obj(obj).shape == (2, 0)
 
 
+@pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (0, 0)])
+def test_matrix_from_obj_reads_empty_data(rows, cols):
+    M = matrix_from_obj({"rows": rows, "cols": cols, "data": []})
+    assert M.shape == (rows, cols) and M.dtype == complex
+
+
 @pytest.mark.parametrize("obj", [
     {"rows": 2, "cols": 2},                                   # missing data
     {"rows": 2, "cols": 1, "data": [[1, 0]]},                 # wrong length

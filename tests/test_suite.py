@@ -6,12 +6,14 @@ import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
 
 from kreinalg import suite
 from kreinalg.cli import main
 from kreinalg.densela import Tolerance
 from kreinalg.errors import InputError, PreconditionFailed
+from kreinalg.krein import Subspace, hilbert_space
 from kreinalg.suite import (DEFAULT_COUNTS, bk_converse_battery,
                             bk_roundtrip_battery, keyth_battery,
                             run_property_suite)
@@ -211,3 +213,20 @@ def test_a_dead_worker_ends_property_suite_with_one_error_line():
     assert done.returncode == 1
     assert done.stdout == "[]\n"
     assert done.stderr == "error: a worker process died before its task finished\n"
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (0, 0)])
+def test_random_contraction_with_an_empty_side_takes_no_randomness(rows, cols):
+    # the phillips battery draws its next unitaries from the same stream
+    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+    G = suite._random_contraction(rng, rows, cols, 0.95)
+    assert G.shape == (rows, cols) and G.dtype == complex
+    assert rng.random() == twin.random()
+
+
+def test_an_empty_subspace_is_contained_in_any():
+    for n in (0, 3):
+        H = hilbert_space(n)
+        empty = Subspace(H, np.zeros((n, 0), dtype=complex))
+        for big in (empty, Subspace(H, np.eye(n, dtype=complex))):
+            assert suite._contained(empty, big, Tolerance())
