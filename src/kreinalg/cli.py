@@ -67,10 +67,11 @@ def _operand_space(flag: KreinSpace | None, J, n: int, tol: Tolerance) -> KreinS
 
 
 def _read_operand(path) -> tuple:
-    """(J or None, square operator matrix, file tolerance or None)."""
+    """(J or None, square operator matrix, the file's tolerance object or None)."""
     def convert(obj):
         if isinstance(obj, dict) and "operator" in obj:
-            return problem_from_obj(obj)
+            J, M, tol = problem_from_obj(obj)
+            return J, M, None if obj.get("tolerance") is None else tol
         if isinstance(obj, dict) and "rows" in obj:
             # a matrix file is a problem file's operator alone: no J, no tolerance
             return None, _square_from_obj(obj, "operator"), None
@@ -81,8 +82,8 @@ def _read_operand(path) -> tuple:
 
 def _load_operators(args, *paths) -> tuple[list[KOperator], Tolerance]:
     """Operators from problem or matrix files.  The tolerance (flags, then
-    the first problem file, then the default) is settled before any space
-    is validated, so every space is checked under it."""
+    the first file with a tolerance object, then the default) is settled
+    before any space is validated, so every space is checked under it."""
     parsed = [_read_operand(path) for path in paths]
     tol = _merge_tolerance(args, next(
         (file_tol for _, _, file_tol in parsed if file_tol is not None), None))

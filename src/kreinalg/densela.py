@@ -27,7 +27,8 @@ from the Frobenius sandwich ``||X||_F / sqrt(min(m, n)) <= ||X||_2 <= ||X||_F``
 by a relative slack of 1e-12, far above the rounding error of either
 norm, so a cheap verdict is never within rounding of the threshold and
 always agrees with the exact one; only when the widened bounds straddle
-the threshold are the SVD-based 2-norms computed.  Norms that are
+the threshold are the SVD-based 2-norms computed.  A scale is a matrix or
+an operator, whose exact 2-norm is its cached ``norm``.  Norms that are
 reported, or that set a band or a level, are exact and decide their own check.
 
 Matrices are plain ``numpy`` complex arrays in row-major layout.  The
@@ -45,7 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (IllConditioned, InputError, NoConvergence, NotHermitian,
-                     NotInvertible, NotPSD)
+                     NotInvertible, NotPSD, NumericalError)
 
 __all__ = [
     "Tolerance",
@@ -164,7 +165,8 @@ def norm_within(R, t: float, S=None, floor: float = 0.0, power: int = 1) -> bool
     a scale of 1.  Frobenius bounds settle the question whenever they clear
     the threshold; otherwise, and for any non-finite or under/overflowing
     Frobenius value, the exact 2-norms are compared, so NaN/Inf entries
-    raise ``InputError`` from ``spectral_norm``.
+    raise ``InputError`` from ``spectral_norm``; a scale past the largest
+    double, against which any residual would pass, raises ``NumericalError``.
     """
     factors = () if S is None else S if isinstance(S, tuple) else (S,)
     ops = (R,) + factors
@@ -179,19 +181,19 @@ def norm_within(R, t: float, S=None, floor: float = 0.0, power: int = 1) -> bool
         if r_lo > _threshold(t, floor, s_hi, power):
             return False
     norms = [A.norm if hasattr(A, "norm") else spectral_norm(M) for A, M in zip(ops, mats)]
-    return norms[0] <= _threshold(t, floor, math.prod(norms[1:]), power)
+    if not math.isfinite(scale := math.prod(norms[1:])):
+        raise NumericalError("the scale of a residual check exceeds the largest double")
+    return norms[0] <= _threshold(t, floor, scale, power)
 
 
-def _hermitian_part(A: np.ndarray, AH: np.ndarray | None = None) -> np.ndarray:
-    """(A + A^H) / 2 as a complex array, exactly Hermitian; ``AH`` is A^H
-    when the caller has it.  The sum is halved in place, so a finite sum
-    gives the bits of ``(A + A^H) * 0.5``; only a sum that overflows is
-    formed again as ``A/2 + (A/2)^H``, so the part of a finite matrix is
-    finite up to the largest double."""
+def _hermitian_part(A: np.ndarray) -> np.ndarray:
+    """(A + A^H) / 2 as a complex array, exactly Hermitian.  The sum is
+    halved in place, so a finite sum gives the bits of ``(A + A^H) * 0.5``;
+    only a sum that overflows is formed again as ``A/2 + (A/2)^H``, so the
+    part of a finite matrix is finite up to the largest double."""
     A = np.asarray(A, dtype=complex)
-    AH = A.conj().T if AH is None else AH
     with np.errstate(over="ignore"):
-        H = A + AH
+        H = A + A.conj().T
     if np.isfinite(H).all():
         H *= 0.5
         return H
@@ -207,34 +209,32 @@ def _hermitian_input(A: np.ndarray) -> np.ndarray:
     return _hermitian_part(_hermitian_part(A))
 
 
-def _hermitian_within(A: np.ndarray, t: float, S, floor: float = 0.0,
-                      AH: np.ndarray | None = None) -> bool:
+def _hermitian_within(A: np.ndarray, t: float, S, floor: float = 0.0) -> bool:
     """The deviation test ``||A - A^H||_2 <= t * max(floor, ||S||_2)`` of
-    :func:`norm_within`, safe from overflow: when a finite A - A^H
-    overflows, both sides are halved and A/2 - (A/2)^H is held against
-    ``S/2`` and ``floor/2``, so a finite matrix near the largest double is
-    decided instead of refused as non-finite.  Wherever A - A^H is finite
-    the verdict is :func:`norm_within`'s on it.  ``AH`` is A^H when the
-    caller has it."""
-    AH = A.conj().T if AH is None else AH
+    :func:`norm_within`, ``S`` a matrix or an operator, safe from overflow:
+    when a finite A - A^H overflows, both sides are halved and
+    A/2 - (A/2)^H is held against the halved matrix of ``S`` and
+    ``floor/2``, so a finite matrix near the largest double is decided
+    instead of refused as non-finite.  Wherever A - A^H is finite the
+    verdict is :func:`norm_within`'s on it."""
     try:
         with np.errstate(over="raise", invalid="ignore"):
-            D = A - AH
+            D = A - A.conj().T
     except FloatingPointError:
         half = A * 0.5
-        return norm_within(half - half.conj().T, t, np.asarray(S) * 0.5, floor * 0.5)
+        S_half = np.asarray(getattr(S, "matrix", S)) * 0.5
+        return norm_within(half - half.conj().T, t, S_half, floor * 0.5)
     return norm_within(D, t, S, floor)
 
 
 def _require_hermitian(A: np.ndarray, tol: Tolerance) -> np.ndarray:
     if A.shape[0] != A.shape[1]:
         raise NotHermitian(f"matrix is not square: shape {A.shape}")
-    AH = A.conj().T
-    if not _hermitian_within(A, tol.residual_tol, A, AH=AH):
+    if not _hermitian_within(A, tol.residual_tol, A):
         raise NotHermitian("matrix deviates from its conjugate transpose "
                            "beyond residual tolerance")
     # Work with the Hermitian part so LAPACK sees an exactly symmetric input.
-    return _hermitian_part(A, AH)
+    return _hermitian_part(A)
 
 
 def _eigh(A: np.ndarray, vectors: bool = True) -> HermEig:
@@ -242,12 +242,15 @@ def _eigh(A: np.ndarray, vectors: bool = True) -> HermEig:
     eigenvalues alone without ``vectors``: the one kernel behind every
     Hermitian spectrum.  Only finiteness is checked; its callers,
     :func:`herm_eig` and :class:`HermSpectrum`, hand it exactly Hermitian
-    matrices.  ``NoConvergence`` when the driver gives up."""
+    matrices.  ``NoConvergence`` when the driver gives up, ``NumericalError``
+    when an eigenvalue overflows (a band of ``inf`` swallows the spectrum)."""
     A = _as_matrix(A)
     try:
         w, V = np.linalg.eigh(A) if vectors else (np.linalg.eigvalsh(A), None)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
+    if not np.isfinite(w).all():
+        raise NumericalError("an eigenvalue exceeds the largest double")
     return HermEig(eigenvalues=w, eigenvectors=V)
 
 
@@ -319,21 +322,20 @@ class HermSpectrum:
         eig.eigenvectors.flags.writeable = False
         return eig
 
-    def counts(self, tol: Tolerance, scale=None,
-               bounds: tuple[float, float] | None = None) -> tuple[int, int, int]:
+    def counts(self, tol: Tolerance, scale=None) -> tuple[int, int, int]:
         """The counts of :func:`band_split`: from ``eig`` once it is taken,
         else from ``values`` unless one lies within the slack of the band,
-        else from ``eig``.  ``scale`` is None, a float, or a function that
-        returns one.  With ``bounds`` (lo, hi) on the scale, values that
-        clear the slack at both bounds with equal counts decide without it:
-        the band and the slack grow with the scale, so a value clear at both
-        is clear at every scale between."""
+        else from ``eig``.  ``scale`` is None, a float, or an operator, whose
+        cached ``norm`` decides unless values clear the slack with equal
+        counts at both Frobenius bounds of its matrix: the band and the slack
+        grow with the scale, so a value clear at both is clear at every scale
+        between."""
         values = None if "eig" in vars(self) else HermEig(self.values, None)
-        if values and bounds:
+        if values and hasattr(scale, "matrix") and (bounds := _two_norm_bounds(scale.matrix)):
             lo, hi = (band_split(values, tol, s, margin=True) for s in bounds)
             if lo and hi and lo.counts == hi.counts:
                 return lo.counts
-        scale = scale() if callable(scale) else scale
+        scale = getattr(scale, "norm", scale)
         split = values and band_split(values, tol, scale, margin=True)
         return (split or band_split(self.eig, tol, scale)).counts
 

@@ -20,8 +20,8 @@ import numpy as np
 from .densela import Tolerance, conditioned_svd, norm_within
 from .errors import (DimensionMismatch, NotCongruent, NotInvertible,
                      NotSelfadjoint)
-from .krein import (IndexTriple, KOperator, hilbert_space, is_selfadjoint,
-                    k_adjoint, selfadjoint_counts, selfadjoint_split)
+from .krein import (IndexTriple, KOperator, _require_selfadjoint, hilbert_space,
+                    is_selfadjoint, k_adjoint, selfadjoint_split)
 
 __all__ = [
     "COND_CAP",
@@ -53,10 +53,9 @@ class Congruence:
     tol: Tolerance = Tolerance()
 
     def __post_init__(self):
-        n = self.X.codomain.dim
-        X, X_inv = self.X.matrix, self.X_inv.matrix
-        if not norm_within(X @ X_inv - np.eye(n), self.tol.residual_tol,
-                           (X, X_inv), floor=1.0):
+        X, X_inv = self.X, self.X_inv
+        if not norm_within(X.matrix @ X_inv.matrix - np.eye(X.codomain.dim),
+                           self.tol.residual_tol, (X, X_inv), floor=1.0):
             raise NotInvertible("cached inverse does not invert the map")
 
 
@@ -72,8 +71,9 @@ class CanonicalForm:
 def hermitian_indices(C: KOperator, tol: Tolerance = Tolerance()) -> IndexTriple:
     """(h_plus, h_minus, h_zero) via the inertia of J C, counted from its
     eigenvalues alone unless C's eigendecomposition is cached or a value
-    lies within the slack of the band (`krein.selfadjoint_counts`)."""
-    return IndexTriple(*selfadjoint_counts(C, tol, "the hermitian index triple"))
+    lies within the slack of the band (`densela.HermSpectrum.counts`)."""
+    _require_selfadjoint(C, tol, "the hermitian index triple")
+    return IndexTriple(*C.spectrum.counts(tol))
 
 
 def transport(B: KOperator, X: Congruence, tol: Tolerance = Tolerance()) -> KOperator:

@@ -22,9 +22,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .densela import (HermEig, HermSpectrum, SpectralSplit, Tolerance, _hermitian_input,
-                      _hermitian_within, _two_norm_bounds, band_split, norm_within,
-                      range_basis, spectral_norm)
-from .errors import DimensionMismatch, InputError, NotSelfadjoint, NotSymmetry
+                      _hermitian_within, band_split, norm_within, range_basis,
+                      spectral_norm)
+from .errors import DimensionMismatch, InputError, NotSelfadjoint, NotSymmetry, NumericalError
 
 __all__ = [
     "KreinSpace",
@@ -40,7 +40,6 @@ __all__ = [
     "k_adjoint",
     "is_selfadjoint",
     "selfadjoint_split",
-    "selfadjoint_counts",
     "make_subspace",
     "classify_subspace",
     "c_orthogonal",
@@ -105,8 +104,8 @@ class KOperator:
     @cached_property
     def spectrum(self) -> HermSpectrum:
         """The spectrum of the Hermitian part of J C, shared by every engine;
-        every band cut of `selfadjoint_split` and `selfadjoint_counts` reads
-        it.  No tolerance enters: whether C is selfadjoint is the caller's."""
+        every band cut of `selfadjoint_split` and `hermdex.hermitian_indices`
+        reads it.  No tolerance enters: whether C is selfadjoint is the caller's."""
         return HermSpectrum(partial(_hermitian_input, self.jc))
 
     @cached_property
@@ -157,7 +156,11 @@ def make_space(J, tol: Tolerance = Tolerance()) -> KreinSpace:
     if not np.isfinite(J).all():
         raise InputError("fundamental symmetry contains NaN or Inf entries")
     n = J.shape[0]
-    if not _hermitian_within(J, tol.residual_tol, J, floor=1.0):
+    try:
+        hermitian = _hermitian_within(J, tol.residual_tol, J, floor=1.0)
+    except NumericalError:   # ||J||_2 overflows, where a symmetry's is 1
+        raise NotSymmetry("candidate symmetry's 2-norm exceeds the largest double") from None
+    if not hermitian:
         raise NotSymmetry("candidate symmetry is not Hermitian")
     with np.errstate(over="ignore", invalid="ignore"):
         D = J @ J - np.eye(n)
@@ -215,10 +218,10 @@ def _require_endomorphism(C: KOperator):
 
 def is_selfadjoint(C: KOperator, tol: Tolerance = Tolerance()) -> bool:
     """True iff C = C*, equivalently iff J C is Hermitian within tolerance;
-    decided from C's cached J C once per operator and tolerance."""
+    decided from C's cached J C and ``C.norm`` once per operator and tolerance."""
     verdicts = C._selfadjoint
     if tol not in verdicts:
-        verdicts[tol] = _hermitian_within(C.jc, tol.residual_tol, C.matrix)
+        verdicts[tol] = _hermitian_within(C.jc, tol.residual_tol, C)
     return verdicts[tol]
 
 
@@ -234,13 +237,6 @@ def selfadjoint_split(C: KOperator, tol: Tolerance, what: str) -> SpectralSplit:
     eigenvectors reads its bands from here."""
     _require_selfadjoint(C, tol, what)
     return band_split(C.spectrum.eig, tol)
-
-
-def selfadjoint_counts(C: KOperator, tol: Tolerance, what: str) -> tuple[int, int, int]:
-    """The counts of :func:`selfadjoint_split`, by the rule of
-    `densela.HermSpectrum.counts` over C's cached spectrum."""
-    _require_selfadjoint(C, tol, what)
-    return C.spectrum.counts(tol)
 
 
 def make_subspace(H: KreinSpace, vectors, tol: Tolerance = Tolerance()) -> Subspace:
@@ -268,9 +264,8 @@ def classify_subspace(C: KOperator, M: Subspace,
         raise DimensionMismatch("subspace does not live in the operator's space")
     G = _hermitian_input(_gram(C, M, M))
     # band against the ambient operator norm: the Gram of a neutral
-    # subspace cancels to round-off, its own norm is no yardstick; its
-    # bounds decide unless a value lies near a band some norm between allows
-    p, q, z = HermSpectrum(lambda: G).counts(tol, lambda: C.norm, _two_norm_bounds(C.matrix))
+    # subspace cancels to round-off, its own norm is no yardstick
+    p, q, z = HermSpectrum(lambda: G).counts(tol, C)
     if p and q:
         return SubspaceClass.INDEFINITE
     if p:

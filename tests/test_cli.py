@@ -747,3 +747,50 @@ def test_overflowing_deviation_is_a_precondition_failure(capsys, tmp_path):
                "operator": matrix_to_obj(np.eye(2))})
     assert main(["indices", "-i", p]) == 3
     assert capsys.readouterr().err == "error: candidate symmetry is not Hermitian\n"
+
+
+@pytest.mark.parametrize("J", [
+    [[1e308, 1e308], [1e308, 1e308]],                                 # Hermitian
+    [[0.0, 1.5e308, 1.5e308], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],      # J^2 = 0
+    [[1.0, 1.5e308, 1.5e308], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]],    # J^2 = I
+])
+def test_a_symmetry_whose_norm_overflows_is_a_precondition_failure(capsys, tmp_path, J):
+    # a symmetry has ||J||_2 = 1, and these finite J have a 2-norm beyond the
+    # largest double, against which the Hermitian test decides nothing
+    p = write(tmp_path / "p.json", {"space": {"J": matrix_to_obj(np.array(J))},
+                                    "operator": matrix_to_obj(np.eye(len(J)))})
+    assert main(["indices", "-i", p]) == 3
+    assert capsys.readouterr().err == (
+        "error: candidate symmetry's 2-norm exceeds the largest double\n")
+
+
+@pytest.mark.parametrize("rows", [
+    [[1.0, 1.0, 1.0], [0.5, 1.0, 1.0], [0.5, 0.5, 1.0]],   # ||C - C^H||_2 ~ 8.7e307
+    [[1.0, 1.0], [1.0, 1.0]],                               # triple (1, 0, 1)
+])
+@pytest.mark.parametrize("command", ["indices", "decompose", "factorize"])
+def test_a_scale_that_overflows_is_a_numerical_failure(capsys, tmp_path, rows, command):
+    # ||C||_2 of these finite operators exceeds the largest double: against
+    # t * inf any residual would pass, so no report is given
+    f = write(tmp_path / "c.json", matrix_to_obj(1e308 * np.array(rows)))
+    assert main([command, "-i", f]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+def test_a_problem_file_without_a_tolerance_object_sets_none(capsys, tmp_path):
+    # only b sets a tolerance, the 1e-5 its 1e-6 deviation from selfadjoint
+    # needs; a missing or null object in a must not override it in either order
+    Cb = np.diag([2.0, -1.0]).astype(complex)
+    Cb[0, 1] = 1e-6
+    b = write(tmp_path / "b.json", {"space": {"J": matrix_to_obj(J2)},
+                                    "operator": matrix_to_obj(Cb),
+                                    "tolerance": {"residual_tol": 1e-5}})
+    for tol in ({}, {"tolerance": None}):
+        a = write(tmp_path / "a.json", {"space": {"J": matrix_to_obj(J2)},
+                                        "operator": matrix_to_obj(np.diag([2.0, -1.0])),
+                                        **tol})
+        for pair in ((a, b), (b, a)):
+            code, rep = run_machine(capsys, ["congruent", *pair, "--machine"])
+            assert code == 0 and rep["congruent"]
+        assert main(["congruent", a, b, "--tol-res", "1e-8"]) == 3

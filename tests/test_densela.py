@@ -7,7 +7,8 @@ from kreinalg.densela import (Tolerance, conditioned_svd, herm_eig, inertia,
                               norm_within, null_basis, pinv, psd_sqrt, rank,
                               spectral_norm, spectral_split, svd)
 from kreinalg.errors import (IllConditioned, InputError, NotHermitian,
-                             NotInvertible, NotPSD)
+                             NotInvertible, NotPSD, NumericalError)
+from kreinalg.krein import KOperator, hilbert_space, is_selfadjoint
 
 # sqrt of [[2,1],[1,2]] by hand: eigenpairs (3, (1,1)/sqrt2), (1, (1,-1)/sqrt2)
 SQRT3P1_HALF = 1.3660254037844386
@@ -546,3 +547,24 @@ def test_hermitian_deviation_test_halves_an_overflowing_difference():
     assert densela._hermitian_within(B, 1e-8, B) and herm_eig(B).eigenvalues.size == 2
     with pytest.raises(InputError, match="NaN or Inf"):
         densela._hermitian_within(np.array([[np.inf, 0.0], [1.0, 0.0]]), 1e-8, np.eye(2))
+    # an operator scale is halved as its matrix, never read as its cached
+    # norm: ||C||_2 overflows for the first two, ||C/2||_2 for none
+    H = hilbert_space(3)
+    S = np.array([[1.0, 1.0, 1.0], [-1.0, 1.0, 1.0], [-1.0, -1.0, 1.0]])
+    for k in (1e308, 0.9e308, 6e307):
+        assert not is_selfadjoint(KOperator(H, H, k * S))
+
+
+def test_a_scale_or_spectrum_beyond_the_largest_double_raises():
+    # finite entries whose 2-norm and top eigenvalue overflow: against t * inf
+    # every residual passes, and a band of inf swallows every eigenvalue
+    A = np.full((2, 2), 1e308, dtype=complex)
+    with pytest.raises(NumericalError, match="largest double"):
+        norm_within(np.zeros((2, 2)), 1e-8, A)
+    with pytest.raises(NumericalError, match="largest double"):
+        norm_within(np.eye(2), 1e-8, (np.eye(2), A))
+    for vectors in (True, False):
+        with pytest.raises(NumericalError, match="largest double"):
+            densela._eigh(A, vectors)
+    # a residual of inf is a verdict, not a failure
+    assert not norm_within(A, 1e-8, np.eye(2))

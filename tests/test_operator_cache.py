@@ -158,6 +158,21 @@ def test_operator_norm_is_taken_once(monkeypatch):
     assert _count_equal(seen, C.matrix) == 1
 
 
+@pytest.mark.parametrize("eps", [0.8e-8, 0.9e-8, 0.98e-8])
+def test_operator_norm_is_taken_once_when_the_selfadjointness_test_straddles(
+        monkeypatch, eps):
+    # ||J C - (J C)^H||_2 = 4 eps against 1e-8 ||C||_2 = 4e-8: the Frobenius
+    # bounds of both sides straddle the threshold, so the exact test decides
+    # from the cached norm bk_verify reads too
+    M = np.diag([0.0, 4.0, 4.0, -4.0]).astype(complex)
+    M[0, 1] = 4 * eps
+    H = hilbert_space(4)
+    C = KOperator(H, H, M)
+    seen = _record(monkeypatch, "spectral_norm")
+    assert bk_verify(C, bk_factorize(C))["passed"]
+    assert _count_equal(seen, M) == 1
+
+
 def test_stacked_basis_is_decomposed_once(monkeypatch):
     C, _ = _congruent_pair()
     dec = decompose(C)
