@@ -11,8 +11,9 @@ and writes its own ``--out`` files; :func:`main` adds the schema version
 and command name and emits the report once: one JSON document under
 ``--machine``, else the lines.
 
-Exit codes: 0 success, 1 property violation or numerical failure,
-2 input or validation error, 3 mathematical precondition failure.
+Exit codes: 0 success, 1 property violation, numerical failure or
+exhausted memory, 2 input or validation error, 3 mathematical
+precondition failure.
 """
 
 from __future__ import annotations
@@ -326,6 +327,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return (2 if isinstance(exc, InputError)
                 else 3 if isinstance(exc, PreconditionError) else 1)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 def main_entry() -> None:

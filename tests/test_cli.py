@@ -455,6 +455,43 @@ def test_exit_code_precondition(capsys, tmp_path, monkeypatch):
     assert capsys.readouterr().err == "error: completion left the unit ball\n"
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("name", ["read_json", "hermitian_indices"])
+def test_out_of_memory_is_one_line(capsys, monkeypatch, c2_file, name):
+    # the reader and an engine alike: exit 1, one line, no traceback
+    monkeypatch.setattr(cli, name, _out_of_memory)
+    assert main(["indices", "-i", c2_file, "--machine"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
+
+
+def test_out_of_memory_under_an_address_space_cap(tmp_path):
+    # a 256 MB address-space cap on the child alone; each "[]" of the 12 MB
+    # document is a list of its own, so json's tree needs over 300 MB; the
+    # backslash gives the document to json, whose allocation failure is a
+    # MemoryError (orjson's is a crash, README, Exit codes)
+    import resource
+    cap = 256 * 2 ** 20
+    path = tmp_path / "big.json"
+    path.write_text('{"note": "\\\\", "data": [' + "[]," * 4_000_000 + "[]]}")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    # one BLAS thread, so the import's own reservations stay far below the cap
+    env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-m", "kreinalg", "indices", "-i", str(path)],
+                          capture_output=True, text=True, timeout=120, env=env,
+                          preexec_fn=limit)
+    assert done.returncode == 1, done.stderr
+    assert done.stderr == "error: out of memory\n"
+
+
 def test_tolerance_flag_applies(capsys, tmp_path):
     # 1e-6 perturbation of a kernel direction: strict tolerance sees rank,
     # loose tolerance folds it into the kernel
