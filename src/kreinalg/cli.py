@@ -6,10 +6,10 @@ matrices come from JSON files, each read once by ``serial.read_json``
 (orjson, or json wherever the two could differ).  One table,
 ``_COMMANDS``, declares each subcommand once (name, help, ``cmd_*`` and
 its own arguments) and :func:`build_parser` turns its rows into
-subparsers.  Each ``cmd_*`` returns ``(report, text_lines, exit_code)``
-and writes its own ``--out`` files; :func:`main` adds the schema version
-and command name and emits the report once: one JSON document under
-``--machine``, else the lines.
+subparsers, once per process.  Each ``cmd_*`` returns
+``(report, text_lines, exit_code)`` and writes its own ``--out`` files;
+:func:`main` adds the schema version and command name and emits the
+report once: one JSON document under ``--machine``, else the lines.
 
 Exit codes: 0 success, 1 property violation, numerical failure or
 exhausted memory, 2 input or validation error, 3 mathematical
@@ -315,8 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         with np.errstate(all="ignore"):     # non-finite values are checked, not warned of
             report, lines, code = args.func(args)

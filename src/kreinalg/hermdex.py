@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densela import Tolerance, conditioned_svd, norm_within
-from .errors import (DimensionMismatch, NotCongruent, NotInvertible,
-                     NotSelfadjoint)
+from .errors import DimensionMismatch, NotCongruent, NotInvertible
 from .krein import (IndexTriple, KOperator, _require_selfadjoint, hilbert_space,
-                    is_selfadjoint, k_adjoint, selfadjoint_split)
+                    k_adjoint, selfadjoint_split)
 
 __all__ = [
     "COND_CAP",
@@ -80,8 +79,7 @@ def transport(B: KOperator, X: Congruence, tol: Tolerance = Tolerance()) -> KOpe
     """Pull B back along X: returns A = X* B X on X's domain space."""
     if B.domain.dim != X.X.codomain.dim:
         raise DimensionMismatch("operator does not act on the congruence codomain")
-    if not is_selfadjoint(B, tol):
-        raise NotSelfadjoint("transport expects a selfadjoint operator")
+    _require_selfadjoint(B, tol, "transport")
     conditioned_svd(X.X.matrix, tol, COND_CAP)
     A = k_adjoint(X.X).matrix @ B.matrix @ X.X.matrix
     return KOperator(X.X.domain, X.X.domain, A)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -249,3 +251,77 @@ def test_signature_factorization_uses_caller_tolerance():
     assert rep["signature_indices"] == [1, 1] and rep["index_equality"]
     assert not rep["passed"]                 # the 1e-6 shows in the residual
 
+
+def _signature_case(i: int):
+    """Case i of the keyth equivalence property: C = T^H J_A T over E = C^n,
+    with dim K = m apart from n in a quarter of the cases, T rank-deficient in
+    a quarter, and then J_A's signature altered or C perturbed in a third each."""
+    from kreinalg.genrand import complex_gaussian, haar_unitary
+    rng = np.random.default_rng([20261020, i])
+    n = int(rng.integers(1, 9))
+    m = n if rng.random() < 0.75 else int(rng.choice([k for k in range(1, 9) if k != n]))
+    signs = np.where(rng.random(m) < 0.5, 1.0, -1.0)
+    R = haar_unitary(rng, m)
+    T = complex_gaussian(rng, m, n)
+    if rng.random() < 0.25:
+        k = int(rng.integers(0, min(m, n)))
+        T = complex_gaussian(rng, m, k) @ complex_gaussian(rng, k, n)
+    C = T.conj().T @ ((R * signs) @ R.conj().T) @ T
+    kind = rng.integers(3)
+    if kind == 1:                       # one sign of J_A flipped
+        signs[rng.integers(m)] *= -1.0
+    elif kind == 2:                     # C moved by 1e-12 to 1e-4 of its norm
+        Z = complex_gaussian(rng, n, n)
+        C = C + 10.0 ** rng.uniform(-12, -4) * np.linalg.norm(C, 2) * (Z + Z.conj().T)
+    J_A = (R * signs) @ R.conj().T
+    E, K = hilbert_space(n), hilbert_space(m)
+    return op(E, 0.5 * (C + C.conj().T)), SignatureFactorization(
+        K_space=K, J_A=op(K, 0.5 * (J_A + J_A.conj().T)), T=KOperator(E, K, T))
+
+
+def _keyth_reference(C, S, tol):
+    """keyth_verify's verdicts by its former formulas: the residual of
+    (T^H J_A) T, one rank of T for both flags, and (h+, h-) = (p_J, q_J)."""
+    from kreinalg.densela import rank, spectral_norm
+    from kreinalg.hermdex import hermitian_indices
+    T = S.T.matrix
+    residual = spectral_norm(C.matrix - T.conj().T @ S.J_A.matrix @ T) / C.norm
+    r = rank(T, tol)
+    h = hermitian_indices(C, tol)
+    ref = {"kernel_trivial": r == C.domain.dim, "range_dense": r == S.K_space.dim,
+           "index_equality": (h.h_plus, h.h_minus) == space_indices(S.A_space)}
+    ref["passed"] = residual <= tol.residual_tol and all(ref.values())
+    return residual, ref
+
+
+def test_keyth_verify_decides_as_its_former_formulas():
+    # keyth_verify reads bk_verify of A = T^H; over 1,500 seeded cases every
+    # verdict is the one its own residual, rank and index formulas gave
+    tol, seen = Tolerance(), Counter()
+    for i in range(1500):
+        C, S = _signature_case(i)
+        try:
+            rep = keyth_verify(C, S, tol)
+        except PreconditionFailed:
+            seen["raised"] += 1
+            continue
+        residual, ref = _keyth_reference(C, S, tol)
+        assert {key: rep[key] for key in ref} == ref, i
+        assert abs(rep["reconstruction_residual"] - residual) <= 1e-13, i
+        seen["passed" if ref["passed"] else "failed"] += 1
+        seen["flags differ"] += ref["kernel_trivial"] != ref["range_dense"]
+    assert min(seen.values()) >= 50, seen
+
+
+def test_keyth_verify_adds_the_kernel_of_t_to_bk_verify(monkeypatch):
+    # over a passing factorization trivial ker T follows from bk_verify's
+    # verdicts (equal indices force dim K = dim H), so the property above
+    # cannot tell `passed` without it; a bk_verify that passes everything
+    # shows that keyth_verify still requires it
+    from kreinalg import bkfact
+    _, C2 = c2_example()
+    passing = bk_verify(C2, bk_factorize(C2))
+    monkeypatch.setattr(bkfact, "bk_verify", lambda *args: passing)
+    E, S = sig_fact(2, [1.0, 1.0], np.diag([1.0, 0.0]))
+    rep = keyth_verify(op(E, np.eye(2)), S)
+    assert not rep["kernel_trivial"] and not rep["passed"]

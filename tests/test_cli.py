@@ -390,6 +390,24 @@ def test_phillips_dimension_needs_an_input(capsys, tmp_path):
     assert main(["phillips", empty, empty, "--space", s]) == 3
 
 
+_ONE = matrix_to_obj(np.eye(1))
+
+
+@pytest.mark.parametrize("files, argv, code, err", [
+    ({"p": matrix_to_obj(np.ones((3, 1))), "m": matrix_to_obj(np.ones((2, 1)))},
+     ["phillips", "p", "m"], 3, "basis row counts differ: 3 vs 2"),
+    ({"f": {"operator": _ONE, "space": [1]}}, ["indices", "-i", "f"], 2,
+     "space must be an object with a 'J' matrix"),
+    ({"f": {"operator": _ONE, "tolerance": {"rank_tol": 10 ** 400}}},
+     ["indices", "-i", "f"], 2, "tolerance.rank_tol does not fit in a double"),
+], ids=["phillips_row_counts", "space_not_an_object", "tolerance_overflows"])
+def test_refusals_name_their_cause(capsys, tmp_path, files, argv, code, err):
+    paths = {name: write(tmp_path / f"{name}.json", obj) for name, obj in files.items()}
+    assert main([paths.get(arg, arg) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {err}\n"
+
+
 def test_exit_code_input_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("not json")
@@ -467,6 +485,20 @@ def test_out_of_memory_is_one_line(capsys, monkeypatch, c2_file, name):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: out of memory\n"
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # the parser is built once, when the module is imported
+    def rebuilt():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+    for command in ("indices", "factorize"):
+        argv = [command, "-i", os.path.join(golden, "problem8.json"), "--machine"]
+        assert main(argv) == 0
+        with open(os.path.join(golden, f"{command}.out")) as fh:
+            assert capsys.readouterr().out == fh.read()
 
 
 def test_out_of_memory_under_an_address_space_cap(tmp_path):

@@ -18,7 +18,6 @@ window is counted, and the test fails if more than 5 % are.
 """
 
 import contextlib
-import functools
 import io
 import json
 import os
@@ -28,7 +27,6 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from exact import inertia
-from kreinalg import cli
 from kreinalg.cli import main
 from kreinalg.densela import Tolerance
 from kreinalg.hermdex import hermitian_indices
@@ -90,10 +88,7 @@ def run(argv) -> dict:
     return json.loads(out.getvalue())
 
 
-def test_every_printed_integer_is_the_exact_one(monkeypatch):
-    # one parser for all 1,200 command lines: building it again for each
-    # would double the test's time
-    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+def test_every_printed_integer_is_the_exact_one():
     tol = Tolerance()
     tally = {"cases": 0, "outside": 0}
 
