@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densela import Tolerance, norm_within, rank, spectral_norm
+from .densela import Tolerance, count_above_cut, norm_within, rank, spectral_norm
 from .errors import DimensionMismatch, NotSymmetry, PreconditionFailed
 from .hermdex import hermitian_indices
 from .krein import (KOperator, KreinSpace, k_adjoint, is_selfadjoint, make_space,
@@ -106,7 +106,8 @@ def bk_verify(C: KOperator, F: BKFactorization, tol: Tolerance = Tolerance()) ->
     diff = C.matrix - F.A.matrix @ A_star.matrix
     c_norm = C.norm
     residual = spectral_norm(diff) / c_norm if c_norm > 0 else spectral_norm(diff)
-    injective = rank(F.A.matrix, tol) == F.A.domain.dim
+    r = count_above_cut(F.A.singular_values, tol, margin=True)
+    injective = (rank(F.A.matrix, tol) if r is None else r) == F.A.domain.dim
     ind = space_indices(F.A_space)
     idx = hermitian_indices(C, tol)
     index_equality = (ind[0] == idx.h_plus and ind[1] == idx.h_minus
@@ -145,7 +146,9 @@ def keyth_verify(C: KOperator, S: SignatureFactorization,
 
     A = KOperator(S.A_space, H, S.T.matrix.conj().T)
     rep = bk_verify(C, BKFactorization(S.A_space, A), tol)
-    kernel_trivial = rank(S.T.matrix, tol) == H.dim
+    # sigma(T) = sigma(A): bk_verify's values decide rank(T) unless one is within the slack
+    r = count_above_cut(A.singular_values, tol, margin=True)
+    kernel_trivial = (rank(S.T.matrix, tol) if r is None else r) == H.dim
     return {
         "reconstruction_residual": rep["product_residual"],
         "kernel_trivial": bool(kernel_trivial),

@@ -1,9 +1,9 @@
 """Command line front end.
 
 Subcommands map onto the library engines: ``indices``, ``decompose``,
-``factorize``, ``congruent``, ``phillips``, ``property-suite``.  Input
-matrices come from JSON files, each read once by ``serial.read_json``
-(orjson, or json wherever the two could differ).  One table,
+``factorize``, ``congruent``, ``phillips``, ``property-suite``.  Operand
+files are read by ``serial.read_operand``, which decides their format and
+tolerance, the other input files by ``serial.read_json``.  One table,
 ``_COMMANDS``, declares each subcommand once (name, help, ``cmd_*`` and
 its own arguments) and :func:`build_parser` turns its rows into
 subparsers, once per process.  Each ``cmd_*`` returns
@@ -34,8 +34,7 @@ from .hermdex import (build_congruence, hermitian_indices, require_equal_dims,
 from .krein import (IndexTriple, KOperator, KreinSpace, hilbert_space, make_space,
                     make_subspace, selfadjoint_split, space_indices)
 from .phillips import graph_rep, phillips_extend
-from .serial import (_square_from_obj, matrix_from_obj, problem_from_obj,
-                     read_json, write_json)
+from .serial import _square_from_obj, matrix_from_obj, read_json, read_operand, write_json
 from .suite import run_property_suite
 
 __all__ = ["main", "main_entry", "build_parser"]
@@ -67,25 +66,11 @@ def _operand_space(flag: KreinSpace | None, J, n: int, tol: Tolerance) -> KreinS
     return make_space(J, tol) if J is not None else hilbert_space(n)
 
 
-def _read_operand(path) -> tuple:
-    """(J or None, square operator matrix, the file's tolerance object or None)."""
-    def convert(obj):
-        if isinstance(obj, dict) and "operator" in obj:
-            J, M, tol = problem_from_obj(obj)
-            return J, M, None if obj.get("tolerance") is None else tol
-        if isinstance(obj, dict) and "rows" in obj:
-            # a matrix file is a problem file's operator alone: no J, no tolerance
-            return None, _square_from_obj(obj, "operator"), None
-        raise InputError(
-            f"{path}: input must be a problem file (operator key) or a matrix file")
-    return read_json(path, convert)
-
-
 def _load_operators(args, *paths) -> tuple[list[KOperator], Tolerance]:
     """Operators from problem or matrix files.  The tolerance (flags, then
     the first file with a tolerance object, then the default) is settled
     before any space is validated, so every space is checked under it."""
-    parsed = [_read_operand(path) for path in paths]
+    parsed = [read_operand(path) for path in paths]
     tol = _merge_tolerance(args, next(
         (file_tol for _, _, file_tol in parsed if file_tol is not None), None))
     flag = _space_flag(args, tol)

@@ -21,9 +21,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .densela import (HermEig, HermSpectrum, SpectralSplit, Tolerance, _hermitian_input,
-                      _hermitian_within, band_split, norm_within, range_basis,
-                      spectral_norm)
+from .densela import (HermEig, HermSpectrum, SpectralSplit, Tolerance, _as_matrix, _svd,
+                      _hermitian_input, _hermitian_within, band_split, norm_within,
+                      range_basis, spectral_norm)
 from .errors import DimensionMismatch, InputError, NotSelfadjoint, NotSymmetry, NumericalError
 
 __all__ = [
@@ -112,6 +112,11 @@ class KOperator:
     def norm(self) -> float:
         """The spectral norm of the matrix, taken once per operator."""
         return spectral_norm(self.matrix)
+
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """The values-only SVD of the matrix, taken once per operator."""
+        return _svd(_as_matrix(self.matrix), compute_uv=False)
 
     @cached_property
     def _selfadjoint(self) -> dict:

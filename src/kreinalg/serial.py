@@ -3,7 +3,8 @@
 Complex entries travel as [re, im] pairs, row-major, so files are
 locale-proof and round-trip bit-exactly.  A problem file carries an
 operator, an optional space (J defaults to the identity, Hilbert mode),
-and optional tolerance overrides.
+and optional tolerance overrides; :func:`read_operand` reads every
+operand file and decides which of the two it is.
 
 :func:`read_json` reads every input file: orjson parses a file that holds
 no backslash and nests at most ``_MAX_NESTING`` brackets deep, and json
@@ -35,6 +36,7 @@ __all__ = [
     "matrix_to_obj",
     "matrix_from_obj",
     "problem_from_obj",
+    "read_operand",
     "load_json",
     "read_json",
     "dump_json",
@@ -120,8 +122,8 @@ def _square_from_obj(obj, what: str) -> np.ndarray:
     return M
 
 
-def problem_from_obj(obj) -> tuple[np.ndarray | None, np.ndarray, Tolerance]:
-    """Parse a problem object into (J or None, operator matrix, tolerance)."""
+def problem_from_obj(obj) -> tuple[np.ndarray | None, np.ndarray, Tolerance | None]:
+    """Parse a problem object into (J or None, operator, tolerance or None if unset)."""
     if not isinstance(obj, dict) or "operator" not in obj:
         raise InputError("problem file must be an object with an 'operator' field")
     op = _square_from_obj(obj["operator"], "operator")
@@ -136,17 +138,16 @@ def problem_from_obj(obj) -> tuple[np.ndarray | None, np.ndarray, Tolerance]:
                 f"space.J dimension {J.shape[0]} does not match operator "
                 f"dimension {op.shape[0]}")
     tol_obj = obj.get("tolerance")
-    if tol_obj is None:         # a missing field or null: no overrides
-        tol_obj = {}
+    if tol_obj is None:         # a missing field or null: no tolerance set
+        return J, op, None
     if not isinstance(tol_obj, dict):
         raise InputError("tolerance must be an object")
     unknown = set(tol_obj) - {"rank_tol", "residual_tol"}
     if unknown:
         raise InputError(f"unknown tolerance fields: {sorted(unknown)}")
-    tol = Tolerance(**{name: _as_float(tol_obj.get(name, getattr(Tolerance, name)),
-                                       f"tolerance.{name}")
-                       for name in ("rank_tol", "residual_tol")})
-    return J, op, tol
+    return J, op, Tolerance(**{name: _as_float(tol_obj.get(name, getattr(Tolerance, name)),
+                                               f"tolerance.{name}")
+                               for name in ("rank_tol", "residual_tol")})
 
 
 @contextmanager
@@ -212,6 +213,20 @@ def read_json(path, convert):
             with suppress(orjson.JSONDecodeError, InputError):
                 return convert(orjson.loads(raw))
         return convert(_json_tree(raw, path))
+
+
+def read_operand(path) -> tuple[np.ndarray | None, np.ndarray, Tolerance | None]:
+    """:func:`problem_from_obj` of a problem file (an ``operator`` key), or
+    ``(None, M, None)`` of a matrix file (a ``rows`` key), read by :func:`read_json`."""
+    def convert(obj):
+        if isinstance(obj, dict) and "operator" in obj:
+            return problem_from_obj(obj)
+        if isinstance(obj, dict) and "rows" in obj:
+            # a matrix file is a problem file's operator alone: no J, no tolerance
+            return None, _square_from_obj(obj, "operator"), None
+        raise InputError(
+            f"{path}: input must be a problem file (operator key) or a matrix file")
+    return read_json(path, convert)
 
 
 def _matrix_default(value):

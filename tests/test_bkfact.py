@@ -325,3 +325,42 @@ def test_keyth_verify_adds_the_kernel_of_t_to_bk_verify(monkeypatch):
     E, S = sig_fact(2, [1.0, 1.0], np.diag([1.0, 0.0]))
     rep = keyth_verify(op(E, np.eye(2)), S)
     assert not rep["kernel_trivial"] and not rep["passed"]
+
+
+
+def test_keyth_verify_takes_one_values_only_svd_of_t(monkeypatch):
+    # sigma(T) = sigma(T^H): when the values bk_verify took of A = T^H clear
+    # the slack of the cut, they decide the kernel of T too; T maps C^2 into
+    # C^3, so the two flags differ and each reads its own dimension
+    E, K = hilbert_space(2), hilbert_space(3)
+    T = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]], dtype=complex)
+    S = SignatureFactorization(K_space=K, J_A=op(K, np.diag([1.0, 1.0, -1.0])),
+                               T=KOperator(E, K, T))
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, compute_uv=True, **kwargs):
+        if not compute_uv and any(np.array_equal(a, M) for M in (T, T.conj().T)):
+            calls.append(a.shape)
+        return svd(a, *args, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    rep = keyth_verify(op(E, T.conj().T @ np.diag([1.0, 1.0, -1.0]) @ T), S)
+    assert calls == [(2, 3)]
+    assert rep["kernel_trivial"] and not rep["range_dense"]
+
+
+def test_keyth_verify_ranks_t_when_a_value_lies_within_the_slack(monkeypatch):
+    # s = (1, 1e-10) puts a value on the cut rank_tol * s[0]: the values of A
+    # decide nothing, and rank(T) decides ker T as it did before
+    from kreinalg import bkfact
+    from kreinalg.densela import rank
+    _, C2 = c2_example()
+    passing = bk_verify(C2, bk_factorize(C2))
+    monkeypatch.setattr(bkfact, "bk_verify", lambda *args: passing)
+    ranked = []
+    monkeypatch.setattr(bkfact, "rank", lambda M, tol: ranked.append(M) or rank(M, tol))
+    E, S = sig_fact(2, [1.0, 1.0], np.diag([1.0, 1e-10]))
+    rep = keyth_verify(op(E, np.eye(2)), S)
+    assert len(ranked) == 1 and ranked[0] is S.T.matrix
+    assert not rep["kernel_trivial"] and not rep["passed"]

@@ -379,6 +379,14 @@ def test_non_square_space_is_an_input_error(capsys, tmp_path, command):
     assert capsys.readouterr().err == "error: space symmetry must be square\n"
 
 
+def test_space_flag_reads_a_matrix_file_only(capsys, tmp_path):
+    # operands may be problem files; the symmetry file must be a matrix file
+    f = write(tmp_path / "m.json", matrix_to_obj(np.eye(2)))
+    s = write(tmp_path / "j.json", {"operator": matrix_to_obj(J2)})
+    assert main(["indices", "-i", f, "--space", s]) == 2
+    assert capsys.readouterr().err == "error: space symmetry: missing field 'rows'\n"
+
+
 def test_phillips_dimension_needs_an_input(capsys, tmp_path):
     # zero-column bases fix no dimension: without --space nothing bounds
     # "rows", with --space the symmetry's size does
@@ -479,8 +487,9 @@ def _out_of_memory(*args, **kwargs):
 
 @pytest.mark.parametrize("name", ["read_json", "hermitian_indices"])
 def test_out_of_memory_is_one_line(capsys, monkeypatch, c2_file, name):
-    # the reader and an engine alike: exit 1, one line, no traceback
-    monkeypatch.setattr(cli, name, _out_of_memory)
+    # the reader and an engine alike: exit 1, one line, no traceback; each
+    # is patched where it is called, the reader in serial's read_operand
+    monkeypatch.setattr(serial if name == "read_json" else cli, name, _out_of_memory)
     assert main(["indices", "-i", c2_file, "--machine"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

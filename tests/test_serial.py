@@ -19,10 +19,11 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from kreinalg import serial
+from kreinalg.cli import main
 from kreinalg.densela import Tolerance
 from kreinalg.errors import InputError
 from kreinalg.serial import (dump_json, load_json, matrix_from_obj, matrix_to_obj,
-                             problem_from_obj, read_json, write_json)
+                             problem_from_obj, read_json, read_operand, write_json)
 from kreinalg.suite import run_property_suite
 
 
@@ -83,9 +84,47 @@ def test_problem_file_defaults():
     C = np.eye(2, dtype=complex)
     J, M, tol = problem_from_obj({"operator": matrix_to_obj(C)})
     assert J is None
-    assert tol == Tolerance()
-    # null, like a missing field, means no overrides
-    assert problem_from_obj({"operator": matrix_to_obj(C), "tolerance": None})[2] == tol
+    assert tol is None
+    # null, like a missing field, sets no tolerance
+    assert problem_from_obj({"operator": matrix_to_obj(C), "tolerance": None})[2] is None
+
+
+def test_read_operand_of_a_matrix_file(tmp_path):
+    C = np.array([[1.0, 2.0j], [-2.0j, 0.5]])
+    path = tmp_path / "m.json"
+    path.write_text(dump_json(matrix_to_obj(C)))
+    J, M, tol = read_operand(path)
+    assert J is None and tol is None
+    assert np.array_equal(M, C)
+
+
+@pytest.mark.parametrize("extra", [{}, {"tolerance": None}])
+def test_read_operand_of_a_problem_file_without_a_tolerance(tmp_path, extra):
+    C, S = np.diag([2.0, -1.0]), np.diag([1.0, -1.0])
+    path = tmp_path / "p.json"
+    path.write_text(dump_json({"operator": matrix_to_obj(C),
+                               "space": {"J": matrix_to_obj(S)}, **extra}))
+    J, M, tol = read_operand(path)
+    assert np.array_equal(J, S) and np.array_equal(M, C)
+    assert tol is None
+
+
+def test_read_operand_of_a_problem_file_with_a_tolerance(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(dump_json({"operator": matrix_to_obj(np.eye(1)),
+                               "tolerance": {"rank_tol": 1e-6}}))
+    assert read_operand(path)[2] == Tolerance(rank_tol=1e-6)
+
+
+@pytest.mark.parametrize("text", ["[]", '[{"rows": 1, "cols": 1, "data": [[1, 0]]}]',
+                                  "{}", '{"space": {}, "cols": 1, "data": [[1, 0]]}'])
+def test_read_operand_refuses_other_documents(capsys, tmp_path, text):
+    # a top-level list, and an object with neither "operator" nor "rows"
+    path = tmp_path / "x.json"
+    path.write_text(text)
+    assert main(["indices", "-i", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: input must be a problem file (operator key) or a matrix file\n")
 
 
 @pytest.mark.parametrize("obj", [
