@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densela import Tolerance, count_above_cut, norm_within, rank, spectral_norm
+from .densela import (Tolerance, _U, _certified_level, _certified_pd, _frobenius,
+                      _hermitian_part, count_above_cut, norm_within, rank, spectral_norm, svd)
 from .errors import DimensionMismatch, NotSymmetry, PreconditionFailed
 from .hermdex import hermitian_indices
 from .krein import (KOperator, KreinSpace, k_adjoint, is_selfadjoint, make_space,
@@ -94,6 +95,19 @@ def bk_factorize(C: KOperator, tol: Tolerance = Tolerance()) -> BKFactorization:
     return BKFactorization(A_space=A_space, A=KOperator(A_space, H, A_mat))
 
 
+def _has_rank(A: KOperator, k: int, tol: Tolerance, within_slack) -> bool:
+    """rank(A) == k: when k is A's column count, certified by a Cholesky of A^H A
+    (README, Numerical conventions); else cut from A's cached singular values,
+    and by ``within_slack()`` when one lies within their slack."""
+    M, f = A.matrix, _frobenius(A.matrix)
+    level = _certified_level(tol.rank_tol, max(M.shape))
+    if k == M.shape[1] and level and f * f < np.inf and _certified_pd(
+            _hermitian_part(M.conj().T @ M), (level * level + 4 * (M.shape[0] + 1) * _U) * f * f):
+        return True
+    r = count_above_cut(A.singular_values, tol, margin=True)
+    return (within_slack() if r is None else r) == k
+
+
 def bk_verify(C: KOperator, F: BKFactorization, tol: Tolerance = Tolerance()) -> dict:
     """Check a candidate factorization of C; failures are reported, not raised.
 
@@ -106,8 +120,8 @@ def bk_verify(C: KOperator, F: BKFactorization, tol: Tolerance = Tolerance()) ->
     diff = C.matrix - F.A.matrix @ A_star.matrix
     c_norm = C.norm
     residual = spectral_norm(diff) / c_norm if c_norm > 0 else spectral_norm(diff)
-    r = count_above_cut(F.A.singular_values, tol, margin=True)
-    injective = (rank(F.A.matrix, tol) if r is None else r) == F.A.domain.dim
+    injective = _has_rank(F.A, F.A.domain.dim, tol,
+                          lambda: count_above_cut(svd(F.A.matrix)[1], tol))
     ind = space_indices(F.A_space)
     idx = hermitian_indices(C, tol)
     index_equality = (ind[0] == idx.h_plus and ind[1] == idx.h_minus
@@ -146,9 +160,8 @@ def keyth_verify(C: KOperator, S: SignatureFactorization,
 
     A = KOperator(S.A_space, H, S.T.matrix.conj().T)
     rep = bk_verify(C, BKFactorization(S.A_space, A), tol)
-    # sigma(T) = sigma(A): bk_verify's values decide rank(T) unless one is within the slack
-    r = count_above_cut(A.singular_values, tol, margin=True)
-    kernel_trivial = (rank(S.T.matrix, tol) if r is None else r) == H.dim
+    # sigma(T) = sigma(A): A's rank decides T's, and rank(T) within the slack
+    kernel_trivial = _has_rank(A, H.dim, tol, lambda: rank(S.T.matrix, tol))
     return {
         "reconstruction_residual": rep["product_residual"],
         "kernel_trivial": bool(kernel_trivial),

@@ -14,22 +14,22 @@ SVD.  All of them share a single two-knob :class:`Tolerance`:
 Every relative ``rank_tol`` decision is made in one of two places:
 eigenvalues are split into plus/minus/zero bands by :func:`band_split`
 (behind :func:`spectral_split`), and singular values are cut by
-:func:`count_above_cut` (behind :func:`rank`).  The counts, :func:`rank` and
-:meth:`HermSpectrum.counts` (every sign count of a Hermitian matrix), decide
-from a values-only spectrum: asked for a ``margin``, either site declines
-(None) when a value lies within 1e-12 of the largest from its cut, and the
-spectrum with vectors decides, as before.
+:func:`count_above_cut` (behind :func:`rank`).  Both decide from values
+alone (:func:`rank`, :meth:`HermSpectrum.counts`) unless a value lies within
+1e-12 of the largest from its cut, where the spectrum with vectors decides.
+A verdict that prints no number is first offered to a certificate that
+proves it at 10^3 times its cut (:func:`_certified_level`), beyond LAPACK's
+error: a Cholesky under Rump's a-priori bound (:func:`_certified_pd`), or
+for a congruence the bound its verified inverse gives; what no certificate
+proves goes to those two places.
 
-A yes/no residual check ``||R||_2 <= t * scale(||S||_2)`` whose norm is
-not reported goes through :func:`norm_within`, which decides it cheap-first
-from the Frobenius sandwich ``||X||_F / sqrt(min(m, n)) <= ||X||_2 <= ||X||_F``
-(Golub & Van Loan, *Matrix Computations*, 2.3).  The bounds are widened
-by a relative slack of 1e-12, far above the rounding error of either
-norm, so a cheap verdict is never within rounding of the threshold and
-always agrees with the exact one; only when the widened bounds straddle
-the threshold are the SVD-based 2-norms computed.  A scale is a matrix or
-an operator, whose exact 2-norm is its cached ``norm``.  Norms that are
-reported, or that set a band or a level, are exact and decide their own check.
+Cheap first as well, a residual check ``||R||_2 <= t * scale(||S||_2)``
+whose norm is not reported goes through :func:`norm_within`: the Frobenius
+sandwich ``||X||_F / sqrt(min(m, n)) <= ||X||_2 <= ||X||_F`` (Golub & Van
+Loan, 2.3), widened by a slack of 1e-12 far above its rounding, decides
+unless it straddles the threshold, and only then are the 2-norms (a
+scale's cached ``norm``) computed.  Norms that are reported, or that set a
+band or a level, are exact and decide their own check.
 
 Matrices are plain ``numpy`` complex arrays in row-major layout.  The
 heavy lifting is delegated to LAPACK through numpy; this module owns the
@@ -139,6 +139,9 @@ def spectral_norm(M) -> float:
 _SLACK = 1e-12
 # Below this the Frobenius sum may have lost entries to underflow.
 _F_TINY = 1e-145
+# A certificate's margin over the cut (README, Numerical conventions), the
+# unit roundoff and the least subnormal.
+_CERT_MARGIN, _U, _ETA = 1e3, 2.0 ** -53, 2.0 ** -1074
 
 
 def _two_norm_bounds(A: np.ndarray):
@@ -150,6 +153,10 @@ def _two_norm_bounds(A: np.ndarray):
     if f == 0.0 and not A.any():
         return 0.0, 0.0
     return None
+
+
+def _frobenius(A: np.ndarray) -> float:   # bounds ||A||_F above, inf if unbounded
+    return (_two_norm_bounds(A) or (0.0, math.inf))[1]
 
 
 def _threshold(t: float, floor: float, scale: float, power: int) -> float:
@@ -437,3 +444,23 @@ def conditioned_svd(M, tol: Tolerance, cond_cap: float) -> np.ndarray:
         raise IllConditioned(
             f"condition number {s[0] / s[-1]:.3e} exceeds cap {cond_cap:.0e}")
     return s
+
+
+def _certified_level(cut: float, n: int) -> float:
+    """``_CERT_MARGIN * cut``, or 0.0 (no certificate) where LAPACK's error at order
+    n, 10 n eps of the scale (Users' Guide 4.7, 4.9), could reach half the margin."""
+    return _CERT_MARGIN * cut if (_CERT_MARGIN - 2) * cut > 40 * n * _U else 0.0
+
+
+def _certified_pd(G: np.ndarray, shift: float) -> bool:
+    """True only when it proves G - shift I positive definite, G exactly Hermitian
+    and shift >= 0: Rump's a-priori test in complex arithmetic, a Cholesky of
+    fl(G - c I) that completes, c = (shift + 4(n + 1) u tr(G) + 4n(2(n + 2) +
+    max g_ii) eta)(1 + 4u) (README, Numerical conventions, derives the constants)."""
+    n, d = G.shape[0], G.diagonal().real
+    c = (shift + (4 * (n + 1) * _U * d).sum()
+         + _ETA * 4 * n * (2 * (n + 2) + d.max(initial=0.0))) * (1 + 4 * _U)
+    try:   # a pivot <= 0 or NaN, overflow included, raises
+        return bool(n) and math.isfinite(c) and np.linalg.cholesky(G - c * np.eye(n)) is not None
+    except np.linalg.LinAlgError:
+        return False

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densela import Tolerance, conditioned_svd, norm_within
+from .densela import Tolerance, _U, _certified_level, _frobenius, conditioned_svd, norm_within
 from .errors import DimensionMismatch, NotCongruent, NotInvertible
 from .krein import (IndexTriple, KOperator, _require_selfadjoint, hilbert_space,
                     k_adjoint, selfadjoint_split)
@@ -44,7 +44,8 @@ class Congruence:
     """An invertible map X between spaces, with its inverse cached.
 
     The cached inverse must satisfy ``||X X_inv - I|| <= residual_tol *
-    max(1, ||X|| ||X_inv||)`` under ``tol``.
+    max(1, ||X|| ||X_inv||)`` under ``tol``; `transport` reads that verified
+    inverse to bound cond(X).
     """
 
     X: KOperator
@@ -76,11 +77,17 @@ def hermitian_indices(C: KOperator, tol: Tolerance = Tolerance()) -> IndexTriple
 
 
 def transport(B: KOperator, X: Congruence, tol: Tolerance = Tolerance()) -> KOperator:
-    """Pull B back along X: returns A = X* B X on X's domain space."""
+    """Pull B back along X: returns A = X* B X on X's domain space.  X must be
+    safely invertible: the bound on cond(X) its verified inverse gives decides
+    (README, Numerical conventions), else `conditioned_svd` does."""
     if B.domain.dim != X.X.codomain.dim:
         raise DimensionMismatch("operator does not act on the congruence codomain")
     _require_selfadjoint(B, tol, "transport")
-    conditioned_svd(X.X.matrix, tol, COND_CAP)
+    n, f = max(X.X.matrix.shape), _frobenius(X.X.matrix) * _frobenius(X.X_inv.matrix)
+    level = _certified_level(max(1.0 / COND_CAP, tol.rank_tol), n)
+    # delta >= ||X X_inv - I||_2 gives cond(X) <= f / (1 - delta) <= 1 / level
+    if not (level and f * level + (X.tol.residual_tol + 4 * (n + 1) * _U) * max(1.0, f) <= 1.0):
+        conditioned_svd(X.X.matrix, tol, COND_CAP)
     A = k_adjoint(X.X).matrix @ B.matrix @ X.X.matrix
     return KOperator(X.X.domain, X.X.domain, A)
 

@@ -22,8 +22,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .densela import (HermEig, HermSpectrum, SpectralSplit, Tolerance, _as_matrix, _svd,
-                      _hermitian_input, _hermitian_within, band_split, norm_within,
-                      range_basis, spectral_norm)
+                      _certified_level, _certified_pd, _frobenius, _hermitian_input,
+                      _hermitian_within, band_split, norm_within, range_basis, spectral_norm)
 from .errors import DimensionMismatch, InputError, NotSelfadjoint, NotSymmetry, NumericalError
 
 __all__ = [
@@ -263,11 +263,17 @@ def classify_subspace(C: KOperator, M: Subspace,
     """Sign class of the C-inner product restricted to M.
 
     Decided by the inertia of the C-Gram matrix of M's basis; a strict
-    class additionally requires the Gram to have no numerical kernel.
+    class additionally requires the Gram to have no numerical kernel.  The
+    strict class of the sign of G's first diagonal entry is certified first.
     """
     if M.space.dim != C.domain.dim:
         raise DimensionMismatch("subspace does not live in the operator's space")
     G = _hermitian_input(_gram(C, M, M))
+    # a definite G shares that sign; max(||G||_F, ||C||_F) bounds the band's scale
+    sign = -1.0 if M.dim and G[0, 0].real < 0 else 1.0
+    level = _certified_level(tol.rank_tol, M.dim)
+    if level and _certified_pd(sign * G, level * max(_frobenius(G), _frobenius(C.matrix))):
+        return SubspaceClass.STRICTLY_POSITIVE if sign > 0 else SubspaceClass.STRICTLY_NEGATIVE
     # band against the ambient operator norm: the Gram of a neutral
     # subspace cancels to round-off, its own norm is no yardstick
     p, q, z = HermSpectrum(lambda: G).counts(tol, C)

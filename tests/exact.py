@@ -18,11 +18,13 @@ Numer. Anal. 8, 1971).  The rank is the number of pivots.
 from fractions import Fraction
 
 
-def inertia(H) -> tuple[int, int, int]:
-    """(n_plus, n_minus, n_zero) of the Hermitian matrix ``H``, a sequence of
-    rows of numbers whose real and imaginary parts are floats or integers."""
+def inertia(H, shift: float = 0.0) -> tuple[int, int, int]:
+    """(n_plus, n_minus, n_zero) of the Hermitian matrix ``H - shift I``, ``H``
+    a sequence of rows of numbers whose real and imaginary parts are floats or
+    integers; the shift is subtracted exactly."""
     n = len(H)
-    A = [[Fraction(complex(z).real) for z in row] for row in H]
+    A = [[Fraction(complex(z).real) - (Fraction(shift) if i == j else 0)
+          for j, z in enumerate(row)] for i, row in enumerate(H)]
     B = [[Fraction(complex(z).imag) for z in row] for row in H]
     rows = [A[i] + [-b for b in B[i]] for i in range(n)] + [B[i] + A[i] for i in range(n)]
     scale = max((x.denominator for row in rows for x in row), default=1)

@@ -247,8 +247,9 @@ def test_validate_takes_one_svd_on_decompose_output(monkeypatch):
 
 
 def test_validate_classifies_from_eigenvalues_alone(monkeypatch):
-    # the two sign classes of validate come from eigvalsh of the C-Gram
-    # matrices; J C's eigendecomposition is the one decompose cached
+    # the two strict sign classes of validate are certified by a Cholesky of
+    # the C-Gram matrices, with no eigenvalue pass; J C's eigendecomposition
+    # is the one decompose cached
     H = gen_space(GenConfig(5, dim_range=(12, 12)))
     C = gen_selfadjoint(GenConfig(5, dim_range=(12, 12), kernel_prob=0.3), H)
     calls = []
@@ -261,7 +262,7 @@ def test_validate_classifies_from_eigenvalues_alone(monkeypatch):
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counted(name))
     assert validate(C, dec)["sign_conditions"]
-    assert calls.count("eigh") == 0 and calls.count("eigvalsh") == 2
+    assert calls.count("eigh") == 0 and calls.count("eigvalsh") == 0
 
 
 @pytest.mark.parametrize("eps, exact", [(0.5e-8, False), (0.95e-8, True),
