@@ -76,11 +76,11 @@ def decompose(C: KOperator, tol: Tolerance = Tolerance()) -> Decomposition:
 def validate(C: KOperator, dec: Decomposition, tol: Tolerance = Tolerance()) -> dict:
     """Full condition report for a candidate decomposition of C's space.
 
-    Checks, one boolean each: sign conditions on the three parts
-    (including M_zero = ker C), pairwise directness of the two-part
-    sums, pairwise C-orthogonality, dimension match with the hermitian
-    indices, and directness of the full three-part sum.  Failures are
-    reported, not raised; a C that is not selfadjoint raises
+    Checks, one boolean each: sign conditions on the three parts (an empty
+    signed part is not classified; M_zero = ker C), pairwise directness of
+    the two-part sums, pairwise C-orthogonality, dimension match with the
+    hermitian indices, and directness of the full three-part sum.  Failures
+    are reported, not raised; a C that is not selfadjoint raises
     ``NotSelfadjoint`` from the index computation.
     """
     idx = hermitian_indices(C, tol)
@@ -90,15 +90,13 @@ def validate(C: KOperator, dec: Decomposition, tol: Tolerance = Tolerance()) -> 
             raise DimensionMismatch("decomposition parts live in a different space")
     mp, mm, mz = dec.M_plus, dec.M_minus, dec.M_zero
 
-    cls_plus = classify_subspace(C, mp, tol)
-    cls_minus = classify_subspace(C, mm, tol)
+    plus_ok = mp.dim == 0 or classify_subspace(C, mp, tol) == SubspaceClass.STRICTLY_POSITIVE
+    minus_ok = mm.dim == 0 or classify_subspace(C, mm, tol) == SubspaceClass.STRICTLY_NEGATIVE
     R = C.matrix @ mz.basis
     kernel_residual = spectral_norm(R)
     kernel_ok = (mz.dim == idx.h_zero
                  and norm_within(R, tol.residual_tol, C, floor=1.0))
-    sign_ok = ((mp.dim == 0 or cls_plus == SubspaceClass.STRICTLY_POSITIVE)
-               and (mm.dim == 0 or cls_minus == SubspaceClass.STRICTLY_NEGATIVE)
-               and kernel_ok)
+    sign_ok = plus_ok and minus_ok and kernel_ok
 
     k = mp.dim + mm.dim + mz.dim
     pair_direct = (count_above_cut(dec.singular_values, tol, margin=True) == k

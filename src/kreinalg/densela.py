@@ -16,7 +16,8 @@ eigenvalues are split into plus/minus/zero bands by :func:`band_split`
 (behind :func:`spectral_split`), and singular values are cut by
 :func:`count_above_cut` (behind :func:`rank`).  Both decide from values
 alone (:func:`rank`, :meth:`HermSpectrum.counts`) unless a value lies within
-1e-12 of the largest from its cut, where the spectrum with vectors decides.
+1e-12 of the largest from its cut, where the spectrum with vectors decides;
+a zero spectrum, whose values are all 0 on either pass, is decided from values.
 A verdict that prints no number is first offered to a certificate that
 proves it at 10^3 times its cut (:func:`_certified_level`), beyond LAPACK's
 error: a Cholesky under Rump's a-priori bound (:func:`_certified_pd`), or
@@ -291,7 +292,7 @@ def band_split(eig: HermEig, tol: Tolerance = Tolerance(),
     w = eig.eigenvalues
     top = max(float(np.abs(w).max(initial=0.0)), scale or 0.0)
     band = tol.rank_tol * top
-    if margin and (np.abs(np.abs(w) - band) <= _SLACK * top).any():
+    if margin and top > 0 and (np.abs(np.abs(w) - band) <= _SLACK * top).any():
         return None
     plus, minus = w > band, w < -band
     n_plus, n_minus = int(np.count_nonzero(plus)), int(np.count_nonzero(minus))
@@ -301,8 +302,8 @@ def band_split(eig: HermEig, tol: Tolerance = Tolerance(),
 
 def inertia(M, tol: Tolerance = Tolerance(),
             scale: float | None = None) -> tuple[int, int, int]:
-    """Counts (n_plus, n_minus, n_zero) of the bands of :func:`spectral_split`,
-    by the rule of :meth:`HermSpectrum.counts`."""
+    """Counts (n_plus, n_minus, n_zero) of the bands of :func:`spectral_split`
+    at the number ``scale``, by the rule of :meth:`HermSpectrum.counts`."""
     H = _require_hermitian(_as_matrix(M), tol)
     return HermSpectrum(lambda: H).counts(tol, scale)
 
@@ -329,21 +330,12 @@ class HermSpectrum:
         eig.eigenvectors.flags.writeable = False
         return eig
 
-    def counts(self, tol: Tolerance, scale=None) -> tuple[int, int, int]:
-        """The counts of :func:`band_split`: from ``eig`` once it is taken,
-        else from ``values`` unless one lies within the slack of the band,
-        else from ``eig``.  ``scale`` is None, a float, or an operator, whose
-        cached ``norm`` decides unless values clear the slack with equal
-        counts at both Frobenius bounds of its matrix: the band and the slack
-        grow with the scale, so a value clear at both is clear at every scale
-        between."""
-        values = None if "eig" in vars(self) else HermEig(self.values, None)
-        if values and hasattr(scale, "matrix") and (bounds := _two_norm_bounds(scale.matrix)):
-            lo, hi = (band_split(values, tol, s, margin=True) for s in bounds)
-            if lo and hi and lo.counts == hi.counts:
-                return lo.counts
-        scale = getattr(scale, "norm", scale)
-        split = values and band_split(values, tol, scale, margin=True)
+    def counts(self, tol: Tolerance, scale: float | None = None) -> tuple[int, int, int]:
+        """The counts of :func:`band_split` at ``scale``: from ``eig`` once it
+        is taken, else from ``values`` unless one lies within the slack of the
+        band, else from ``eig``."""
+        split = "eig" not in vars(self) and band_split(
+            HermEig(self.values, None), tol, scale, margin=True)
         return (split or band_split(self.eig, tol, scale)).counts
 
 
@@ -367,11 +359,11 @@ def psd_sqrt(M, tol: Tolerance = Tolerance(), scale: float | None = None) -> np.
 def count_above_cut(s: np.ndarray, tol: Tolerance, margin: bool = False) -> int | None:
     """The rank cut: how many of the nonincreasing singular values ``s``
     exceed ``rank_tol`` times the largest; with ``margin``, None when some
-    value lies within the slack of the cut."""
-    # the guards on s.size keep s[0] from an empty spectrum
-    if margin and s.size and np.any(np.abs(s - tol.rank_tol * s[0]) <= _SLACK * s[0]):
+    value lies within the slack of the cut, unless every value is 0."""
+    top = s[0] if s.size else 0.0   # an empty or zero spectrum has no slack to test
+    if margin and top > 0 and np.any(np.abs(s - tol.rank_tol * top) <= _SLACK * top):
         return None
-    return int(np.count_nonzero(s > tol.rank_tol * s[0])) if s.size else 0
+    return int(np.count_nonzero(s > tol.rank_tol * top))
 
 
 def rank(M, tol: Tolerance = Tolerance()) -> int:

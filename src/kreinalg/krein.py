@@ -262,9 +262,9 @@ def classify_subspace(C: KOperator, M: Subspace,
                       tol: Tolerance = Tolerance()) -> SubspaceClass:
     """Sign class of the C-inner product restricted to M.
 
-    Decided by the inertia of the C-Gram matrix of M's basis; a strict
-    class additionally requires the Gram to have no numerical kernel.  The
-    strict class of the sign of G's first diagonal entry is certified first.
+    Decided by the inertia of the C-Gram matrix of M's basis, banded by
+    ``C.norm``; a strict class also requires the Gram to have no numerical
+    kernel.  The strict class of the sign of G[0, 0] is certified first.
     """
     if M.space.dim != C.domain.dim:
         raise DimensionMismatch("subspace does not live in the operator's space")
@@ -276,7 +276,7 @@ def classify_subspace(C: KOperator, M: Subspace,
         return SubspaceClass.STRICTLY_POSITIVE if sign > 0 else SubspaceClass.STRICTLY_NEGATIVE
     # band against the ambient operator norm: the Gram of a neutral
     # subspace cancels to round-off, its own norm is no yardstick
-    p, q, z = HermSpectrum(lambda: G).counts(tol, C)
+    p, q, z = HermSpectrum(lambda: G).counts(tol, C.norm)
     if p and q:
         return SubspaceClass.INDEFINITE
     if p:

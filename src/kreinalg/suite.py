@@ -44,6 +44,7 @@ __all__ = [
 
 _NEG_SEARCH_TOL = 1e-6          # residual floor for the non-congruence search
 _NEG_RESTARTS = 20
+_REFACTORIZATIONS = 50          # J-unitary twists of bk_converse's fixed operator
 
 
 def _seeds(master: int, battery: int, case: int, k: int) -> list[int]:
@@ -180,7 +181,7 @@ def bk_roundtrip_battery(seed: int, count: int = 1000, dim_max: int = 8,
 
 
 def bk_converse_battery(seed: int, count: int = 1000, dim_max: int = 8,
-                        tol: Tolerance = Tolerance(), refactor: int = 50) -> dict:
+                        tol: Tolerance = Tolerance()) -> dict:
     """C := A A* forces the factor-space signature; all splits, plus
     invariance under J-unitary refactorizations of one fixed operator."""
     combos = [(n, p, q)
@@ -195,14 +196,14 @@ def bk_converse_battery(seed: int, count: int = 1000, dim_max: int = 8,
     report = _tally("bk_converse", count, case)
 
     refactor_failures = 0
-    if refactor > 0 and count > 0:
+    if count > 0:
         A, C = _forced_product(seed, count + 1, 2, 2, 6)
         A_space, H = A.domain, A.codomain
-        for k in range(refactor):
+        for k in range(_REFACTORIZATIONS):
             U = j_unitary(_stream(seed, 5, 10 ** 6 + k), A_space.J)
             Fk = BKFactorization(A_space, KOperator(A_space, H, A.matrix @ U))
             refactor_failures += not bk_verify(C, Fk, tol)["passed"]
-    return {**report, "refactorizations": refactor,
+    return {**report, "refactorizations": _REFACTORIZATIONS,
             "refactorization_failures": refactor_failures,
             "passed": report["passed"] and refactor_failures == 0}
 

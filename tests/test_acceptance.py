@@ -73,7 +73,7 @@ def test_criterion_4_factor_roundtrip(capsys):
 
 
 def test_criterion_5_signature_forcing(capsys):
-    rep = _run(5, bk_converse_battery, 1000, refactor=50)
+    rep = _run(5, bk_converse_battery, 1000)
     ok = (rep["passed"] and rep["cases"] == 1000
           and rep["refactorizations"] == 50)
     _verdict(capsys, 5,

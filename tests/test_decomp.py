@@ -265,6 +265,28 @@ def test_validate_classifies_from_eigenvalues_alone(monkeypatch):
     assert calls.count("eigh") == 0 and calls.count("eigvalsh") == 0
 
 
+def test_validate_of_a_definite_c_classifies_no_empty_part(monkeypatch):
+    # h_minus = h_zero = 0: the empty parts are not classified, so no 0 x 0
+    # eigvalsh is taken, and the certified M_plus reads no 2-norm of C
+    H = gen_space(GenConfig(5, dim_range=(8, 8)))
+    B = np.random.default_rng(5).standard_normal((8, 8))
+    C = op(H, H.J @ (B @ B.T + np.eye(8)))
+    dec = decompose(C)
+    args = {"eigvalsh": [], "svd": []}
+
+    def counted(name):
+        solver = getattr(np.linalg, name)
+        return lambda A, *rest, **kw: args[name].append(A) or solver(A, *rest, **kw)
+
+    for name in args:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    report = validate(C, dec)
+    assert report["passed"] and report["dims"] == [8, 0, 0]
+    assert all(np.size(A) for A in args["eigvalsh"])
+    assert not any(np.array_equal(A, C.matrix) for A in args["svd"])
+    assert "norm" not in vars(C)
+
+
 @pytest.mark.parametrize("eps, exact", [(0.5e-8, False), (0.95e-8, True),
                                         (1.25e-8, True), (2e-8, False)])
 def test_kernel_residual_takes_the_norm_only_between_the_thresholds(monkeypatch, eps, exact):

@@ -8,6 +8,7 @@ from kreinalg.densela import (Tolerance, conditioned_svd, herm_eig, inertia,
                               spectral_norm, spectral_split, svd)
 from kreinalg.errors import (IllConditioned, InputError, NotHermitian,
                              NotInvertible, NotPSD, NumericalError)
+from kreinalg.hermdex import hermitian_indices
 from kreinalg.krein import KOperator, hilbert_space, is_selfadjoint
 
 # sqrt of [[2,1],[1,2]] by hand: eigenpairs (3, (1,1)/sqrt2), (1, (1,-1)/sqrt2)
@@ -512,6 +513,40 @@ def test_values_only_spectra_defer_inside_the_slack(monkeypatch):
         eigs.clear()
         assert inertia(M, loose) == counts
         assert eigs == (["eigvalsh", "eigh"] if fallback else ["eigvalsh"])
+
+
+def test_hermitian_indices_of_a_zero_spectrum_take_one_eigvalsh(monkeypatch):
+    # a zero top leaves no slack to test: every value is 0 on either pass
+    calls = []
+
+    def counted_eig(name):
+        solver = getattr(np.linalg, name)
+        return lambda *args, **kw: calls.append(name) or solver(*args, **kw)
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted_eig(name))
+    H = hilbert_space(3)
+    C = KOperator(H, H, np.zeros((3, 3), dtype=complex))
+    assert tuple(hermitian_indices(C)) == (0, 0, 3)
+    assert calls == ["eigvalsh"]
+
+
+def test_rank_of_a_zero_spectrum_takes_one_values_only_svd(monkeypatch):
+    calls, svd_ = [], np.linalg.svd
+
+    def counted(A, *args, compute_uv=True, **kw):
+        calls.append(compute_uv)
+        return svd_(A, *args, compute_uv=compute_uv, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert rank(np.zeros((3, 2))) == 0
+    assert calls == [False]
+
+
+@pytest.mark.parametrize("value, counts", [(5e-324, (1, 0, 0)), (-5e-324, (0, 1, 0))])
+def test_zero_spectrum_rule_leaves_the_least_subnormal_nonzero(value, counts):
+    # the top is positive, so the margin is tested, and the value clears a band of 0
+    assert inertia([[value]]) == counts
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1), (70, 5), (5, 70),

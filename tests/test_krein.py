@@ -270,24 +270,42 @@ def test_index_triple_falls_back_to_the_eigendecomposition_near_the_band(
     assert calls == [False, True]
 
 
-@pytest.mark.parametrize("g, cls, exact", [
-    (1.3e-10, SubspaceClass.STRICTLY_POSITIVE, True),
-    (0.9e-10, SubspaceClass.NEUTRAL, True),
-    (2e-10, SubspaceClass.STRICTLY_POSITIVE, False),
-    (0.5e-10, SubspaceClass.NEUTRAL, False),
+@pytest.mark.parametrize("g, cls", [
+    (1.3e-10, SubspaceClass.STRICTLY_POSITIVE),
+    (0.9e-10, SubspaceClass.NEUTRAL),
+    (2e-10, SubspaceClass.STRICTLY_POSITIVE),
+    (0.5e-10, SubspaceClass.NEUTRAL),
 ])
-def test_classify_takes_the_norm_only_between_the_frobenius_bands(g, cls, exact):
-    # ||C||_2 = 1 lies between ||C||_F / 2 (about 0.87) and ||C||_F (about
-    # 1.73); the Gram [[g]] of e1 is counted against the band 1e-10 * ||C||_2
+def test_classify_bands_an_uncertified_gram_by_the_norm(g, cls):
+    # the certificate's shift, 1e-7 * ||C||_F, is far above g, so the Gram
+    # [[g]] of e1 is counted against the band 1e-10 * ||C||_2 = 1e-10
     import kreinalg.densela as densela
     H = hilbert_space(4)
     C = KOperator(H, H, np.diag([g, 1.0, 1.0, -1.0]).astype(complex))
     e1 = make_subspace(H, np.eye(4)[:, :1])
     assert classify_subspace(C, e1) == cls
-    assert ("norm" in vars(C)) == exact
+    assert "norm" in vars(C)
     # the class the exact norm gives
     p, _, _ = densela.inertia(np.array([[g]]), scale=densela.spectral_norm(C.matrix))
     assert (cls == SubspaceClass.STRICTLY_POSITIVE) == bool(p)
+
+
+def test_uncertified_classifications_share_one_svd_of_c(monkeypatch):
+    # [[1e-10]] and diag(1, -1) both fail the certificate; the two bands
+    # read the one cached norm of C, a values-only SVD
+    H = hilbert_space(4)
+    C = KOperator(H, H, np.diag([1e-10, 1.0, 1.0, -1.0]).astype(complex))
+    e = np.eye(4, dtype=complex)
+    calls, svd_ = [], np.linalg.svd
+
+    def counted(A, *args, compute_uv=True, **kw):
+        calls.append((np.shape(A), compute_uv))
+        return svd_(A, *args, compute_uv=compute_uv, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert classify_subspace(C, Subspace(H, e[:, :1])) == SubspaceClass.NEUTRAL
+    assert classify_subspace(C, Subspace(H, e[:, 2:])) == SubspaceClass.INDEFINITE
+    assert calls == [((4, 4), False)]
 
 
 def test_selfadjointness_is_decided_once_per_tolerance(monkeypatch):

@@ -69,9 +69,9 @@ def test_roundtrip_battery_counts_kernels():
 
 
 def test_converse_battery_refactorizations():
-    rep = bk_converse_battery(5, count=30, refactor=5)
+    rep = bk_converse_battery(5, count=30)
     assert rep["passed"]
-    assert rep["refactorizations"] == 5
+    assert rep["refactorizations"] == 50
     assert rep["refactorization_failures"] == 0
 
 
