@@ -268,9 +268,11 @@ def classify_subspace(C: KOperator, M: Subspace,
     """
     if M.space.dim != C.domain.dim:
         raise DimensionMismatch("subspace does not live in the operator's space")
+    if not M.dim:   # the zero form is neutral at any scale: no pass decides it
+        return SubspaceClass.NEUTRAL
     G = _hermitian_input(_gram(C, M, M))
     # a definite G shares that sign; max(||G||_F, ||C||_F) bounds the band's scale
-    sign = -1.0 if M.dim and G[0, 0].real < 0 else 1.0
+    sign = -1.0 if G[0, 0].real < 0 else 1.0
     level = _certified_level(tol.rank_tol, M.dim)
     if level and _certified_pd(sign * G, level * max(_frobenius(G), _frobenius(C.matrix))):
         return SubspaceClass.STRICTLY_POSITIVE if sign > 0 else SubspaceClass.STRICTLY_NEGATIVE

@@ -10,6 +10,7 @@ from kreinalg.errors import (DimensionMismatch, NotSelfadjoint, NotSymmetry,
                              PreconditionFailed)
 from kreinalg.krein import (KOperator, hilbert_space, k_adjoint, make_space,
                             space_indices)
+from passes import kinds, record
 
 J2 = np.diag([1.0, -1.0]).astype(complex)
 INV_SQRT2 = 0.7071067811865476
@@ -158,35 +159,27 @@ def test_kernel_counts_come_from_the_split_and_the_rank_cut(monkeypatch):
     # J C; bk_verify decides injectivity by rank; no verifier calls null_basis
     import kreinalg.densela as densela
     from kreinalg import bkfact, decomp, phillips
-    null_basis, eigh = densela.null_basis, densela._eigh
-    calls = []
+    null_basis, nulls = densela.null_basis, []
 
     def counted_null(*args):
-        calls.append("null")
+        nulls.append(args)
         return null_basis(*args)
-
-    def counted_eig(*args, **kw):
-        calls.append("eig")
-        return eigh(*args, **kw)
 
     # every module that binds the name, so calls from any of them count
     for mod in (densela, bkfact, decomp, phillips):
         if hasattr(mod, "null_basis"):
             monkeypatch.setattr(mod, "null_basis", counted_null)
-    monkeypatch.setattr(densela, "_eigh", counted_eig)
 
     H, C = c2_example()
     dec = decomp.decompose(C)
-    calls.clear()
-    assert decomp.validate(C, dec)["passed"] and "null" not in calls
+    assert decomp.validate(C, dec)["passed"] and not nulls
     F = bk_factorize(C)
-    calls.clear()
-    assert bk_verify(C, F)["passed"] and "null" not in calls
+    assert bk_verify(C, F)["passed"] and not nulls
     E, S = sig_fact(2, [1.0, -1.0], np.diag([np.sqrt(2.0), np.sqrt(3.0)]))
     space_indices(S.A_space)                     # the symmetry's own split
-    calls.clear()
+    passes = record(monkeypatch)
     assert keyth_verify(op(E, np.diag([2.0, -3.0])), S)["passed"]
-    assert calls == ["eig"]
+    assert not nulls and kinds(passes, "eig") == ["eigvalsh"]
 
 
 def test_factor_space_is_seeded_with_the_values_eigvalsh_returns():
@@ -209,16 +202,14 @@ def test_factorize_takes_only_the_eigendecomposition_of_jc(monkeypatch, capsys):
     # the factor space's indices read its seeded values, so no values-only
     # pass follows the one eigendecomposition of J C
     import os
-    import kreinalg.densela as densela
     from kreinalg.cli import main
-    eigh, calls = densela._eigh, []
-    monkeypatch.setattr(densela, "_eigh", lambda A, vectors=True:
-                        calls.append((A.shape[0], vectors)) or eigh(A, vectors))
+    passes = record(monkeypatch)
     golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
     assert main(["factorize", "-i", os.path.join(golden, "problem8.json"), "--machine"]) == 0
     with open(os.path.join(golden, "factorize.out")) as fh:
         assert capsys.readouterr().out == fh.read()
-    assert calls == [(8, True)]
+    assert [(p.kernel, p.shape) for p in passes if p.kernel.startswith("eig")] \
+        == [("eigh", (8, 8))]
 
 
 def test_signature_factorization_validates():
@@ -336,17 +327,10 @@ def test_keyth_verify_takes_one_values_only_svd_of_t(monkeypatch):
     T = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]], dtype=complex)
     S = SignatureFactorization(K_space=K, J_A=op(K, np.diag([1.0, 1.0, -1.0])),
                                T=KOperator(E, K, T))
-    calls = []
-    svd = np.linalg.svd
-
-    def counting(a, *args, compute_uv=True, **kwargs):
-        if not compute_uv and any(np.array_equal(a, M) for M in (T, T.conj().T)):
-            calls.append(a.shape)
-        return svd(a, *args, compute_uv=compute_uv, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    passes = record(monkeypatch)
     rep = keyth_verify(op(E, T.conj().T @ np.diag([1.0, 1.0, -1.0]) @ T), S)
-    assert calls == [(2, 3)]
+    assert [p.shape for p in passes if p.kernel == "svdvals"
+            and any(np.array_equal(p.operand, M) for M in (T, T.conj().T))] == [(2, 3)]
     assert rep["kernel_trivial"] and not rep["range_dense"]
 
 

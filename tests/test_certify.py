@@ -5,7 +5,8 @@ eigenvalue pass only where they prove what LAPACK would decide.
 `densela._certified_pd` is held against the exact inertia over the rationals
 (`exact.inertia`): whenever it claims G - shift I > 0, that is true of the
 stored G.  At each site (`classify_subspace`, `bk_verify`, `transport`) a
-claim is compared with the verdict of the same call with every certificate
+claim, a verdict reached with no LAPACK pass over the spectrum it stands in
+for, is compared with the verdict of the same call with every certificate
 switched off, on spectra planted around the cut.
 """
 
@@ -27,6 +28,7 @@ from kreinalg.genrand import haar_unitary
 from kreinalg.hermdex import COND_CAP, Congruence, transport
 from kreinalg.krein import (KOperator, Subspace, SubspaceClass, classify_subspace,
                             hilbert_space, make_space)
+from passes import kinds, record
 
 U = 2.0 ** -53
 # planted least value over the cut; claims are allowed only from 10^3 on
@@ -103,7 +105,8 @@ def _classify_case(rng, n, factor, tol):
     H = hilbert_space(n)
     C = op(H, _hermitian_part((V * w) @ V.conj().T))
     ratio = np.abs(w[:k]).min() / (tol.rank_tol * np.abs(w).max())
-    return ratio, lambda: classify_subspace(C, Subspace(H, V[:, :k]), tol)
+    return (ratio, lambda: classify_subspace(C, Subspace(H, V[:, :k]), tol),
+            lambda p: p.kernel.startswith("eig"))
 
 
 def _factor_case(rng, n, factor, tol):
@@ -113,7 +116,8 @@ def _factor_case(rng, n, factor, tol):
     H, K = hilbert_space(n), hilbert_space(k)
     F = BKFactorization(K, KOperator(K, H, A))
     C = op(H, _hermitian_part(A @ A.conj().T))
-    return s.min() / (tol.rank_tol * s.max()), lambda: bk_verify(C, F, tol)["injective"]
+    return (s.min() / (tol.rank_tol * s.max()), lambda: bk_verify(C, F, tol)["injective"],
+            lambda p: p.kernel.startswith("svd") and np.array_equal(p.operand, F.A.matrix))
 
 
 def _congruence_case(rng, n, factor, tol):
@@ -129,37 +133,32 @@ def _congruence_case(rng, n, factor, tol):
             return transport(B, X, tol).matrix.tobytes()
         except KreinError as exc:
             return type(exc), str(exc)
-    return s.min() / (cut * s.max()), run
+    return (s.min() / (cut * s.max()), run,
+            lambda p: p.kernel.startswith("svd") and np.array_equal(p.operand, X.X.matrix))
 
 
+# each case returns the ratio to the cut, the call, and which pass a
+# declined certificate leaves the verdict to
 SITES = {
-    "classify_subspace": (_classify_case, krein, "_certified_pd"),
-    "bk_verify": (_factor_case, bkfact, "_certified_pd"),
-    "transport": (_congruence_case, hermdex, "conditioned_svd"),
+    "classify_subspace": (_classify_case, krein),
+    "bk_verify": (_factor_case, bkfact),
+    "transport": (_congruence_case, hermdex),
 }
 
 
-def test_a_claim_is_the_lapack_verdict_and_is_made_only_past_the_margin():
-    seen = Counter()
+def test_a_claim_is_the_lapack_verdict_and_is_made_only_past_the_margin(monkeypatch):
+    seen, passes = Counter(), record(monkeypatch)
 
     @settings(derandomize=True, max_examples=360, deadline=None)
     @given(st.sampled_from(sorted(SITES)), st.integers(1, 16), st.sampled_from(FACTORS),
            st.integers(2, 15), st.integers(0, 2 ** 32 - 1))
     def check(site, n, factor, exponent, seed):
-        make, module, probe = SITES[site]
+        make, module = SITES[site]
         tol = Tolerance(rank_tol=10.0 ** -exponent)
-        ratio, decide = make(np.random.default_rng(seed), n, factor, tol)
-        calls = []
-        real = getattr(module, probe)
-
-        def spy(*args):
-            calls.append(None)    # before the call, which may raise
-            calls[-1] = real(*args)
-            return calls[-1]
-        with mock.patch.object(module, probe, spy):
-            verdict = decide()
-        # _certified_pd returned True, or transport never reached conditioned_svd
-        claimed = True in calls if probe == "_certified_pd" else not calls
+        ratio, decide, fallback = make(np.random.default_rng(seed), n, factor, tol)
+        passes.clear()
+        verdict = decide()
+        claimed = not any(map(fallback, passes))
         with mock.patch.object(module, "_certified_level", lambda cut, n: 0.0):
             assert decide() == verdict
         seen[site, claimed] += 1
@@ -173,17 +172,6 @@ def test_a_claim_is_the_lapack_verdict_and_is_made_only_past_the_margin():
 
 # ---- the paths a declined certificate leaves as they were -------------------
 
-def _count(monkeypatch, name, keep=lambda a, kw: True):
-    calls, real = [], getattr(np.linalg, name)
-
-    def counted(a, *args, **kw):
-        if keep(a, kw):
-            calls.append(kw.get("compute_uv", True))
-        return real(a, *args, **kw)
-    monkeypatch.setattr(np.linalg, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("least, raised", [(2e-8, None), (5e-9, "IllConditioned")])
 def test_a_congruence_near_the_cap_takes_the_values_only_svd(monkeypatch, least, raised):
     # cond(X) = 5e7 and 2e8: the bound from the inverse cannot clear the cap
@@ -192,14 +180,13 @@ def test_a_congruence_near_the_cap_takes_the_values_only_svd(monkeypatch, least,
     Q = haar_unitary(np.random.default_rng(3), 3)
     s = np.array([1.0, 0.5, least])
     X = Congruence(op(H, (Q * s) @ Q.conj().T), op(H, (Q / s) @ Q.conj().T))
-    calls = _count(monkeypatch, "svd")
+    passes = record(monkeypatch)
     if raised:
         with pytest.raises(KreinError, match=r"condition number 2\.000e\+08 exceeds cap 1e\+08"):
             transport(op(H, np.eye(3)), X)
-        assert calls == [False, True]
     else:
         transport(op(H, np.eye(3)), X)
-        assert calls == [False]
+    assert kinds(passes, "svd") == (["svdvals", "svd"] if raised else ["svdvals"])
 
 
 def test_a_loose_inverse_check_takes_the_values_only_svd(monkeypatch):
@@ -208,29 +195,29 @@ def test_a_loose_inverse_check_takes_the_values_only_svd(monkeypatch):
     H = hilbert_space(n)
     Q = haar_unitary(np.random.default_rng(5), n)
     X = Congruence(op(H, 2.0 * Q), op(H, 0.5 * Q.conj().T), Tolerance(residual_tol=1e-2))
-    calls = _count(monkeypatch, "svd", lambda a, kw: a.shape == (n, n))
+    passes = record(monkeypatch)
     transport(op(H, np.eye(n)), X)
-    assert calls == [False]
+    assert kinds([p for p in passes if p.shape == (n, n)], "svd") == ["svdvals"]
 
 
 def test_a_nonnegative_gram_takes_one_eigenvalue_pass(monkeypatch):
     H = hilbert_space(3)
     C = op(H, np.diag([1.0, 0.0, -1.0]))
     M = Subspace(H, np.eye(3, dtype=complex)[:, :2])
-    passes = {name: _count(monkeypatch, name) for name in ("eigvalsh", "eigh")}
+    passes = record(monkeypatch)
     assert classify_subspace(C, M) == SubspaceClass.NONNEGATIVE
-    assert len(passes["eigvalsh"]) == 1 and not passes["eigh"]
+    assert kinds(passes, "eig") == ["eigvalsh"]
 
 
 def test_a_strict_gram_takes_no_eigenvalue_pass(monkeypatch):
     H = make_space(np.diag([1.0, -1.0]))
     C = op(H, np.diag([2.0, -3.0]))
-    passes = {name: _count(monkeypatch, name) for name in ("eigvalsh", "eigh")}
+    passes = record(monkeypatch)
     assert classify_subspace(C, Subspace(H, np.eye(2, dtype=complex)[:, :1])) \
         == SubspaceClass.STRICTLY_POSITIVE
     assert classify_subspace(C, Subspace(H, np.eye(2, dtype=complex)[:, 1:])) \
         == SubspaceClass.STRICTLY_POSITIVE    # J C = diag(2, 3)
-    assert not passes["eigvalsh"] and not passes["eigh"]
+    assert not kinds(passes, "eig")
 
 
 def test_a_factor_on_the_cut_takes_one_svd_of_each_kind(monkeypatch):
@@ -239,9 +226,10 @@ def test_a_factor_on_the_cut_takes_one_svd_of_each_kind(monkeypatch):
     H, K = hilbert_space(2), hilbert_space(2)
     A = np.diag([1.0, 1e-10]).astype(complex)
     F = BKFactorization(K, KOperator(K, H, A))
-    calls = _count(monkeypatch, "svd", lambda a, kw: np.array_equal(a, A))
+    passes = record(monkeypatch)
     rep = bk_verify(op(H, A @ A.conj().T), F)
-    assert sorted(calls) == [False, True]
+    assert sorted(p.kernel for p in passes if p.kernel.startswith("svd")
+                  and np.array_equal(p.operand, A)) == ["svd", "svdvals"]
     assert not rep["injective"]
 
 
@@ -250,8 +238,8 @@ def test_a_square_signature_factor_takes_no_svd_of_t(monkeypatch):
     E = hilbert_space(2)
     T = np.array([[2.0, 1.0], [0.0, 1.0]], dtype=complex)
     S = SignatureFactorization(K_space=E, J_A=op(E, np.diag([1.0, -1.0])), T=op(E, T))
-    calls = _count(monkeypatch, "svd",
-                   lambda a, kw: any(np.array_equal(a, M) for M in (T, T.conj().T)))
+    passes = record(monkeypatch)
     rep = keyth_verify(op(E, T.conj().T @ np.diag([1.0, -1.0]) @ T), S)
     assert rep["passed"] and rep["kernel_trivial"] and rep["range_dense"]
-    assert calls == []
+    assert not [p for p in passes if p.kernel.startswith("svd")
+                and any(np.array_equal(p.operand, M) for M in (T, T.conj().T))]

@@ -16,6 +16,7 @@ from kreinalg import cli, serial, suite
 from kreinalg.cli import main
 from kreinalg.errors import ContractionOverflow
 from kreinalg.serial import dump_json, matrix_to_obj
+from passes import kinds, record
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 J2 = np.diag([1.0, -1.0]).astype(complex)
@@ -722,23 +723,12 @@ def test_indices_counts_the_space_without_its_eigenvectors(monkeypatch, capsys, 
     G = np.random.default_rng(4).standard_normal((8, 8))
     path = write(tmp_path / "p.json", {"space": {"J": matrix_to_obj(J)},
                                        "operator": matrix_to_obj(J @ (G + G.T))})
-    calls = {"eigh": [], "eigvalsh": []}
-
-    def counting(name):
-        f = getattr(np.linalg, name)
-
-        def counted(A, *args, **kw):
-            calls[name].append(np.array(A))
-            return f(A, *args, **kw)
-        return counted
-
-    for name in calls:
-        monkeypatch.setattr(np.linalg, name, counting(name))
+    passes = record(monkeypatch)
     code, report = run_machine(capsys, ["indices", "-i", path, "--machine"])
     assert code == 0
     assert report["space"] == {"dim": 8, "ind_plus": 5, "ind_minus": 3}
-    assert calls["eigh"] == []
-    assert [np.allclose(A, J) for A in calls["eigvalsh"]] == [False, True]
+    assert [(p.kernel, np.allclose(p.operand, J)) for p in passes] == [
+        ("eigvalsh", False), ("eigvalsh", True)]
 
 
 def _problem64(tmp_path, name="p64.json", seed=21):
@@ -750,47 +740,31 @@ def _problem64(tmp_path, name="p64.json", seed=21):
                                    "operator": matrix_to_obj(C.matrix)}), H.J, C.matrix
 
 
-def _count_kernel(monkeypatch, *names) -> dict:
-    """Patch each ``np.linalg`` kernel named; returns name -> list of operands."""
-    calls = {name: [] for name in names}
-
-    def counting(name):
-        f = getattr(np.linalg, name)
-
-        def counted(A, *args, **kw):
-            calls[name].append(np.array(A))
-            return f(A, *args, **kw)
-        return counted
-
-    for name in names:
-        monkeypatch.setattr(np.linalg, name, counting(name))
-    return calls
-
-
 def test_indices_takes_no_eigendecomposition_with_vectors(monkeypatch, capsys, tmp_path):
     path, _, _ = _problem64(tmp_path)
-    calls = _count_kernel(monkeypatch, "eigh", "eigvalsh")
+    passes = record(monkeypatch)
     code, report = run_machine(capsys, ["indices", "-i", path, "--machine"])
     assert code == 0 and report["space"]["dim"] == 64 and report["indices"][2] >= 1
-    assert calls["eigh"] == [] and len(calls["eigvalsh"]) == 2
+    assert kinds(passes, "eig") == ["eigvalsh"] * 2
 
 
 def test_decompose_takes_no_svd_of_the_operator(monkeypatch, capsys, tmp_path):
     path, _, C = _problem64(tmp_path)
-    calls = _count_kernel(monkeypatch, "svd", "norm")
+    passes = record(monkeypatch)
     code, report = run_machine(capsys, ["decompose", "-i", path, "--machine"])
     assert code == 0 and report["validation"]["passed"]
-    assert calls["norm"] == [] and calls["svd"]
-    assert not any(A.shape == C.shape and np.array_equal(A, C) for A in calls["svd"])
+    svds = [p.operand for p in passes if p.kernel.startswith("svd")]
+    assert "norm" not in kinds(passes) and svds
+    assert not any(A.shape == C.shape and np.array_equal(A, C) for A in svds)
 
 
 def test_congruent_pair_takes_one_eigendecomposition_per_operator(monkeypatch, capsys,
                                                                    tmp_path):
     a, _, _ = _problem64(tmp_path, "a.json")
-    calls = _count_kernel(monkeypatch, "eigh", "eigvalsh")
+    passes = record(monkeypatch)
     code, report = run_machine(capsys, ["congruent", a, a, "--machine"])
     assert code == 0 and report["congruent"]
-    assert len(calls["eigh"]) == 2 and calls["eigvalsh"] == []
+    assert kinds(passes, "eig") == ["eigh"] * 2
 
 
 @pytest.mark.parametrize("command", ["indices", "decompose", "factorize", "congruent"])

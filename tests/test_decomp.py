@@ -8,6 +8,7 @@ from kreinalg.errors import DimensionMismatch, NotDirect, NotSelfadjoint
 from kreinalg.genrand import GenConfig, gen_selfadjoint, gen_space
 from kreinalg.krein import (KOperator, Subspace, hilbert_space, make_space,
                             make_subspace)
+from passes import kinds, record
 
 J2 = np.diag([1.0, -1.0]).astype(complex)
 INV_SQRT2 = 0.7071067811865476
@@ -234,16 +235,9 @@ def test_validate_takes_one_svd_on_decompose_output(monkeypatch):
     H = gen_space(GenConfig(5, dim_range=(12, 12)))
     C = gen_selfadjoint(GenConfig(5, dim_range=(12, 12), kernel_prob=0.3), H)
     dec = decompose(C)
-    shapes = []
-    svd_ = np.linalg.svd
-
-    def counted(A, *args, **kw):
-        shapes.append(np.shape(A))
-        return svd_(A, *args, **kw)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    passes = record(monkeypatch)
     assert validate(C, dec)["pairwise_sums_direct"]
-    assert shapes == [dec.stacked().shape]
+    assert [p.shape for p in passes if p.kernel.startswith("svd")] == [dec.stacked().shape]
 
 
 def test_validate_classifies_from_eigenvalues_alone(monkeypatch):
@@ -252,17 +246,10 @@ def test_validate_classifies_from_eigenvalues_alone(monkeypatch):
     # is the one decompose cached
     H = gen_space(GenConfig(5, dim_range=(12, 12)))
     C = gen_selfadjoint(GenConfig(5, dim_range=(12, 12), kernel_prob=0.3), H)
-    calls = []
-
-    def counted(name):
-        solver = getattr(np.linalg, name)
-        return lambda *args, **kw: calls.append(name) or solver(*args, **kw)
-
     dec = decompose(C)
-    for name in ("eigh", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, counted(name))
+    passes = record(monkeypatch)
     assert validate(C, dec)["sign_conditions"]
-    assert calls.count("eigh") == 0 and calls.count("eigvalsh") == 0
+    assert not kinds(passes, "eig")
 
 
 def test_validate_of_a_definite_c_classifies_no_empty_part(monkeypatch):
@@ -272,18 +259,12 @@ def test_validate_of_a_definite_c_classifies_no_empty_part(monkeypatch):
     B = np.random.default_rng(5).standard_normal((8, 8))
     C = op(H, H.J @ (B @ B.T + np.eye(8)))
     dec = decompose(C)
-    args = {"eigvalsh": [], "svd": []}
-
-    def counted(name):
-        solver = getattr(np.linalg, name)
-        return lambda A, *rest, **kw: args[name].append(A) or solver(A, *rest, **kw)
-
-    for name in args:
-        monkeypatch.setattr(np.linalg, name, counted(name))
+    passes = record(monkeypatch)
     report = validate(C, dec)
     assert report["passed"] and report["dims"] == [8, 0, 0]
-    assert all(np.size(A) for A in args["eigvalsh"])
-    assert not any(np.array_equal(A, C.matrix) for A in args["svd"])
+    assert all(np.size(p.operand) for p in passes if p.kernel == "eigvalsh")
+    assert not any(np.array_equal(p.operand, C.matrix) for p in passes
+                   if p.kernel.startswith("svd"))
     assert "norm" not in vars(C)
 
 

@@ -10,6 +10,7 @@ from kreinalg.errors import (IllConditioned, InputError, NotHermitian,
                              NotInvertible, NotPSD, NumericalError)
 from kreinalg.hermdex import hermitian_indices
 from kreinalg.krein import KOperator, hilbert_space, is_selfadjoint
+from passes import kinds, record
 
 # sqrt of [[2,1],[1,2]] by hand: eigenpairs (3, (1,1)/sqrt2), (1, (1,-1)/sqrt2)
 SQRT3P1_HALF = 1.3660254037844386
@@ -476,71 +477,43 @@ def test_inertia_decides_as_the_split_with_vectors(seed, n, factor, rank_tol, sc
 def test_values_only_spectra_defer_inside_the_slack(monkeypatch):
     # a value inside the slack of the cut, or a condition number inside the
     # slack of the cap, sends each check to the thin SVD with vectors
-    calls = []
-    svd_ = np.linalg.svd
-
-    def counted(A, full_matrices=True, compute_uv=True, **kw):
-        calls.append(compute_uv)
-        return svd_(A, full_matrices=full_matrices, compute_uv=compute_uv, **kw)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    passes = record(monkeypatch)
     # (a cut of 1e-3 keeps a value near it clear of the cap of 1e8)
     loose = Tolerance(rank_tol=1e-3)
     near_cut = np.diag([1.0, 0.5, 1e-3 * (1.0 + 1e-13)])
     near_cap = np.diag([1.0, 1e-8 * (1.0 - 1e-13)])
     clear = np.diag([1.0, 2e-3, 0.5e-3])
     for check, M, fallback in ((rank, near_cut, True), (rank, clear, False)):
-        calls.clear()
+        passes.clear()
         check(M, loose)
-        assert calls == ([False, True] if fallback else [False])
+        assert kinds(passes, "svd") == (["svdvals", "svd"] if fallback else ["svdvals"])
     # a failure is worded from the values with vectors, however clear
     for M, cap, fallback in ((near_cut, 1e8, True), (near_cap, 1e8, True),
                              (clear[:2, :2], 1e3, False), (clear[:2, :2], 1e2, True),
                              (clear, 1e8, True)):
-        calls.clear()
+        passes.clear()
         outcome(conditioned_svd, M, loose, cap)
-        assert calls == ([False, True] if fallback else [False])
+        assert kinds(passes, "svd") == (["svdvals", "svd"] if fallback else ["svdvals"])
     # inertia counts from eigvalsh alone, and takes one eigh inside the slack
-    eigs = []
-
-    def counted_eig(name):
-        solver = getattr(np.linalg, name)
-        return lambda *args, **kw: eigs.append(name) or solver(*args, **kw)
-
-    for name in ("eigh", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, counted_eig(name))
     for M, counts, fallback in ((near_cut, (3, 0, 0), True), (clear, (2, 0, 1), False)):
-        eigs.clear()
+        passes.clear()
         assert inertia(M, loose) == counts
-        assert eigs == (["eigvalsh", "eigh"] if fallback else ["eigvalsh"])
+        assert kinds(passes, "eig") == (["eigvalsh", "eigh"] if fallback else ["eigvalsh"])
 
 
 def test_hermitian_indices_of_a_zero_spectrum_take_one_eigvalsh(monkeypatch):
     # a zero top leaves no slack to test: every value is 0 on either pass
-    calls = []
-
-    def counted_eig(name):
-        solver = getattr(np.linalg, name)
-        return lambda *args, **kw: calls.append(name) or solver(*args, **kw)
-
-    for name in ("eigh", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, counted_eig(name))
+    passes = record(monkeypatch)
     H = hilbert_space(3)
     C = KOperator(H, H, np.zeros((3, 3), dtype=complex))
     assert tuple(hermitian_indices(C)) == (0, 0, 3)
-    assert calls == ["eigvalsh"]
+    assert kinds(passes, "eig") == ["eigvalsh"]
 
 
 def test_rank_of_a_zero_spectrum_takes_one_values_only_svd(monkeypatch):
-    calls, svd_ = [], np.linalg.svd
-
-    def counted(A, *args, compute_uv=True, **kw):
-        calls.append(compute_uv)
-        return svd_(A, *args, compute_uv=compute_uv, **kw)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    passes = record(monkeypatch)
     assert rank(np.zeros((3, 2))) == 0
-    assert calls == [False]
+    assert kinds(passes, "svd") == ["svdvals"]
 
 
 @pytest.mark.parametrize("value, counts", [(5e-324, (1, 0, 0)), (-5e-324, (0, 1, 0))])

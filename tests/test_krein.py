@@ -13,6 +13,7 @@ from kreinalg.krein import (IndexTriple, KOperator, KreinSpace, Subspace, Subspa
                             hilbert_space, identity_op, is_selfadjoint,
                             k_adjoint, make_space, make_subspace,
                             space_indices)
+from passes import kinds, record
 
 J2 = np.diag([1.0, -1.0]).astype(complex)
 
@@ -46,17 +47,10 @@ def test_hilbert_space_signature_is_seeded(monkeypatch, n):
     from kreinalg.phillips import canonical_frames
     # the seed is exactly the split an eigendecomposition of I gives
     split = densela.spectral_split(np.eye(n, dtype=complex))
-    calls = []
-    eigh = densela._eigh
-
-    def counted(M, *rest):
-        calls.append(M)
-        return eigh(M, *rest)
-
-    monkeypatch.setattr(densela, "_eigh", counted)
+    passes = record(monkeypatch)
     assert space_indices(hilbert_space(n)) == (n, 0)
     U_plus, U_minus = canonical_frames(hilbert_space(n))
-    assert calls == []
+    assert not kinds(passes, "eig")
     seeded = hilbert_space(n).signature
     for field in ("eigenvalues", "eigenvectors", "plus", "minus", "zero"):
         got, want = getattr(seeded, field), getattr(split, field)
@@ -237,20 +231,6 @@ def test_space_indices_refuse_a_zero_eigenvalue_every_time():
     assert "signature" not in vars(degenerate)
 
 
-def _record_eigh(monkeypatch) -> list:
-    """Patch the one Hermitian eigen-kernel; returns the list of its calls,
-    True for each taken with eigenvectors and False for eigenvalues alone."""
-    import kreinalg.densela as densela
-    calls, eigh = [], densela._eigh
-
-    def counted(A, vectors=True):
-        calls.append(vectors)
-        return eigh(A, vectors)
-
-    monkeypatch.setattr(densela, "_eigh", counted)
-    return calls
-
-
 @pytest.mark.parametrize("value, triple, fallback", [
     (1e-10 * (1.0 + 1e-13), (2, 1, 1), True),     # within the slack, above the band
     (1e-10, (1, 1, 2), True),                     # at the band: counted zero
@@ -263,11 +243,11 @@ def test_index_triple_falls_back_to_the_eigendecomposition_near_the_band(
     # J C = diag(1, -0.5, value, 0), so the band is 1e-10 exactly
     J = np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex)
     C = KOperator(make_space(J), make_space(J), J @ np.diag([1.0, -0.5, value, 0.0]))
-    calls = _record_eigh(monkeypatch)
+    passes = record(monkeypatch)
     assert hermitian_indices(C) == triple
-    assert calls == ([False, True] if fallback else [False])
+    assert kinds(passes) == (["eigvalsh", "eigh"] if fallback else ["eigvalsh"])
     assert hermitian_indices(C) == triple == canonical_form(C).indices
-    assert calls == [False, True]
+    assert kinds(passes) == ["eigvalsh", "eigh"]
 
 
 @pytest.mark.parametrize("g, cls", [
@@ -290,22 +270,27 @@ def test_classify_bands_an_uncertified_gram_by_the_norm(g, cls):
     assert (cls == SubspaceClass.STRICTLY_POSITIVE) == bool(p)
 
 
+def test_an_empty_subspace_is_neutral_with_no_pass(monkeypatch):
+    # the zero form is neutral at any scale: no norm of C and no 0 x 0 spectrum
+    H = hilbert_space(64)
+    C = KOperator(H, H, np.diag(np.arange(1.0, 65.0)).astype(complex))
+    empty = Subspace(H, np.zeros((64, 0), dtype=complex))
+    passes = record(monkeypatch)
+    assert classify_subspace(C, empty) == SubspaceClass.NEUTRAL
+    assert passes == [] and "norm" not in vars(C)
+
+
 def test_uncertified_classifications_share_one_svd_of_c(monkeypatch):
     # [[1e-10]] and diag(1, -1) both fail the certificate; the two bands
     # read the one cached norm of C, a values-only SVD
     H = hilbert_space(4)
     C = KOperator(H, H, np.diag([1e-10, 1.0, 1.0, -1.0]).astype(complex))
     e = np.eye(4, dtype=complex)
-    calls, svd_ = [], np.linalg.svd
-
-    def counted(A, *args, compute_uv=True, **kw):
-        calls.append((np.shape(A), compute_uv))
-        return svd_(A, *args, compute_uv=compute_uv, **kw)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    passes = record(monkeypatch)
     assert classify_subspace(C, Subspace(H, e[:, :1])) == SubspaceClass.NEUTRAL
     assert classify_subspace(C, Subspace(H, e[:, 2:])) == SubspaceClass.INDEFINITE
-    assert calls == [((4, 4), False)]
+    assert [(p.shape, p.kernel) for p in passes if p.kernel.startswith("svd")] \
+        == [((4, 4), "svdvals")]
 
 
 def test_selfadjointness_is_decided_once_per_tolerance(monkeypatch):

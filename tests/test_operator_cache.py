@@ -4,8 +4,8 @@ taken once.
 `KOperator.jc`, `KOperator.spectrum` and `KOperator.norm` are
 cached; these tests count the products and kernels behind them across
 the engines and check that the caches never carry one call's tolerance
-into another.  Eigendecompositions are counted at `densela._eigh`, the
-one kernel behind every Hermitian spectrum.
+into another.  Eigendecompositions are LAPACK passes, seen by
+`passes.record`.
 """
 
 import dataclasses
@@ -29,30 +29,19 @@ from kreinalg.hermdex import (build_congruence, canonical_form,
 from kreinalg.krein import (KOperator, hilbert_space, identity_op, is_selfadjoint,
                             make_space, make_subspace, selfadjoint_split, space_indices)
 from kreinalg.phillips import graph_rep
-
-# every module that binds each kernel name, so calls from any of them count
-_BINDERS = {
-    "_eigh": (densela,),
-    "spectral_norm": (densela, krein, bkfact, decomp, phillips, cli, suite),
-    "svd": (densela, decomp, suite),
-}
+from passes import record
 
 
-def _record(monkeypatch, name, seen=None, keep=lambda *rest, **kw: True):
-    """Patch ``name`` wherever it is bound; returns the list its first
-    arguments are appended to (``seen``, or a new one) whenever ``keep``
-    holds for the other arguments."""
-    seen = [] if seen is None else seen
-    original = getattr(densela, name)
+def _record_norms(monkeypatch) -> list:
+    """The arguments of ``spectral_norm``, patched in every module that binds it."""
+    seen, norm = [], densela.spectral_norm
 
-    def recorded(M, *rest, **kw):
-        if keep(*rest, **kw):
-            seen.append(np.asarray(M))
-        return original(M, *rest, **kw)
+    def recorded(M):
+        return seen.append(np.asarray(M)) or norm(M)
 
-    for mod in _BINDERS[name]:
-        if hasattr(mod, name):
-            monkeypatch.setattr(mod, name, recorded)
+    for mod in (densela, krein, bkfact, decomp, phillips, cli, suite):
+        if hasattr(mod, "spectral_norm"):
+            monkeypatch.setattr(mod, "spectral_norm", recorded)
     return seen
 
 
@@ -99,13 +88,14 @@ def _congruent_pair():
 def test_each_operator_is_eigendecomposed_once(monkeypatch):
     # one pass with eigenvectors per operator
     C, B = _congruent_pair()
-    seen = _record(monkeypatch, "_eigh", keep=lambda vectors=True: vectors)
+    passes = record(monkeypatch)
     assert hermitian_indices(C) == canonical_form(C).indices
     dec = decompose(C)
     assert validate(C, dec)["passed"]
     assert bk_verify(C, bk_factorize(C))["passed"]
     assert hermitian_indices(B) == hermitian_indices(C)
     build_congruence(C, B)
+    seen = [p.operand for p in passes if p.kernel == "eigh"]
     assert _count_equal(seen, _hermitian_part(C)) == 1
     assert _count_equal(seen, _hermitian_part(B)) == 1
 
@@ -152,7 +142,7 @@ def test_jc_is_read_only():
 
 def test_operator_norm_is_taken_once(monkeypatch):
     C, _ = _congruent_pair()
-    seen = _record(monkeypatch, "spectral_norm")
+    seen = _record_norms(monkeypatch)
     assert validate(C, decompose(C))["passed"]
     assert bk_verify(C, bk_factorize(C))["passed"]
     assert _count_equal(seen, C.matrix) == 1
@@ -168,7 +158,7 @@ def test_operator_norm_is_taken_once_when_the_selfadjointness_test_straddles(
     M[0, 1] = 4 * eps
     H = hilbert_space(4)
     C = KOperator(H, H, M)
-    seen = _record(monkeypatch, "spectral_norm")
+    seen = _record_norms(monkeypatch)
     assert bk_verify(C, bk_factorize(C))["passed"]
     assert _count_equal(seen, M) == 1
 
@@ -176,10 +166,11 @@ def test_operator_norm_is_taken_once_when_the_selfadjointness_test_straddles(
 def test_stacked_basis_is_decomposed_once(monkeypatch):
     C, _ = _congruent_pair()
     dec = decompose(C)
-    seen = _record(monkeypatch, "svd")
+    passes = record(monkeypatch)
     assert validate(C, dec)["direct_sum"]
     projections(C, dec)
-    assert _count_equal(seen, dec.stacked()) == 1
+    assert _count_equal([p.operand for p in passes if p.kernel.startswith("svd")],
+                        dec.stacked()) == 1
 
 
 def test_decomposition_bases_are_read_only_views_of_the_cache():
@@ -200,9 +191,10 @@ def test_graph_rep_takes_no_svd_of_an_identity(monkeypatch):
     plus = make_subspace(H, np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0],
                                       [0.5, 0.0], [0.0, 0.25]]))
     minus = make_subspace(H, np.array([[0.0], [0.0], [0.5], [0.0], [1.0]]))
-    seen = _record(monkeypatch, "svd", _record(monkeypatch, "spectral_norm"))
+    norms, passes = _record_norms(monkeypatch), record(monkeypatch)
     graph_rep(plus, "plus")
     graph_rep(minus, "minus")
+    seen = norms + [p.operand for p in passes if p.kernel.startswith("svd")]
     for n in range(H.dim + 1):
         assert _count_equal(seen, np.eye(n)) == 0
 

@@ -7,6 +7,7 @@ from kreinalg.krein import (KreinSpace, SubspaceClass, classify_subspace,
                             identity_op, make_space, make_subspace, space_indices)
 from kreinalg.phillips import (canonical_frames, check_compatibility,
                                graph_rep, phillips_extend, represented)
+from passes import record
 
 J2 = np.diag([1.0, -1.0]).astype(complex)
 J4 = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
@@ -38,24 +39,16 @@ def test_canonical_frames_split():
 
 
 def test_symmetry_is_split_once_per_space(monkeypatch):
-    import kreinalg.densela as densela
     H = make_space(J4)
-    splits = []
-    eigh = densela._eigh
-
-    def counted(M, *rest):
-        if np.shape(M) == H.J.shape and np.allclose(M, H.J):
-            splits.append(M)
-        return eigh(M, *rest)
-
-    monkeypatch.setattr(densela, "_eigh", counted)
+    passes = record(monkeypatch)
     gp = graph_rep(make_subspace(H, col(1.0, 0.0, 0.5, 0.5)), "plus")
     gm = graph_rep(make_subspace(H, col(0.5, 0.5, 1.0, 0.0)), "minus")
     phillips_extend(gp, gm)
     represented(gp)
     represented(gm)
     assert canonical_frames(H)[0].shape[1] == 2 and space_indices(H) == (2, 2)
-    assert len(splits) == 1
+    assert len([p for p in passes if p.kernel.startswith("eig")
+                and p.shape == H.J.shape and np.allclose(p.operand, H.J)]) == 1
 
 
 def test_graph_rep_roundtrip():
@@ -71,21 +64,14 @@ def test_graph_rep_roundtrip():
 
 def test_graph_rep_takes_one_thin_svd_of_the_projection(monkeypatch):
     # the range basis of the projection P (2 x 1 here) carries its rank, so
-    # no second thin SVD of P decides it; pinv(P) takes its own full SVD
+    # no second SVD of P decides it; pinv(P) takes its own full SVD: the
+    # passes over P are the thin SVD, then the full one
     H = make_space(J4)
     S = make_subspace(H, col(1.0, 0.0, 0.5, 0.5))
-    thin = []
-    svd = np.linalg.svd
-
-    def counted(A, full_matrices=True, **kw):
-        if np.shape(A) == (2, 1) and not full_matrices:
-            thin.append(A)
-        return svd(A, full_matrices=full_matrices, **kw)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    passes = record(monkeypatch)
     g = graph_rep(S, "plus")
     assert g.M.dim == 1
-    assert len(thin) == 1
+    assert [p.kernel for p in passes if p.shape == (2, 1)] == ["svd", "svd"]
 
 
 def test_graph_rep_sign_validation():

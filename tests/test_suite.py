@@ -17,6 +17,7 @@ from kreinalg.krein import Subspace, hilbert_space
 from kreinalg.suite import (DEFAULT_COUNTS, bk_converse_battery,
                             bk_roundtrip_battery, keyth_battery,
                             run_property_suite)
+from passes import kinds, record
 
 
 def test_report_shape_and_determinism():
@@ -99,13 +100,10 @@ def test_keyth_battery_validates_each_symmetry_once(monkeypatch):
 def test_sylvester_battery_counts_from_its_eigendecompositions(monkeypatch):
     # every case eigendecomposes both operators, so the congruence verdict
     # takes no eigenvalues-only pass of its own
-    import kreinalg.densela as densela
-    passes, eigh = [], densela._eigh
-    monkeypatch.setattr(densela, "_eigh",
-                        lambda A, vectors=True: passes.append(vectors) or eigh(A, vectors))
+    passes = record(monkeypatch)
     report = suite.sylvester_battery(20260822, count=30)
     assert report["passed"] and report["best_noncongruent_residual"] is not None
-    assert passes.count(True) == 50 and passes.count(False) == 0
+    assert kinds(passes, "eig") == ["eigh"] * 50
 
 
 def test_default_suite_runs_each_battery_at_its_own_size(no_workers_left,
