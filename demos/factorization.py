@@ -36,8 +36,7 @@ def main():
     # the product and every verdict are unchanged
     rng = np.random.default_rng(23)
     U = j_unitary(rng, F.A_space.J)
-    twisted = BKFactorization(F.A_space, KOperator(F.A_space, H,
-                                                   F.A.matrix @ U))
+    twisted = BKFactorization(KOperator(F.A_space, H, F.A.matrix @ U))
     report2 = bk_verify(C, twisted)
     drift = spectral_norm(
         twisted.A.matrix @ k_adjoint(twisted.A).matrix - C.matrix)

@@ -25,8 +25,7 @@ from .hermdex import (CanonicalForm, Congruence, build_congruence,
                       transport)
 from .decomp import Decomposition, DecompositionProjections, decompose, \
     projections, validate
-from .bkfact import (BKFactorization, SignatureFactorization, bk_factorize,
-                     bk_verify, keyth_verify)
+from .bkfact import BKFactorization, bk_factorize, bk_verify, keyth_verify
 from .phillips import (GraphRep, MaximalPair, canonical_frames,
                        check_compatibility, graph_rep, phillips_extend,
                        represented)
@@ -54,8 +53,7 @@ __all__ = [
     "canonical_form", "is_congruent", "build_congruence",
     "Decomposition", "DecompositionProjections", "decompose", "validate",
     "projections",
-    "BKFactorization", "SignatureFactorization", "bk_factorize",
-    "bk_verify", "keyth_verify",
+    "BKFactorization", "bk_factorize", "bk_verify", "keyth_verify",
     "GraphRep", "MaximalPair", "canonical_frames", "graph_rep",
     "represented", "check_compatibility", "phillips_extend",
     "GenConfig", "complex_gaussian", "haar_unitary", "j_unitary",

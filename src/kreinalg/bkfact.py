@@ -7,25 +7,25 @@ the hermitian indices of C.  `bk_factorize` builds one canonical such
 factorization from the spectral bands of the Hilbert representative
 J C; `bk_verify` checks an arbitrary candidate, which is exactly the
 converse direction.  `keyth_verify` checks the signature variant
-C = T^H J_A T on a Hilbert space as the factor A = T^H via `bk_verify`.
+C = T^H J_A T on a Hilbert space, given as the factor A = T^H from
+(K, J_A) into H, through `bk_verify`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .densela import (Tolerance, _U, _certified_level, _certified_pd, _frobenius,
                       _hermitian_part, count_above_cut, norm_within, rank, spectral_norm, svd)
-from .errors import DimensionMismatch, NotSymmetry, PreconditionFailed
+from .errors import DimensionMismatch, PreconditionFailed
 from .hermdex import hermitian_indices
-from .krein import (KOperator, KreinSpace, k_adjoint, is_selfadjoint, make_space,
+from .krein import (KOperator, KreinSpace, k_adjoint, is_selfadjoint, same_space,
                     selfadjoint_split, space_indices)
 
 __all__ = [
     "BKFactorization",
-    "SignatureFactorization",
     "bk_factorize",
     "bk_verify",
     "keyth_verify",
@@ -38,35 +38,13 @@ _UNIQUENESS_NOTE = ("factorizations of a fixed operator differ only by a "
 
 @dataclass(frozen=True, eq=False)
 class BKFactorization:
-    """Factor space and factor: C = A A* with ker A = {0}."""
+    """A factor with C = A A* and ker A = {0}; the factor space is A's domain."""
 
-    A_space: KreinSpace
     A: KOperator
 
-
-@dataclass(frozen=True, eq=False)
-class SignatureFactorization:
-    """C = T^H J_A T with J_A a signature operator on a Hilbert space.
-
-    K_space must be Euclidean within ``tol.residual_tol``, and J_A a
-    symmetry of the same dimension as validated by ``make_space``;
-    ``A_space`` is the Krein space that validation returns.
-    """
-
-    K_space: KreinSpace
-    J_A: KOperator
-    T: KOperator
-    tol: Tolerance = Tolerance()
-    A_space: KreinSpace = field(init=False)
-
-    def __post_init__(self):
-        if not norm_within(self.K_space.J - np.eye(self.K_space.dim),
-                           self.tol.residual_tol):
-            raise NotSymmetry("signature factorizations live over a Hilbert space")
-        A_space = make_space(self.J_A.matrix, self.tol)
-        if A_space.dim != self.K_space.dim:
-            raise DimensionMismatch("signature operator does not act on K_space")
-        object.__setattr__(self, "A_space", A_space)
+    @property
+    def A_space(self) -> KreinSpace:
+        return self.A.domain
 
 
 def bk_factorize(C: KOperator, tol: Tolerance = Tolerance()) -> BKFactorization:
@@ -92,7 +70,7 @@ def bk_factorize(C: KOperator, tol: Tolerance = Tolerance()) -> BKFactorization:
     values.flags.writeable = False
     A_space = KreinSpace(dim=p + q, J=np.diag(values[::-1]).astype(complex))
     vars(A_space.spectrum)["values"] = values
-    return BKFactorization(A_space=A_space, A=KOperator(A_space, H, A_mat))
+    return BKFactorization(KOperator(A_space, H, A_mat))
 
 
 def _has_rank(A: KOperator, k: int, tol: Tolerance, within_slack) -> bool:
@@ -114,7 +92,7 @@ def bk_verify(C: KOperator, F: BKFactorization, tol: Tolerance = Tolerance()) ->
     The report carries the relative product residual, the injectivity
     verdict, both index pairs, and the equality verdict between them.
     """
-    if F.A.codomain.dim != C.domain.dim:
+    if not same_space(F.A.codomain, C.domain):
         raise DimensionMismatch("factor does not map into the operator's space")
     A_star = k_adjoint(F.A)
     diff = C.matrix - F.A.matrix @ A_star.matrix
@@ -137,15 +115,16 @@ def bk_verify(C: KOperator, F: BKFactorization, tol: Tolerance = Tolerance()) ->
     }
 
 
-def keyth_verify(C: KOperator, S: SignatureFactorization,
+def keyth_verify(C: KOperator, F: BKFactorization,
                  tol: Tolerance = Tolerance()) -> dict:
     """Check a signature factorization C = T^H J_A T over a Hilbert space.
 
-    Preconditions (raised as ``PreconditionFailed`` with the failing
-    list): C lives on a Hilbert space and has trivial kernel.  C = A A*
-    with A = T^H from (K, J_A) into H and A* = J_A T, so `bk_verify`
-    decides the residual, the index comparison and ker A = {0}, which is
-    T's dense range; T's trivial kernel is the one hypothesis added here.
+    ``F`` holds A = T^H from the factor space (K, J_A) into H, so that
+    A* = J_A T and C = A A*.  Preconditions (raised as
+    ``PreconditionFailed`` with the failing list): C lives on a Hilbert
+    space and has trivial kernel.  `bk_verify` decides the residual, the
+    index comparison and ker A = {0}, which is T's dense range; T's
+    trivial kernel is the one hypothesis added here.
     """
     failures = []
     H = C.domain
@@ -158,10 +137,9 @@ def keyth_verify(C: KOperator, S: SignatureFactorization,
     if failures:
         raise PreconditionFailed(failures)
 
-    A = KOperator(S.A_space, H, S.T.matrix.conj().T)
-    rep = bk_verify(C, BKFactorization(S.A_space, A), tol)
+    rep = bk_verify(C, F, tol)
     # sigma(T) = sigma(A): A's rank decides T's, and rank(T) within the slack
-    kernel_trivial = _has_rank(A, H.dim, tol, lambda: rank(S.T.matrix, tol))
+    kernel_trivial = _has_rank(F.A, H.dim, tol, lambda: rank(F.A.matrix.conj().T, tol))
     return {
         "reconstruction_residual": rep["product_residual"],
         "kernel_trivial": bool(kernel_trivial),

@@ -60,7 +60,6 @@ class MaximalPair:
     G: np.ndarray
     G_tilde_plus: Subspace
     G_tilde_minus: Subspace
-    space: KreinSpace
 
 
 def canonical_frames(H: KreinSpace):
@@ -170,4 +169,4 @@ def phillips_extend(Gp: GraphRep, Gm: GraphRep,
     U_plus, U_minus = canonical_frames(H)
     plus = make_subspace(H, U_plus + U_minus @ G, tol)
     minus = make_subspace(H, U_plus @ G.conj().T + U_minus, tol)
-    return MaximalPair(G=G, G_tilde_plus=plus, G_tilde_minus=minus, space=H)
+    return MaximalPair(G=G, G_tilde_plus=plus, G_tilde_minus=minus)

@@ -13,8 +13,7 @@ import os
 
 import numpy as np
 
-from .bkfact import BKFactorization, bk_factorize, bk_verify, keyth_verify, \
-    SignatureFactorization
+from .bkfact import BKFactorization, bk_factorize, bk_verify, keyth_verify
 from .decomp import decompose, projections, validate
 from .densela import (Tolerance, _hermitian_part, norm_within, psd_sqrt, rank,
                       spectral_norm, spectral_split)
@@ -26,7 +25,7 @@ from .genrand import (_EIG_HI, _EIG_LO, GenConfig, _draw_split, _stream,
 from .hermdex import _frame, build_congruence, hermitian_indices, \
     is_congruent, transport
 from .krein import (KOperator, c_orthogonal, hilbert_space, identity_op,
-                    k_adjoint, make_subspace, space_indices)
+                    k_adjoint, make_space, make_subspace, space_indices)
 from .phillips import canonical_frames, graph_rep, phillips_extend, represented
 
 __all__ = [
@@ -201,7 +200,7 @@ def bk_converse_battery(seed: int, count: int = 1000, dim_max: int = 8,
         A_space, H = A.domain, A.codomain
         for k in range(_REFACTORIZATIONS):
             U = j_unitary(_stream(seed, 5, 10 ** 6 + k), A_space.J)
-            Fk = BKFactorization(A_space, KOperator(A_space, H, A.matrix @ U))
+            Fk = BKFactorization(KOperator(A_space, H, A.matrix @ U))
             refactor_failures += not bk_verify(C, Fk, tol)["passed"]
     return {**report, "refactorizations": _REFACTORIZATIONS,
             "refactorization_failures": refactor_failures,
@@ -245,12 +244,10 @@ def keyth_battery(seed: int, count: int = 300, dim_max: int = 8,
 
         E = hilbert_space(n)
         C = KOperator(E, E, C_mat)
-        fact = SignatureFactorization(K_space=E,
-                                      J_A=KOperator(E, E, J_A),
-                                      T=KOperator(E, E, T_mat), tol=tol)
-        ok = keyth_verify(C, fact, tol)["passed"]
+        A_kre = make_space(J_A, tol)
+        F = BKFactorization(KOperator(A_kre, E, T_mat.conj().T))
+        ok = keyth_verify(C, F, tol)["passed"]
 
-        A_kre = fact.A_space
         pA, qA = space_indices(A_kre)
         dec = decompose(C, tol)
         Sp = make_subspace(A_kre, T_mat @ dec.M_plus.basis, tol)

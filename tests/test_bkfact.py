@@ -1,10 +1,10 @@
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from kreinalg.bkfact import (BKFactorization, SignatureFactorization,
-                             bk_factorize, bk_verify, keyth_verify)
+from kreinalg.bkfact import BKFactorization, bk_factorize, bk_verify, keyth_verify
 from kreinalg.densela import Tolerance
 from kreinalg.errors import (DimensionMismatch, NotSelfadjoint, NotSymmetry,
                              PreconditionFailed)
@@ -28,6 +28,7 @@ def c2_example():
 def test_factorize_c2_example():
     H, C = c2_example()
     F = bk_factorize(C)
+    assert [f.name for f in fields(F)] == ["A"] and F.A_space is F.A.domain
     assert F.A_space.dim == 2
     assert space_indices(F.A_space) == (1, 1)
     # every entry of the factor has modulus 1/sqrt(2)
@@ -78,8 +79,7 @@ def test_factorize_requires_selfadjoint():
 def test_verify_flags_scaled_factor():
     H, C = c2_example()
     F = bk_factorize(C)
-    bad = BKFactorization(A_space=F.A_space,
-                          A=KOperator(F.A_space, H, 2.0 * F.A.matrix))
+    bad = BKFactorization(KOperator(F.A_space, H, 2.0 * F.A.matrix))
     rep = bk_verify(C, bad)
     assert not rep["passed"]
     assert rep["product_residual"] == pytest.approx(3.0, rel=1e-6)
@@ -91,7 +91,7 @@ def test_verify_flags_wrong_signature():
     C = op(H, np.diag([1.0, 2.0]))
     A_space = make_space(J2)
     A = KOperator(A_space, H, np.diag([1.0, np.sqrt(2.0)]).astype(complex))
-    rep = bk_verify(C, BKFactorization(A_space=A_space, A=A))
+    rep = bk_verify(C, BKFactorization(A))
     assert not rep["index_equality"]
     assert not rep["passed"]
 
@@ -103,16 +103,25 @@ def test_verify_dimension_mismatch():
         bk_verify(C, F)
 
 
-def sig_fact(n, J_A_diag, T_mat):
-    E = hilbert_space(n)
-    return E, SignatureFactorization(
-        K_space=E,
-        J_A=op(E, np.diag(J_A_diag)),
-        T=KOperator(E, E, np.asarray(T_mat, dtype=complex)))
+def test_verify_refuses_a_factor_into_another_space_of_its_dimension():
+    # A* = J_A A^H J takes J from the factor's codomain, so a factor into
+    # C^2 does not factor C on (C^2, diag(1, -1)) although the sizes agree
+    _, C = c2_example()
+    F = bk_factorize(C)
+    moved = BKFactorization(KOperator(F.A_space, hilbert_space(2), F.A.matrix))
+    with pytest.raises(DimensionMismatch):
+        bk_verify(C, moved)
+
+
+def sig_fact(E, J_A, T, tol=Tolerance()):
+    """The factor A = T^H of C = T^H J_A T, from (K, J_A) into E."""
+    T = np.asarray(T, dtype=complex)
+    return BKFactorization(KOperator(make_space(J_A, tol), E, T.conj().T))
 
 
 def test_keyth_verify_diagonal():
-    E, S = sig_fact(2, [1.0, -1.0], np.diag([np.sqrt(2.0), np.sqrt(3.0)]))
+    E = hilbert_space(2)
+    S = sig_fact(E, np.diag([1.0, -1.0]), np.diag([np.sqrt(2.0), np.sqrt(3.0)]))
     C = op(E, np.diag([2.0, -3.0]))
     rep = keyth_verify(C, S)
     assert rep["passed"]
@@ -123,7 +132,8 @@ def test_keyth_verify_diagonal():
 
 
 def test_keyth_verify_flags_wrong_signature():
-    E, S = sig_fact(2, [1.0, 1.0], np.diag([np.sqrt(2.0), np.sqrt(3.0)]))
+    E = hilbert_space(2)
+    S = sig_fact(E, np.eye(2), np.diag([np.sqrt(2.0), np.sqrt(3.0)]))
     C = op(E, np.diag([2.0, -3.0]))
     rep = keyth_verify(C, S)
     assert not rep["index_equality"]
@@ -132,11 +142,8 @@ def test_keyth_verify_flags_wrong_signature():
 
 def test_keyth_verify_reports_deficient_range():
     # T maps into a larger space without covering it
-    E3 = hilbert_space(3)
     E2 = hilbert_space(2)
-    T = KOperator(E2, E3, np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
-                                   dtype=complex))
-    S = SignatureFactorization(K_space=E3, J_A=op(E3, np.eye(3)), T=T)
+    S = sig_fact(E2, np.eye(3), [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     C = op(E2, np.eye(2))
     rep = keyth_verify(C, S)
     assert rep["kernel_trivial"]
@@ -146,7 +153,8 @@ def test_keyth_verify_reports_deficient_range():
 
 def test_keyth_verify_preconditions():
     K, C = c2_example()
-    E, S = sig_fact(2, [1.0, -1.0], np.eye(2))
+    E = hilbert_space(2)
+    S = sig_fact(E, J2, np.eye(2))
     with pytest.raises(PreconditionFailed, match="Hilbert"):
         keyth_verify(C, S)                       # operator space is indefinite
     singular = op(E, np.diag([1.0, 0.0]))
@@ -175,7 +183,8 @@ def test_kernel_counts_come_from_the_split_and_the_rank_cut(monkeypatch):
     assert decomp.validate(C, dec)["passed"] and not nulls
     F = bk_factorize(C)
     assert bk_verify(C, F)["passed"] and not nulls
-    E, S = sig_fact(2, [1.0, -1.0], np.diag([np.sqrt(2.0), np.sqrt(3.0)]))
+    E = hilbert_space(2)
+    S = sig_fact(E, J2, np.diag([np.sqrt(2.0), np.sqrt(3.0)]))
     space_indices(S.A_space)                     # the symmetry's own split
     passes = record(monkeypatch)
     assert keyth_verify(op(E, np.diag([2.0, -3.0])), S)["passed"]
@@ -215,38 +224,32 @@ def test_factorize_takes_only_the_eigendecomposition_of_jc(monkeypatch, capsys):
 def test_signature_factorization_validates():
     E = hilbert_space(2)
     with pytest.raises(NotSymmetry):
-        SignatureFactorization(K_space=make_space(J2),  # not a Hilbert space
-                               J_A=op(make_space(J2), np.eye(2)),
-                               T=op(make_space(J2), np.eye(2)))
-    with pytest.raises(NotSymmetry):
-        SignatureFactorization(K_space=E, J_A=op(E, np.diag([1.0, 2.0])),
-                               T=op(E, np.eye(2)))
+        sig_fact(E, np.diag([1.0, 2.0]), np.eye(2))
     with pytest.raises(DimensionMismatch):    # a symmetry of the wrong size
-        SignatureFactorization(K_space=E, J_A=op(hilbert_space(3), np.eye(3)),
-                               T=op(E, np.eye(2)))
+        sig_fact(E, np.eye(3), np.eye(2))
 
 
 def test_signature_factorization_uses_caller_tolerance():
     # J_A off selfadjoint by 1e-6: rejected at the default residual_tol,
     # accepted at residual_tol = 1e-5
     E = hilbert_space(2)
-    J_A = op(E, np.array([[1.0, 1e-6], [0.0, -1.0]]))
+    J_A = np.array([[1.0, 1e-6], [0.0, -1.0]])
     with pytest.raises(NotSymmetry):
-        SignatureFactorization(K_space=E, J_A=J_A, T=op(E, np.eye(2)))
-    loose = Tolerance(residual_tol=1e-5)
-    S = SignatureFactorization(K_space=E, J_A=J_A, T=op(E, np.eye(2)), tol=loose)
-    assert S.tol == loose
-    # J_A was validated once, under S.tol: checking the factorization at
-    # the default tolerance reads that space and does not re-check J_A
+        make_space(J_A)
+    S = sig_fact(E, J_A, np.eye(2), Tolerance(residual_tol=1e-5))
+    # J_A was validated once, when its space was made: checking the
+    # factorization at the default tolerance reads that space and does
+    # not re-check J_A
     rep = keyth_verify(op(E, np.diag([1.0, -1.0])), S)
     assert rep["signature_indices"] == [1, 1] and rep["index_equality"]
     assert not rep["passed"]                 # the 1e-6 shows in the residual
 
 
 def _signature_case(i: int):
-    """Case i of the keyth equivalence property: C = T^H J_A T over E = C^n,
-    with dim K = m apart from n in a quarter of the cases, T rank-deficient in
-    a quarter, and then J_A's signature altered or C perturbed in a third each."""
+    """Case i of the keyth equivalence property: (C, T, J_A) with C = T^H J_A T
+    over E = C^n, dim K = m apart from n in a quarter of the cases, T
+    rank-deficient in a quarter, and then J_A's signature altered or C
+    perturbed in a third each."""
     from kreinalg.genrand import complex_gaussian, haar_unitary
     rng = np.random.default_rng([20261020, i])
     n = int(rng.integers(1, 9))
@@ -265,22 +268,19 @@ def _signature_case(i: int):
         Z = complex_gaussian(rng, n, n)
         C = C + 10.0 ** rng.uniform(-12, -4) * np.linalg.norm(C, 2) * (Z + Z.conj().T)
     J_A = (R * signs) @ R.conj().T
-    E, K = hilbert_space(n), hilbert_space(m)
-    return op(E, 0.5 * (C + C.conj().T)), SignatureFactorization(
-        K_space=K, J_A=op(K, 0.5 * (J_A + J_A.conj().T)), T=KOperator(E, K, T))
+    return op(hilbert_space(n), 0.5 * (C + C.conj().T)), T, 0.5 * (J_A + J_A.conj().T)
 
 
-def _keyth_reference(C, S, tol):
+def _keyth_reference(C, T, J_A, tol):
     """keyth_verify's verdicts by its former formulas: the residual of
     (T^H J_A) T, one rank of T for both flags, and (h+, h-) = (p_J, q_J)."""
     from kreinalg.densela import rank, spectral_norm
     from kreinalg.hermdex import hermitian_indices
-    T = S.T.matrix
-    residual = spectral_norm(C.matrix - T.conj().T @ S.J_A.matrix @ T) / C.norm
+    residual = spectral_norm(C.matrix - T.conj().T @ J_A @ T) / C.norm
     r = rank(T, tol)
     h = hermitian_indices(C, tol)
-    ref = {"kernel_trivial": r == C.domain.dim, "range_dense": r == S.K_space.dim,
-           "index_equality": (h.h_plus, h.h_minus) == space_indices(S.A_space)}
+    ref = {"kernel_trivial": r == C.domain.dim, "range_dense": r == len(J_A),
+           "index_equality": (h.h_plus, h.h_minus) == space_indices(make_space(J_A, tol))}
     ref["passed"] = residual <= tol.residual_tol and all(ref.values())
     return residual, ref
 
@@ -290,13 +290,14 @@ def test_keyth_verify_decides_as_its_former_formulas():
     # verdict is the one its own residual, rank and index formulas gave
     tol, seen = Tolerance(), Counter()
     for i in range(1500):
-        C, S = _signature_case(i)
+        C, T, J_A = _signature_case(i)
+        S = sig_fact(C.domain, J_A, T)
         try:
             rep = keyth_verify(C, S, tol)
         except PreconditionFailed:
             seen["raised"] += 1
             continue
-        residual, ref = _keyth_reference(C, S, tol)
+        residual, ref = _keyth_reference(C, T, J_A, tol)
         assert {key: rep[key] for key in ref} == ref, i
         assert abs(rep["reconstruction_residual"] - residual) <= 1e-13, i
         seen["passed" if ref["passed"] else "failed"] += 1
@@ -313,7 +314,8 @@ def test_keyth_verify_adds_the_kernel_of_t_to_bk_verify(monkeypatch):
     _, C2 = c2_example()
     passing = bk_verify(C2, bk_factorize(C2))
     monkeypatch.setattr(bkfact, "bk_verify", lambda *args: passing)
-    E, S = sig_fact(2, [1.0, 1.0], np.diag([1.0, 0.0]))
+    E = hilbert_space(2)
+    S = sig_fact(E, np.eye(2), np.diag([1.0, 0.0]))
     rep = keyth_verify(op(E, np.eye(2)), S)
     assert not rep["kernel_trivial"] and not rep["passed"]
 
@@ -323,10 +325,9 @@ def test_keyth_verify_takes_one_values_only_svd_of_t(monkeypatch):
     # sigma(T) = sigma(T^H): when the values bk_verify took of A = T^H clear
     # the slack of the cut, they decide the kernel of T too; T maps C^2 into
     # C^3, so the two flags differ and each reads its own dimension
-    E, K = hilbert_space(2), hilbert_space(3)
+    E = hilbert_space(2)
     T = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]], dtype=complex)
-    S = SignatureFactorization(K_space=K, J_A=op(K, np.diag([1.0, 1.0, -1.0])),
-                               T=KOperator(E, K, T))
+    S = sig_fact(E, np.diag([1.0, 1.0, -1.0]), T)
     passes = record(monkeypatch)
     rep = keyth_verify(op(E, T.conj().T @ np.diag([1.0, 1.0, -1.0]) @ T), S)
     assert [p.shape for p in passes if p.kernel == "svdvals"
@@ -344,7 +345,8 @@ def test_keyth_verify_ranks_t_when_a_value_lies_within_the_slack(monkeypatch):
     monkeypatch.setattr(bkfact, "bk_verify", lambda *args: passing)
     ranked = []
     monkeypatch.setattr(bkfact, "rank", lambda M, tol: ranked.append(M) or rank(M, tol))
-    E, S = sig_fact(2, [1.0, 1.0], np.diag([1.0, 1e-10]))
+    E, T = hilbert_space(2), np.diag([1.0, 1e-10])
+    S = sig_fact(E, np.eye(2), T)
     rep = keyth_verify(op(E, np.eye(2)), S)
-    assert len(ranked) == 1 and ranked[0] is S.T.matrix
+    assert len(ranked) == 1 and np.array_equal(ranked[0], T)
     assert not rep["kernel_trivial"] and not rep["passed"]

@@ -114,7 +114,7 @@ def _factor_case(rng, n, factor, tol):
     s = _spread(rng, k, min(factor * tol.rank_tol, 1.0))
     A = haar_unitary(rng, n)[:, :k] * s @ haar_unitary(rng, k).conj().T
     H, K = hilbert_space(n), hilbert_space(k)
-    F = BKFactorization(K, KOperator(K, H, A))
+    F = BKFactorization(KOperator(K, H, A))
     C = op(H, _hermitian_part(A @ A.conj().T))
     return (s.min() / (tol.rank_tol * s.max()), lambda: bk_verify(C, F, tol)["injective"],
             lambda p: p.kernel.startswith("svd") and np.array_equal(p.operand, F.A.matrix))
@@ -225,7 +225,7 @@ def test_a_factor_on_the_cut_takes_one_svd_of_each_kind(monkeypatch):
     # nothing, and the SVD with vectors is cut directly
     H, K = hilbert_space(2), hilbert_space(2)
     A = np.diag([1.0, 1e-10]).astype(complex)
-    F = BKFactorization(K, KOperator(K, H, A))
+    F = BKFactorization(KOperator(K, H, A))
     passes = record(monkeypatch)
     rep = bk_verify(op(H, A @ A.conj().T), F)
     assert sorted(p.kernel for p in passes if p.kernel.startswith("svd")
@@ -234,10 +234,10 @@ def test_a_factor_on_the_cut_takes_one_svd_of_each_kind(monkeypatch):
 
 
 def test_a_square_signature_factor_takes_no_svd_of_t(monkeypatch):
-    from kreinalg.bkfact import SignatureFactorization, keyth_verify
+    from kreinalg.bkfact import keyth_verify
     E = hilbert_space(2)
     T = np.array([[2.0, 1.0], [0.0, 1.0]], dtype=complex)
-    S = SignatureFactorization(K_space=E, J_A=op(E, np.diag([1.0, -1.0])), T=op(E, T))
+    S = BKFactorization(KOperator(make_space(np.diag([1.0, -1.0])), E, T.conj().T))
     passes = record(monkeypatch)
     rep = keyth_verify(op(E, T.conj().T @ np.diag([1.0, -1.0]) @ T), S)
     assert rep["passed"] and rep["kernel_trivial"] and rep["range_dense"]

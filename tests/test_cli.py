@@ -656,38 +656,13 @@ def test_krein_console_script_targets_main_entry():
     assert getattr(importlib.import_module(module), attr) is cli.main_entry
 
 
-def test_machine_reports_are_byte_stable_subprocess(tmp_path):
-    cmd = [sys.executable, "-m", "kreinalg.cli", "property-suite",
-           "--seed", "9090", "--count", "10", "--machine"]
-    a = subprocess.run(cmd, capture_output=True, check=True)
-    b = subprocess.run(cmd, capture_output=True, check=True)
-    assert a.stdout == b.stdout
-    assert a.stdout.strip()
-
-
 def test_cli_starts_without_scipy():
-    # no command imports scipy; the property suite runs on numpy alone
-    # (test_property_suite_runs_with_scipy_blocked)
+    # no command imports scipy; every command, the property suite too, runs
+    # on numpy alone (test_golden.py::test_every_command_runs_with_scipy_blocked)
     code = "import sys, kreinalg.cli; print('scipy' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "False"
-
-
-def test_property_suite_runs_with_scipy_blocked():
-    # a None entry in sys.modules makes every import of scipy raise, in the
-    # parent and in the forked workers alike; the report is the golden one
-    code = ("import sys; sys.modules['scipy'] = None\n"
-            "from kreinalg.cli import main\n"
-            "sys.exit(main(['property-suite', '--seed', '20260822', '--count', '3',"
-            " '--machine']))")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
-    assert done.returncode == 0, done.stderr.decode()
-    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
-                          "property-suite.out")
-    with open(golden, "rb") as fh:
-        assert done.stdout == fh.read()
 
 
 def test_cli_starts_without_multiprocessing():

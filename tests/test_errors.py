@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kreinalg import errors
-from kreinalg.bkfact import SignatureFactorization, keyth_verify
+from kreinalg.bkfact import BKFactorization, keyth_verify
 from kreinalg.densela import herm_eig, spectral_norm
 from kreinalg.hermdex import canonical_form, transport
 from kreinalg.krein import (KOperator, c_orthogonal, classify_subspace, hilbert_space,
@@ -40,8 +40,7 @@ H2, E2, H3 = make_space(J2), hilbert_space(2), make_space(np.diag([1.0, -1.0, -1
 C2 = KOperator(H2, H2, J2)
 X2 = canonical_form(C2).X                               # a congruence onto C^2
 M3 = make_subspace(H3, np.eye(3)[:, :1])
-S2 = SignatureFactorization(K_space=E2, J_A=KOperator(E2, E2, J2),
-                            T=KOperator(E2, E2, np.eye(2)))
+S2 = BKFactorization(KOperator(H2, E2, np.eye(2)))      # T = I, J_A = J2
 
 # each library refusal with its error class and a fragment of its message
 REFUSALS = {

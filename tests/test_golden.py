@@ -75,7 +75,7 @@ def test_golden_text(name):
 
 
 def test_every_command_runs_with_scipy_blocked():
-    # scipy is a test extra only: with every import of it failing (a None
+    # kreinalg needs numpy alone: with every import of scipy failing (a None
     # entry in sys.modules), each case must still print its golden report
     code = textwrap.dedent("""
         import contextlib, io, json, sys

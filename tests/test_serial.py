@@ -5,11 +5,8 @@ import json
 import multiprocessing
 import os
 import struct
-import subprocess
-import sys
 import tempfile
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -583,31 +580,6 @@ def test_pooled_write_json_is_dump_json_and_a_newline(report):
     assert multiprocessing.active_children() == []
 
 
-def test_write_json_starts_no_process(monkeypatch):
-    # 2**16 matrix entries on two CPUs: every block renders in this process
-    report = {"a": np.arange(1 << 16, dtype=float).reshape(256, 256) * (1 - 1j),
-              "b": [np.eye(2)], "c": -0.0}
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(ProcessPoolExecutor, "__init__",
-                        lambda *a, **kw: pytest.fail("a pool was started"))
-    fh = io.StringIO()
-    write_json(report, fh)
-    assert fh.getvalue() == dump_json(report) + "\n"
-    assert multiprocessing.active_children() == []
-
-
-def test_write_json_on_one_cpu_renders_in_process(monkeypatch):
-    report = {"a": np.arange(12.0).reshape(4, 3) * (1 + 1j), "b": [np.eye(2)], "c": -0.0}
-    monkeypatch.setattr(serial, "_BLOCK_ROWS", 3)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    monkeypatch.setattr(ProcessPoolExecutor, "__init__",
-                        lambda *a, **kw: pytest.fail("a pool was started"))
-    fh = io.StringIO()
-    write_json(report, fh)
-    assert fh.getvalue() == dump_json(report) + "\n"
-    assert multiprocessing.active_children() == []
-
-
 def reference_rows(block) -> str:
     """The text of ``block``'s data as json writes it."""
     return json.dumps(matrix_to_obj(block)["data"], separators=(",", ":"))[1:-1]
@@ -652,21 +624,6 @@ def test_no_worker_outlives_a_failed_pooled_write(monkeypatch):
     assert multiprocessing.active_children() == []
     write_json(report, _Discard())
     assert multiprocessing.active_children() == []
-
-
-def test_pooled_write_json_prints_a_prefix_once():
-    # a worker forked with the prefix still in the stdout buffer would
-    # flush it a second time when it exits
-    code = ("import sys, numpy as np\n"
-            "from kreinalg import serial\n"
-            "serial._BLOCK_ROWS = 1\n"
-            "print('prefix')\n"
-            "serial.write_json({'m': np.eye(6)}, sys.stdout)\n")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True)
-    prefix, report = done.stdout.split("\n", 1)
-    assert prefix == "prefix" and "prefix" not in report
-    assert report == dump_json({"m": np.eye(6)}) + "\n"
 
 
 @pytest.mark.parametrize("report", [

@@ -93,7 +93,7 @@ def test_keyth_battery_validates_each_symmetry_once(monkeypatch):
                         lambda H: read.append(H) or space_indices(H))
     assert keyth_battery(9, count=6)["passed"]
     assert len(spaces) == 6
-    # keyth_verify reads the space its SignatureFactorization validated
+    # keyth_verify reads the space the battery made of J_A: its factor's domain
     assert len(read) == 6 and all(a is b for a, b in zip(read, spaces))
 
 
