@@ -3,7 +3,7 @@
 Subcommands map onto the library engines: ``indices``, ``decompose``,
 ``factorize``, ``congruent``, ``phillips``, ``property-suite``.  Operand
 files are read by ``serial.read_operand``, which decides their format and
-tolerance, the other input files by ``serial.read_json``.  One table,
+tolerance, the other matrix files by ``serial.read_matrix``.  One table,
 ``_COMMANDS``, declares each subcommand once (name, help, ``cmd_*`` and
 its own arguments) and :func:`build_parser` turns its rows into
 subparsers, once per process.  Each ``cmd_*`` returns
@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import partial
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .hermdex import (build_congruence, hermitian_indices, require_equal_dims,
 from .krein import (IndexTriple, KOperator, KreinSpace, hilbert_space, make_space,
                     make_subspace, selfadjoint_split, space_indices)
 from .phillips import graph_rep, phillips_extend
-from .serial import _square_from_obj, matrix_from_obj, read_json, read_operand, write_json
+from .serial import read_matrix, read_operand, write_json
 from .suite import run_property_suite
 
 __all__ = ["main", "main_entry", "build_parser"]
@@ -53,7 +52,7 @@ def _merge_tolerance(args, file_tol: Tolerance | None) -> Tolerance:
 def _space_flag(args, tol: Tolerance) -> KreinSpace | None:
     """The --space symmetry, read and validated once per command."""
     return None if args.space is None else make_space(
-        read_json(args.space, partial(_square_from_obj, what="space symmetry")), tol)
+        read_matrix(args.space, "space symmetry", square=True), tol)
 
 
 def _operand_space(flag: KreinSpace | None, J, n: int, tol: Tolerance) -> KreinSpace:
@@ -179,8 +178,8 @@ def cmd_congruent(args) -> tuple:
 
 def cmd_phillips(args) -> tuple:
     tol = _merge_tolerance(args, None)
-    Bp = read_json(args.plus, partial(matrix_from_obj, what="nonnegative basis"))
-    Bm = read_json(args.minus, partial(matrix_from_obj, what="nonpositive basis"))
+    Bp = read_matrix(args.plus, "nonnegative basis")
+    Bm = read_matrix(args.minus, "nonpositive basis")
     n = Bp.shape[0]
     if Bm.shape[0] != n:
         raise DimensionMismatch(
@@ -208,21 +207,9 @@ def cmd_phillips(args) -> tuple:
         f"minus {ext.G_tilde_minus.dim}"], 0
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("KREIN_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env, 10)
-    except ValueError:
-        raise InputError(f"KREIN_SEED is not a decimal integer: {env!r}")
-
-
 def cmd_property_suite(args) -> tuple:
     tol = _merge_tolerance(args, None)
-    report = run_property_suite(_resolve_seed(args), args.count, args.dim_max, tol)
+    report = run_property_suite(args.seed, args.count, args.dim_max, tol)
     lines = [f"{b['name']}: {b['cases']} cases, {b['failures']} failures "
              f"[{'pass' if b['passed'] else 'FAIL'}]" for b in report["batteries"]]
     lines.append(f"suite passed: {report['passed']} (seed {report['seed']})")
@@ -277,8 +264,7 @@ _COMMANDS = (
       _arg("--out", metavar="DIR", help="directory for contraction and basis files"),
       _SPACE)),
     ("property-suite", "run the randomized invariant batteries", cmd_property_suite,
-     (_arg("--seed", type=int, default=None,
-           help="master seed (default: KREIN_SEED env, then 0)"),
+     (_arg("--seed", type=int, default=0, help="master seed (default 0)"),
       _arg("--count", type=int, default=None,
            help="cases per battery (default: per-battery sizes)"),
       _arg("--dim-max", type=int, default=8,

@@ -20,7 +20,7 @@ import numpy as np
 from .densela import Tolerance, _U, _certified_level, _frobenius, conditioned_svd, norm_within
 from .errors import DimensionMismatch, NotCongruent, NotInvertible
 from .krein import (IndexTriple, KOperator, _require_selfadjoint, hilbert_space,
-                    k_adjoint, selfadjoint_split)
+                    k_adjoint, same_space, selfadjoint_split)
 
 __all__ = [
     "COND_CAP",
@@ -80,7 +80,7 @@ def transport(B: KOperator, X: Congruence, tol: Tolerance = Tolerance()) -> KOpe
     """Pull B back along X: returns A = X* B X on X's domain space.  X must be
     safely invertible: the bound on cond(X) its verified inverse gives decides
     (README, Numerical conventions), else `conditioned_svd` does."""
-    if B.domain.dim != X.X.codomain.dim:
+    if not same_space(B.domain, X.X.codomain):
         raise DimensionMismatch("operator does not act on the congruence codomain")
     _require_selfadjoint(B, tol, "transport")
     n, f = max(X.X.matrix.shape), _frobenius(X.X.matrix) * _frobenius(X.X_inv.matrix)

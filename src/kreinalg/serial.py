@@ -4,17 +4,19 @@ Complex entries travel as [re, im] pairs, row-major, so files are
 locale-proof and round-trip bit-exactly.  A problem file carries an
 operator, an optional space (J defaults to the identity, Hilbert mode),
 and optional tolerance overrides; :func:`read_operand` reads every
-operand file and decides which of the two it is.
+operand file and decides which of the two it is, and :func:`read_matrix`
+reads every other matrix file: a symmetry, a basis.
 
 :func:`read_json` reads every input file: orjson parses a file that holds
 no backslash and nests at most ``_MAX_NESTING`` brackets deep, and json
 parses the same bytes when orjson or the conversion refuses them, so json
 decides every failure and its message.
 
-Reports hold their matrices as arrays; the writer renders them in row
-blocks, in order, so no whole matrix exists as Python lists or text.
-orjson renders each block; json renders the entries that orjson would
-write unlike ``float.__repr__``.
+Reports hold their matrices as arrays; the writer renders an array
+reached through dicts in row blocks, in order, so no whole matrix of it
+exists as Python lists or text.  orjson renders each block; json renders
+the entries that orjson would write unlike ``float.__repr__``.  An array
+inside a list is rendered whole, through :func:`matrix_to_obj`.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import json
 import math
 import re
 from contextlib import contextmanager, suppress
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -37,6 +40,7 @@ __all__ = [
     "matrix_from_obj",
     "problem_from_obj",
     "read_operand",
+    "read_matrix",
     "load_json",
     "read_json",
     "dump_json",
@@ -227,6 +231,12 @@ def read_operand(path) -> tuple[np.ndarray | None, np.ndarray, Tolerance | None]
         raise InputError(
             f"{path}: input must be a problem file (operator key) or a matrix file")
     return read_json(path, convert)
+
+
+def read_matrix(path, what: str, square: bool = False) -> np.ndarray:
+    """:func:`matrix_from_obj` of the file at ``path``, ``what`` in every message,
+    refused unless square if ``square``; bound per call, as a tracer rebinds it."""
+    return read_json(path, partial(_square_from_obj if square else matrix_from_obj, what=what))
 
 
 def _matrix_default(value):

@@ -221,7 +221,7 @@ def test_factorize_takes_only_the_eigendecomposition_of_jc(monkeypatch, capsys):
         == [("eigh", (8, 8))]
 
 
-def test_signature_factorization_validates():
+def test_factor_space_validates_its_symmetry():
     E = hilbert_space(2)
     with pytest.raises(NotSymmetry):
         sig_fact(E, np.diag([1.0, 2.0]), np.eye(2))
@@ -229,7 +229,7 @@ def test_signature_factorization_validates():
         sig_fact(E, np.eye(3), np.eye(2))
 
 
-def test_signature_factorization_uses_caller_tolerance():
+def test_factor_space_uses_caller_tolerance():
     # J_A off selfadjoint by 1e-6: rejected at the default residual_tol,
     # accepted at residual_tol = 1e-5
     E = hilbert_space(2)

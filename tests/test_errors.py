@@ -46,6 +46,8 @@ S2 = BKFactorization(KOperator(H2, E2, np.eye(2)))      # T = I, J_A = J2
 REFUSALS = {
     "transport_dims": (lambda: transport(KOperator(H3, H3, np.eye(3)), X2),
                        errors.DimensionMismatch, "congruence codomain"),
+    "transport_other_space": (lambda: transport(C2, X2), errors.DimensionMismatch,
+                              "congruence codomain"),
     "transport_nonselfadjoint": (lambda: transport(KOperator(E2, E2, [[0, 1], [0, 0]]), X2),
                                  errors.NotSelfadjoint,
                                  "transport requires a selfadjoint operator"),

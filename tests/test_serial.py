@@ -20,7 +20,8 @@ from kreinalg.cli import main
 from kreinalg.densela import Tolerance
 from kreinalg.errors import InputError
 from kreinalg.serial import (dump_json, load_json, matrix_from_obj, matrix_to_obj,
-                             problem_from_obj, read_json, read_operand, write_json)
+                             problem_from_obj, read_json, read_matrix, read_operand,
+                             write_json)
 from kreinalg.suite import run_property_suite
 
 
@@ -122,6 +123,20 @@ def test_read_operand_refuses_other_documents(capsys, tmp_path, text):
     assert main(["indices", "-i", str(path)]) == 2
     assert capsys.readouterr().err == (
         f"error: {path}: input must be a problem file (operator key) or a matrix file\n")
+
+
+def test_read_matrix_names_its_file_and_checks_squareness_on_request(tmp_path):
+    problem, wide = tmp_path / "p.json", tmp_path / "b.json"
+    problem.write_text(dump_json({"operator": matrix_to_obj(np.eye(2))}))
+    B = np.arange(6.0).reshape(2, 3) * (1 - 1j)
+    wide.write_text(dump_json(matrix_to_obj(B)))
+    for square in (False, True):
+        # a problem file is not a matrix file, whatever it holds
+        with pytest.raises(InputError, match=r"^some basis: missing field 'rows'$"):
+            read_matrix(problem, "some basis", square)
+    assert np.array_equal(read_matrix(wide, "some basis"), B)
+    with pytest.raises(InputError, match=r"^some basis must be square$"):
+        read_matrix(wide, "some basis", square=True)
 
 
 @pytest.mark.parametrize("obj", [
@@ -558,7 +573,7 @@ report_arrays = st.one_of(
                elements=st.builds(complex, doubles, doubles)),
     hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=7),
                elements=doubles))
-pooled_reports = st.recursive(
+nested_reports = st.recursive(
     scalars | report_arrays,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4),
                                                                 inner, max_size=4),
@@ -566,12 +581,12 @@ pooled_reports = st.recursive(
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(pooled_reports)
+@given(nested_reports)
 @example({"a": np.zeros((0, 5)), "b": np.zeros((5, 0), dtype=complex)})
 @example({"row": np.array([[-0.0, 1.5, -2.0]]),
           "odd": np.arange(21.0).reshape(7, 3) * (1 - 2j),
           "nested": [np.eye(3), {"in": np.full((5, 1), -0.0)}]})
-def test_pooled_write_json_is_dump_json_and_a_newline(report):
+def test_write_json_in_two_row_blocks_is_dump_json_and_a_newline(report):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(serial, "_BLOCK_ROWS", 2)    # 5- and 7-row arrays end in a part block
         fh = io.StringIO()
@@ -616,7 +631,7 @@ class _FailingWriter:
         return len(text)
 
 
-def test_no_worker_outlives_a_failed_pooled_write(monkeypatch):
+def test_a_failed_write_raises_and_the_next_write_completes(monkeypatch):
     monkeypatch.setattr(serial, "_BLOCK_ROWS", 1)
     report = {"m": np.ones((40, 3)), "n": np.ones((40, 3))}
     with pytest.raises(OSError, match="disk full"):
