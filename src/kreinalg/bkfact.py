@@ -68,7 +68,7 @@ def bk_factorize(C: KOperator, tol: Tolerance = Tolerance()) -> BKFactorization:
     # J_A = diag(+1 x p, -1 x q), its spectrum seeded with the bits eigvalsh returns
     values = np.repeat([-1.0, 1.0], [q, p])
     values.flags.writeable = False
-    A_space = KreinSpace(dim=p + q, J=np.diag(values[::-1]).astype(complex))
+    A_space = KreinSpace(np.diag(values[::-1]).astype(complex))
     vars(A_space.spectrum)["values"] = values
     return BKFactorization(KOperator(A_space, H, A_mat))
 

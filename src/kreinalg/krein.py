@@ -1,7 +1,7 @@
 """The Krein-space model.
 
-A space is a pair (dimension, fundamental symmetry J) with J = J* and
-J^2 = I; the indefinite inner product in coordinates is
+A space is its fundamental symmetry J, with J = J* and J^2 = I; the
+indefinite inner product in coordinates is
 
     <f, g> = g^H J f
 
@@ -50,8 +50,11 @@ __all__ = [
 class KreinSpace:
     """A coordinate space with a validated fundamental symmetry."""
 
-    dim: int
     J: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.J.shape[0]
 
     @cached_property
     def spectrum(self) -> HermSpectrum:
@@ -173,7 +176,7 @@ def make_space(J, tol: Tolerance = Tolerance()) -> KreinSpace:
     # far beyond any bound the check allows: refusing it is the check's verdict
     if not (np.isfinite(D).all() and norm_within(D, tol.residual_tol, J, floor=1.0, power=2)):
         raise NotSymmetry("candidate symmetry does not square to the identity")
-    return KreinSpace(dim=n, J=J)
+    return KreinSpace(J)
 
 
 def hilbert_space(n: int) -> KreinSpace:
@@ -181,7 +184,7 @@ def hilbert_space(n: int) -> KreinSpace:
     with what ``eigh(I)`` returns, every eigenvalue 1 and eigenvectors I,
     so it is never eigendecomposed; J and the eigenvectors are one array."""
     eye = np.eye(n, dtype=complex)
-    H = KreinSpace(dim=n, J=eye)
+    H = KreinSpace(eye)
     vars(H.spectrum)["eig"] = HermEig(np.ones(n), eye)
     return H
 
@@ -212,8 +215,8 @@ def k_adjoint(A: KOperator) -> KOperator:
 
 
 def same_space(a: KreinSpace, b: KreinSpace) -> bool:
-    """True iff a and b have the same dimension and the same symmetry."""
-    return a.dim == b.dim and np.array_equal(a.J, b.J)
+    """True iff a and b have the same symmetry, shape included."""
+    return np.array_equal(a.J, b.J)
 
 
 def _require_endomorphism(C: KOperator):

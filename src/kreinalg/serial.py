@@ -12,11 +12,10 @@ no backslash and nests at most ``_MAX_NESTING`` brackets deep, and json
 parses the same bytes when orjson or the conversion refuses them, so json
 decides every failure and its message.
 
-Reports hold their matrices as arrays; the writer renders an array
-reached through dicts in row blocks, in order, so no whole matrix of it
-exists as Python lists or text.  orjson renders each block; json renders
-the entries that orjson would write unlike ``float.__repr__``.  An array
-inside a list is rendered whole, through :func:`matrix_to_obj`.
+Reports hold their matrices as arrays; the writer renders every array in
+row blocks, in order, so no whole matrix exists as Python lists or text.
+orjson renders each block; json renders the entries that orjson would
+write unlike ``float.__repr__``.
 """
 
 from __future__ import annotations
@@ -239,15 +238,8 @@ def read_matrix(path, what: str, square: bool = False) -> np.ndarray:
     return read_json(path, partial(_square_from_obj if square else matrix_from_obj, what=what))
 
 
-def _matrix_default(value):
-    if isinstance(value, np.ndarray):
-        return matrix_to_obj(value)
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
 def _dumps(value) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"),
-                      default=_matrix_default)
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def _render_rows(block) -> str:
@@ -274,15 +266,22 @@ def _render_rows(block) -> str:
 
 def _pieces(obj):
     """The canonical text of ``obj`` in pieces: a dict with string keys is
-    walked key by key, an array is its matrix object with the data rendered
-    a row block at a time by :func:`_render_rows`, any other value (a list
-    and its arrays, a dict with other keys) is text."""
+    walked key by key and a list or tuple item by item, an array is its
+    matrix object with the data rendered a row block at a time by
+    :func:`_render_rows`, any other value (a scalar, a dict with other keys) is text."""
     if isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
         yield "{"
         for k, key in enumerate(sorted(obj)):
             yield f"{',' if k else ''}{_dumps(key)}:"
             yield from _pieces(obj[key])
         yield "}"
+    elif isinstance(obj, (list, tuple)):
+        yield "["
+        for k, item in enumerate(obj):
+            if k:
+                yield ","
+            yield from _pieces(item)
+        yield "]"
     elif isinstance(obj, np.ndarray):
         rows, cols = obj.shape[0], obj.shape[1]
         yield f'{{"cols":{cols},"data":['

@@ -403,7 +403,6 @@ def run_property_suite(seed: int, count: int | None = None, dim_max: int = 8,
     finally:
         pool.shutdown(cancel_futures=True)
     return {
-        "schema_version": 1,
         "seed": int(seed),
         "dim_max": int(dim_max),
         "batteries": reports,

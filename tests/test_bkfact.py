@@ -10,7 +10,7 @@ from kreinalg.errors import (DimensionMismatch, NotSelfadjoint, NotSymmetry,
                              PreconditionFailed)
 from kreinalg.krein import (KOperator, hilbert_space, k_adjoint, make_space,
                             space_indices)
-from passes import kinds, record
+from passes import calls, kinds, record
 
 J2 = np.diag([1.0, -1.0]).astype(complex)
 INV_SQRT2 = 0.7071067811865476
@@ -165,19 +165,9 @@ def test_keyth_verify_preconditions():
 def test_kernel_counts_come_from_the_split_and_the_rank_cut(monkeypatch):
     # validate and keyth_verify read dim ker C as h_zero of the one split of
     # J C; bk_verify decides injectivity by rank; no verifier calls null_basis
-    import kreinalg.densela as densela
-    from kreinalg import bkfact, decomp, phillips
-    null_basis, nulls = densela.null_basis, []
-
-    def counted_null(*args):
-        nulls.append(args)
-        return null_basis(*args)
-
-    # every module that binds the name, so calls from any of them count
-    for mod in (densela, bkfact, decomp, phillips):
-        if hasattr(mod, "null_basis"):
-            monkeypatch.setattr(mod, "null_basis", counted_null)
-
+    from kreinalg import decomp
+    from kreinalg.densela import null_basis
+    nulls = calls(monkeypatch, null_basis)
     H, C = c2_example()
     dec = decomp.decompose(C)
     assert decomp.validate(C, dec)["passed"] and not nulls
@@ -343,10 +333,9 @@ def test_keyth_verify_ranks_t_when_a_value_lies_within_the_slack(monkeypatch):
     _, C2 = c2_example()
     passing = bk_verify(C2, bk_factorize(C2))
     monkeypatch.setattr(bkfact, "bk_verify", lambda *args: passing)
-    ranked = []
-    monkeypatch.setattr(bkfact, "rank", lambda M, tol: ranked.append(M) or rank(M, tol))
+    ranked = calls(monkeypatch, rank)
     E, T = hilbert_space(2), np.diag([1.0, 1e-10])
     S = sig_fact(E, np.eye(2), T)
     rep = keyth_verify(op(E, np.eye(2)), S)
-    assert len(ranked) == 1 and np.array_equal(ranked[0], T)
+    assert [np.array_equal(args[0], T) for args, _ in ranked] == [True]
     assert not rep["kernel_trivial"] and not rep["passed"]

@@ -16,7 +16,7 @@ from kreinalg import cli, serial, suite
 from kreinalg.cli import main
 from kreinalg.errors import ContractionOverflow
 from kreinalg.serial import dump_json, matrix_to_obj
-from passes import kinds, record
+from passes import calls, kinds, record
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 J2 = np.diag([1.0, -1.0]).astype(complex)
@@ -499,16 +499,14 @@ def test_out_of_memory_is_one_line(capsys, monkeypatch, c2_file, name):
 
 def test_one_parser_serves_every_call(capsys, monkeypatch):
     # the parser is built once, when the module is imported
-    def rebuilt():
-        raise AssertionError("main built a parser")
-
-    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    built = calls(monkeypatch, cli.build_parser)
     golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
     for command in ("indices", "factorize"):
         argv = [command, "-i", os.path.join(golden, "problem8.json"), "--machine"]
         assert main(argv) == 0
         with open(os.path.join(golden, f"{command}.out")) as fh:
             assert capsys.readouterr().out == fh.read()
+    assert not built
 
 
 def test_out_of_memory_under_an_address_space_cap(tmp_path):
@@ -552,17 +550,11 @@ def test_pair_tolerance_is_settled_before_spaces(capsys, tmp_path, monkeypatch):
     a = write(tmp_path / "a.json", matrix_to_obj(np.eye(2)))
     b = write(tmp_path / "b.json", {"operator": matrix_to_obj(np.eye(2)),
                                     "tolerance": {"residual_tol": 1e-5}})
-    calls = []
-    for name in ("read_matrix", "make_space"):
-        def counted(arg, *rest, _f=getattr(cli, name), _name=name, **kw):
-            calls.append((_name, arg))
-            return _f(arg, *rest, **kw)
-        monkeypatch.setattr(cli, name, counted)
+    read, made = calls(monkeypatch, cli.read_matrix), calls(monkeypatch, cli.make_space)
     code, rep = run_machine(capsys, ["congruent", a, b, "--space", s, "--machine"])
     assert code == 0 and rep["congruent"]
     # the symmetry is read and validated once for both operands
-    assert calls.count(("read_matrix", s)) == 1
-    assert [n for n, _ in calls].count("make_space") == 1
+    assert [args[0] for args, _ in read].count(s) == 1 and len(made) == 1
     assert main(["congruent", a, a, "--space", s]) == 3
 
 
@@ -613,7 +605,7 @@ def test_property_suite_negative_control(capsys, monkeypatch):
     """An injected violation must surface as exit code 1."""
 
     def broken(seed, count=None, dim_max=8, tol=None):
-        return {"schema_version": 1, "seed": seed, "dim_max": dim_max,
+        return {"seed": seed, "dim_max": dim_max,
                 "batteries": [{"name": "congruence_invariance", "cases": 1,
                                "failures": 1, "passed": False}],
                 "passed": False}
@@ -621,6 +613,13 @@ def test_property_suite_negative_control(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_property_suite", broken)
     assert main(["property-suite", "--seed", "1", "--machine"]) == 1
     assert not json.loads(capsys.readouterr().out)["passed"]
+
+
+def test_property_suite_reports_the_schema_version_of_the_envelope(capsys, monkeypatch):
+    # every command's report carries cli.SCHEMA_VERSION, the suite's too
+    monkeypatch.setattr(cli, "SCHEMA_VERSION", 2)
+    code, rep = run_machine(capsys, ["property-suite", "--count", "0", "--machine"])
+    assert code == 0 and rep["schema_version"] == 2
 
 
 @pytest.mark.parametrize("missing, code", [(False, 0), (True, 2)])
@@ -733,21 +732,15 @@ def test_congruent_pair_takes_one_eigendecomposition_per_operator(monkeypatch, c
 
 @pytest.mark.parametrize("command", ["indices", "decompose", "factorize", "congruent"])
 def test_no_matrix_is_checked_for_hermitian_twice(monkeypatch, capsys, tmp_path, command):
-    from kreinalg import densela, krein
+    from kreinalg.densela import _hermitian_within
     path, J, C = _problem64(tmp_path)
-    checked, within = [], densela._hermitian_within
-
-    def counted(A, *rest, **kw):
-        checked.append(np.array(A))
-        return within(A, *rest, **kw)
-
-    for mod in (densela, krein):
-        monkeypatch.setattr(mod, "_hermitian_within", counted)
+    seen = calls(monkeypatch, _hermitian_within)
     argv = [path, path] if command == "congruent" else ["-i", path]
     assert main([command, *argv, "--machine"]) == 0
     capsys.readouterr()
     # J once per space read, J C once per operator, and nothing else
     operands = 2 if command == "congruent" else 1
+    checked = [args[0] for args, _ in seen]
     assert [np.array_equal(A, J) for A in checked] == [True] * operands + [False] * operands
     assert all(np.allclose(A, J @ C) for A in checked[operands:])
 

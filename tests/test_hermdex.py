@@ -11,7 +11,7 @@ from kreinalg.hermdex import (Congruence, build_congruence, canonical_form,
                               hermitian_indices, is_congruent, transport)
 from kreinalg.krein import (IndexTriple, KOperator, hilbert_space, identity_op,
                             k_adjoint, make_space)
-from passes import kinds, record
+from passes import calls, kinds, record
 
 J2 = np.diag([1.0, -1.0]).astype(complex)
 
@@ -246,19 +246,12 @@ def test_kernel_scale_never_raises_the_condition_number(monkeypatch):
 def test_build_congruence_checks_one_inverse_and_no_canonical_form(monkeypatch):
     H = make_space(J2)
     A, B = op(H, [[0, 1], [-1, 0]]), op(hilbert_space(2), np.diag([3.0, -5.0]))
-    calls = {"check": 0}
-    check = Congruence.__post_init__
-
-    def counted(self):
-        calls["check"] += 1
-        check(self)
-
-    monkeypatch.setattr(Congruence, "__post_init__", counted)
+    checks = calls(monkeypatch, Congruence.__post_init__)
     for name in ("hilbert_space", "canonical_form"):
         monkeypatch.setattr(hermdex, name,
                             lambda *a, name=name, **kw: pytest.fail(f"{name} was called"))
     build_congruence(A, B)
-    assert calls["check"] == 1
+    assert len(checks) == 1
 
 
 def test_transport_computes_no_singular_vectors(monkeypatch):

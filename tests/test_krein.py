@@ -13,7 +13,7 @@ from kreinalg.krein import (IndexTriple, KOperator, KreinSpace, Subspace, Subspa
                             hilbert_space, identity_op, is_selfadjoint,
                             k_adjoint, make_space, make_subspace,
                             space_indices)
-from passes import kinds, record
+from passes import calls, kinds, record
 
 J2 = np.diag([1.0, -1.0]).astype(complex)
 
@@ -24,7 +24,8 @@ def k2():
 
 
 def test_make_space_validates():
-    make_space(np.eye(3))
+    H = make_space(np.eye(3))
+    assert H.dim == H.J.shape[0] == 3          # the dimension is J's
     with pytest.raises(NotSymmetry):
         make_space(np.array([[0.0, 1.0], [0.0, 0.0]]))       # not hermitian
     with pytest.raises(NotSymmetry):
@@ -172,7 +173,7 @@ def test_subspace_dim_property(k2):
 
 def indices_with_vectors(J):
     """space_indices of a fresh space whose signature is split with vectors."""
-    H = KreinSpace(J.shape[0], J)
+    H = KreinSpace(J)
     try:
         return H.signature.counts[:2]
     except NotSymmetry as exc:
@@ -181,7 +182,7 @@ def indices_with_vectors(J):
 
 def indices_values_only(J):
     try:
-        return space_indices(KreinSpace(J.shape[0], J))
+        return space_indices(KreinSpace(J))
     except NotSymmetry as exc:
         return NotSymmetry, str(exc)
 
@@ -223,7 +224,7 @@ def test_space_indices_near_the_bounds(seed, p, q, where, factor):
 
 
 def test_space_indices_refuse_a_zero_eigenvalue_every_time():
-    degenerate = KreinSpace(2, np.diag([1.0, 0.0]).astype(complex))
+    degenerate = KreinSpace(np.diag([1.0, 0.0]).astype(complex))
     for _ in range(2):
         with pytest.raises(NotSymmetry,
                            match="^fundamental symmetry has a numerically zero eigenvalue$"):
@@ -300,15 +301,9 @@ def test_selfadjointness_is_decided_once_per_tolerance(monkeypatch):
     M = np.diag([2.0, 1.0, -0.5]).astype(complex)
     M[0, 1] = 1e-5
     C = KOperator(H, H, M)
-    checked, within = [], krein._hermitian_within
-
-    def counted(A, *rest, **kw):
-        checked.append(A)
-        return within(A, *rest, **kw)
-
-    monkeypatch.setattr(krein, "_hermitian_within", counted)
+    checked = calls(monkeypatch, krein._hermitian_within)
     for _ in range(2):
         assert is_selfadjoint(C, Tolerance(residual_tol=1e-2))
         assert not is_selfadjoint(C)
         assert not is_selfadjoint(C, Tolerance(rank_tol=1e-8))
-    assert len(checked) == 3 and all(A is C.jc for A in checked)
+    assert len(checked) == 3 and all(args[0] is C.jc for args, _ in checked)

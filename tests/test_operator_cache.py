@@ -16,8 +16,7 @@ import weakref
 import numpy as np
 import pytest
 
-import kreinalg.densela as densela
-from kreinalg import bkfact, cli, decomp, krein, phillips, suite
+from kreinalg import phillips
 from kreinalg.bkfact import bk_factorize, bk_verify
 from kreinalg.decomp import decompose, projections, validate
 from kreinalg.densela import Tolerance, spectral_norm
@@ -29,20 +28,7 @@ from kreinalg.hermdex import (build_congruence, canonical_form,
 from kreinalg.krein import (KOperator, hilbert_space, identity_op, is_selfadjoint,
                             make_space, make_subspace, selfadjoint_split, space_indices)
 from kreinalg.phillips import graph_rep
-from passes import record
-
-
-def _record_norms(monkeypatch) -> list:
-    """The arguments of ``spectral_norm``, patched in every module that binds it."""
-    seen, norm = [], densela.spectral_norm
-
-    def recorded(M):
-        return seen.append(np.asarray(M)) or norm(M)
-
-    for mod in (densela, krein, bkfact, decomp, phillips, cli, suite):
-        if hasattr(mod, "spectral_norm"):
-            monkeypatch.setattr(mod, "spectral_norm", recorded)
-    return seen
+from passes import calls, record
 
 
 class _CountingMatrix(np.ndarray):
@@ -142,10 +128,10 @@ def test_jc_is_read_only():
 
 def test_operator_norm_is_taken_once(monkeypatch):
     C, _ = _congruent_pair()
-    seen = _record_norms(monkeypatch)
+    norms = calls(monkeypatch, spectral_norm)
     assert validate(C, decompose(C))["passed"]
     assert bk_verify(C, bk_factorize(C))["passed"]
-    assert _count_equal(seen, C.matrix) == 1
+    assert _count_equal([args[0] for args, _ in norms], C.matrix) == 1
 
 
 @pytest.mark.parametrize("eps", [0.8e-8, 0.9e-8, 0.98e-8])
@@ -158,9 +144,9 @@ def test_operator_norm_is_taken_once_when_the_selfadjointness_test_straddles(
     M[0, 1] = 4 * eps
     H = hilbert_space(4)
     C = KOperator(H, H, M)
-    seen = _record_norms(monkeypatch)
+    norms = calls(monkeypatch, spectral_norm)
     assert bk_verify(C, bk_factorize(C))["passed"]
-    assert _count_equal(seen, M) == 1
+    assert _count_equal([args[0] for args, _ in norms], M) == 1
 
 
 def test_stacked_basis_is_decomposed_once(monkeypatch):
@@ -191,10 +177,10 @@ def test_graph_rep_takes_no_svd_of_an_identity(monkeypatch):
     plus = make_subspace(H, np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0],
                                       [0.5, 0.0], [0.0, 0.25]]))
     minus = make_subspace(H, np.array([[0.0], [0.0], [0.5], [0.0], [1.0]]))
-    norms, passes = _record_norms(monkeypatch), record(monkeypatch)
+    norms, passes = calls(monkeypatch, spectral_norm), record(monkeypatch)
     graph_rep(plus, "plus")
     graph_rep(minus, "minus")
-    seen = norms + [p.operand for p in passes if p.kernel.startswith("svd")]
+    seen = [args[0] for args, _ in norms] + [p.operand for p in passes if p.kernel.startswith("svd")]
     for n in range(H.dim + 1):
         assert _count_equal(seen, np.eye(n)) == 0
 

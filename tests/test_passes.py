@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from passes import kinds, record
+from passes import calls, kinds, record
 from test_golden import CASES, GOLDEN, SRC
 
 LEDGER = GOLDEN / "passes.json"
@@ -72,6 +72,12 @@ def test_pass_ledger():
     changed = [f"{name}: {want.get(name)} -> {got.get(name)}"
                for name in sorted(want.keys() | got.keys()) if want.get(name) != got.get(name)]
     assert not changed, "pass counts changed (old -> new):\n" + "\n".join(changed)
+
+
+def test_calls_refuses_a_function_no_kreinalg_module_binds(monkeypatch):
+    # an empty record must mean no call, never a name left unpatched
+    with pytest.raises(pytest.fail.Exception, match="^no kreinalg module or class binds"):
+        calls(monkeypatch, lambda: None)
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ def test_canonical_frames_split():
     assert S.signature is S.signature
     assert np.array_equal(Up, S.signature.eigenvectors[:, S.signature.plus])
     # a zero eigenvalue is no signature: both readers reject it, every time
-    degenerate = KreinSpace(2, np.diag([1.0, 0.0]).astype(complex))
+    degenerate = KreinSpace(np.diag([1.0, 0.0]).astype(complex))
     for reader in (space_indices, canonical_frames, space_indices):
         with pytest.raises(NotSymmetry):
             reader(degenerate)

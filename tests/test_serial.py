@@ -2,7 +2,6 @@ import dataclasses
 import gc
 import io
 import json
-import multiprocessing
 import os
 import struct
 import tempfile
@@ -494,8 +493,9 @@ def test_write_json_renders_one_matrix_at_a_time():
     four = _write_peak({"command": "decompose",
                         "bases": {"m0": mats[0], "m1": mats[1]},
                         "projections": {"m2": mats[2], "m3": mats[3]}})
+    listed = _write_peak({"command": "decompose", "bases": [mats[:2], tuple(mats[2:])]})
     # encoding the whole report at once would hold all four as lists and text
-    assert four < 1.5 * one
+    assert four < 1.5 * one and listed < 1.5 * one
 
 
 def loop_matrix_from_obj(obj, what: str = "matrix") -> np.ndarray:
@@ -592,7 +592,6 @@ def test_write_json_in_two_row_blocks_is_dump_json_and_a_newline(report):
         fh = io.StringIO()
         write_json(report, fh)
     assert fh.getvalue() == dump_json(report) + "\n"
-    assert multiprocessing.active_children() == []
 
 
 def reference_rows(block) -> str:
@@ -636,9 +635,7 @@ def test_a_failed_write_raises_and_the_next_write_completes(monkeypatch):
     report = {"m": np.ones((40, 3)), "n": np.ones((40, 3))}
     with pytest.raises(OSError, match="disk full"):
         write_json(report, _FailingWriter(after=10))
-    assert multiprocessing.active_children() == []
     write_json(report, _Discard())
-    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("report", [

@@ -17,14 +17,14 @@ from kreinalg.krein import Subspace, hilbert_space
 from kreinalg.suite import (DEFAULT_COUNTS, bk_converse_battery,
                             bk_roundtrip_battery, keyth_battery,
                             run_property_suite)
-from passes import kinds, record
+from passes import calls, kinds, record
 
 
 def test_report_shape_and_determinism():
     a = run_property_suite(31, count=8)
     b = run_property_suite(31, count=8)
     assert a == b
-    assert a["schema_version"] == 1
+    assert "schema_version" not in a        # the CLI's envelope sets it
     assert a["seed"] == 31
     assert [x["name"] for x in a["batteries"]] == list(DEFAULT_COUNTS)
     json.dumps(a)          # every value must serialize
@@ -79,22 +79,14 @@ def test_converse_battery_refactorizations():
 def test_keyth_battery_validates_each_symmetry_once(monkeypatch):
     import kreinalg.bkfact as bkfact
     import kreinalg.krein as krein
-    spaces, read = [], []
-    make_space, space_indices = krein.make_space, krein.space_indices
-
-    def counted(J, *rest):
-        spaces.append(make_space(J, *rest))
-        return spaces[-1]
-
-    for mod in [m for name, m in sys.modules.items() if name.startswith("kreinalg")]:
-        if getattr(mod, "make_space", None) is make_space:
-            monkeypatch.setattr(mod, "make_space", counted)
+    read, space_indices = [], krein.space_indices
+    spaces = calls(monkeypatch, krein.make_space)
     monkeypatch.setattr(bkfact, "space_indices",
                         lambda H: read.append(H) or space_indices(H))
     assert keyth_battery(9, count=6)["passed"]
     assert len(spaces) == 6
     # keyth_verify reads the space the battery made of J_A: its factor's domain
-    assert len(read) == 6 and all(a is b for a, b in zip(read, spaces))
+    assert len(read) == 6 and all(a is b for a, (_, b) in zip(read, spaces))
 
 
 def test_sylvester_battery_counts_from_its_eigendecompositions(monkeypatch):
