@@ -11,14 +11,14 @@ and checks nothing observable changes.
 
 import numpy as np
 
-from kreinalg import (BKFactorization, GenConfig, KOperator, bk_factorize,
-                      bk_verify, gen_selfadjoint, gen_space, hermitian_indices,
-                      j_unitary, k_adjoint, space_indices, spectral_norm)
+from kreinalg import (BKFactorization, KOperator, bk_factorize, bk_verify,
+                      gen_selfadjoint, gen_space, hermitian_indices, j_unitary,
+                      k_adjoint, space_indices, spectral_norm)
 
 
 def main():
-    H = gen_space(GenConfig(21, (6, 6)))
-    C = gen_selfadjoint(GenConfig(22, kernel_prob=1.0), H)
+    H = gen_space(21, (6, 6))
+    C = gen_selfadjoint(22, H, kernel_prob=1.0)
     hp, hm, h0 = hermitian_indices(C)
     print(f"operator on a 6-dimensional space, indices ({hp}, {hm}, {h0})")
 

@@ -10,8 +10,8 @@ two operators that only look different.
 
 import numpy as np
 
-from kreinalg import (GenConfig, KOperator, build_congruence, gen_invertible,
-                      gen_space, hermitian_indices, hilbert_space, is_congruent,
+from kreinalg import (KOperator, build_congruence, gen_invertible, gen_space,
+                      hermitian_indices, hilbert_space, is_congruent,
                       make_space, spectral_norm, transport)
 
 
@@ -32,8 +32,8 @@ def main():
           f"h- = {idx[1]}, h0 = {idx[2]}")
 
     # transport to a random 3-dimensional space; indices must not move
-    K = gen_space(GenConfig(7, (3, 3)))
-    X = gen_invertible(GenConfig(8), K, H)
+    K = gen_space(7, (3, 3))
+    X = gen_invertible(8, K, H)
     B = transport(C, X)
     print("after transport:", tuple(hermitian_indices(B)))
     assert tuple(hermitian_indices(B)) == tuple(idx)

@@ -29,9 +29,9 @@ from .bkfact import BKFactorization, bk_factorize, bk_verify, keyth_verify
 from .phillips import (GraphRep, MaximalPair, canonical_frames,
                        check_compatibility, graph_rep, phillips_extend,
                        represented)
-from .genrand import (GenConfig, complex_gaussian, gen_injective_factor,
-                      gen_invertible, gen_selfadjoint, gen_space,
-                      gen_space_with_split, haar_unitary, j_unitary)
+from .genrand import (complex_gaussian, gen_injective_factor, gen_invertible,
+                      gen_selfadjoint, gen_space, gen_space_with_split,
+                      haar_unitary, j_unitary)
 from .suite import run_property_suite
 
 __version__ = "0.1.0"
@@ -56,7 +56,7 @@ __all__ = [
     "BKFactorization", "bk_factorize", "bk_verify", "keyth_verify",
     "GraphRep", "MaximalPair", "canonical_frames", "graph_rep",
     "represented", "check_compatibility", "phillips_extend",
-    "GenConfig", "complex_gaussian", "haar_unitary", "j_unitary",
+    "complex_gaussian", "haar_unitary", "j_unitary",
     "gen_space", "gen_space_with_split", "gen_selfadjoint",
     "gen_invertible", "gen_injective_factor",
     "run_property_suite",

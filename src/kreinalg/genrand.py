@@ -1,8 +1,9 @@
 """Seeded random instances for property testing.
 
-All generators are pure functions of a `GenConfig`: the same config
-yields bit-identical output on every call, because each draw kind owns
-a private PCG64 stream spawned from the seed with a fixed key.  Raw
+All generators are pure functions of the arguments they take: the same
+arguments yield bit-identical output on every call, because each draw
+kind owns a private PCG64 stream spawned from the seed with a fixed key.
+A seed is an integer in [0, 2**64), checked where its stream starts.  Raw
 entries are complex Gaussians, then projected onto the required
 structure (Hermitian, unitary via QR with phase fix, bounded condition
 number via singular-value resampling), so distributions are rotation
@@ -17,7 +18,7 @@ suites exact rather than approximate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .hermdex import Congruence
 from .krein import KOperator, KreinSpace, make_space
 
 __all__ = [
-    "GenConfig",
     "gen_space",
     "gen_space_with_split",
     "gen_selfadjoint",
@@ -49,27 +49,19 @@ _EIG_LO, _EIG_HI = 0.1, 3.0
 _COND_CAP = 1e3
 
 
-@dataclass(frozen=True)
-class GenConfig:
-    """Seed and shape policy for the generators."""
-
-    seed: int
-    dim_range: tuple[int, int] = (1, 8)
-    kernel_prob: float = 0.0
-
-    def __post_init__(self):
-        if not (0 <= self.seed < 2 ** 64):
-            raise InputError("seed must be an unsigned 64-bit integer")
-        lo, hi = self.dim_range
-        if not (0 <= lo <= hi <= 64):
-            raise InputError(f"dim_range must sit inside [0, 64], got {self.dim_range}")
-        if not (0.0 <= self.kernel_prob <= 1.0):
-            raise InputError("kernel_prob must lie in [0, 1]")
+def _checked_seed(seed) -> int:
+    """``seed`` as an int, refused unless it is an integer in [0, 2**64)."""
+    try:
+        if 0 <= (seed := operator.index(seed)) < 2 ** 64:
+            return seed
+    except TypeError:
+        pass
+    raise InputError("seed must be an unsigned 64-bit integer")
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
     """The PCG64 stream spawned from ``seed`` with spawn key ``key``."""
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=key)
+    seq = np.random.SeedSequence(entropy=_checked_seed(seed), spawn_key=key)
     return np.random.Generator(np.random.PCG64(seq))
 
 
@@ -106,18 +98,21 @@ def j_unitary(rng: np.random.Generator, J: np.ndarray) -> np.ndarray:
     return np.linalg.solve(np.eye(n) - S, np.eye(n) + S)
 
 
-def gen_space(cfg: GenConfig) -> KreinSpace:
-    """Random space: dimension from dim_range, random signature split,
-    and a Haar-rotated diagonal symmetry."""
-    rng = _stream(cfg.seed, _KIND_SPACE)
-    return _rotated_space(rng, *_draw_split(rng, *cfg.dim_range))
+def gen_space(seed: int, dim_range: tuple[int, int] = (1, 8)) -> KreinSpace:
+    """Random space from ``seed``: dimension uniform in ``dim_range`` (inside
+    [0, 64]), random signature split, and a Haar-rotated diagonal symmetry."""
+    rng = _stream(seed, _KIND_SPACE)
+    lo, hi = dim_range
+    if not (0 <= lo <= hi <= 64):
+        raise InputError(f"dim_range must sit inside [0, 64], got {dim_range}")
+    return _rotated_space(rng, *_draw_split(rng, lo, hi))
 
 
-def gen_space_with_split(cfg: GenConfig, ind_plus: int, ind_minus: int) -> KreinSpace:
-    """Random space with the exact signature (ind_plus, ind_minus)."""
+def gen_space_with_split(seed: int, ind_plus: int, ind_minus: int) -> KreinSpace:
+    """Random space from ``seed`` with the exact signature (ind_plus, ind_minus)."""
+    rng = _stream(seed, _KIND_SPACE)
     if ind_plus < 0 or ind_minus < 0 or ind_plus + ind_minus > 64:
         raise InputError("signature split out of range")
-    rng = _stream(cfg.seed, _KIND_SPACE)
     return _rotated_space(rng, ind_plus, ind_minus)
 
 
@@ -135,19 +130,21 @@ def _rotated_space(rng: np.random.Generator, p: int, q: int) -> KreinSpace:
     return make_space(_hermitian_part(U.conj().T @ (signs[:, None] * U)))
 
 
-def gen_selfadjoint(cfg: GenConfig, H: KreinSpace) -> KOperator:
-    """Random selfadjoint operator on H with controlled spectrum.
+def gen_selfadjoint(seed: int, H: KreinSpace, kernel_prob: float = 0.0) -> KOperator:
+    """Random selfadjoint operator on H from ``seed``, with controlled spectrum.
 
     The Hermitian representative J C gets Haar eigenvectors and nonzero
     eigenvalues with magnitudes in [0.1, 3]; with probability
-    kernel_prob a nonempty random subset of them is zeroed out, so the
-    kernel dimension is exact by construction.
+    ``kernel_prob`` (in [0, 1]) a nonempty random subset of them is zeroed
+    out, so the kernel dimension is exact by construction.
     """
-    rng = _stream(cfg.seed, _KIND_SELFADJOINT)
+    rng = _stream(seed, _KIND_SELFADJOINT)
+    if not (0.0 <= kernel_prob <= 1.0):
+        raise InputError("kernel_prob must lie in [0, 1]")
     n = H.dim
     lam = rng.uniform(_EIG_LO, _EIG_HI, n)
     lam *= np.where(rng.random(n) < 0.5, 1.0, -1.0)
-    if n > 0 and rng.random() < cfg.kernel_prob:
+    if n > 0 and rng.random() < kernel_prob:
         k = int(rng.integers(1, n + 1))
         lam[rng.choice(n, size=k, replace=False)] = 0.0
     Q = haar_unitary(rng, n)
@@ -155,12 +152,13 @@ def gen_selfadjoint(cfg: GenConfig, H: KreinSpace) -> KOperator:
     return KOperator(H, H, H.J @ M)
 
 
-def gen_invertible(cfg: GenConfig, H: KreinSpace, K: KreinSpace) -> Congruence:
-    """Random invertible map H -> K with condition number at most _COND_CAP."""
+def gen_invertible(seed: int, H: KreinSpace, K: KreinSpace) -> Congruence:
+    """Random invertible map H -> K from ``seed``, with condition number at
+    most _COND_CAP."""
+    rng = _stream(seed, _KIND_INVERTIBLE)
     if H.dim != K.dim:
         raise DimensionMismatch(
             f"invertible maps need equal dimensions, got {H.dim} and {K.dim}")
-    rng = _stream(cfg.seed, _KIND_INVERTIBLE)
     n = H.dim
     U, _, Vh = np.linalg.svd(complex_gaussian(rng, n, n))
     root = np.sqrt(_COND_CAP)
@@ -170,16 +168,16 @@ def gen_invertible(cfg: GenConfig, H: KreinSpace, K: KreinSpace) -> Congruence:
     return Congruence(KOperator(H, K, X), KOperator(K, H, X_inv))
 
 
-def gen_injective_factor(cfg: GenConfig, A_space: KreinSpace, H: KreinSpace) -> KOperator:
-    """Random full-column-rank factor from A_space into H.
+def gen_injective_factor(seed: int, A_space: KreinSpace, H: KreinSpace) -> KOperator:
+    """Random full-column-rank factor from A_space into H, from ``seed``.
 
     Smallest singular value stays at or above 1/_COND_CAP, so injectivity
     is numerically unambiguous.
     """
+    rng = _stream(seed, _KIND_FACTOR)
     if A_space.dim > H.dim:
         raise DimensionMismatch(
             f"factor space dimension {A_space.dim} exceeds target dimension {H.dim}")
-    rng = _stream(cfg.seed, _KIND_FACTOR)
     n, r = H.dim, A_space.dim
     U, _, Vh = np.linalg.svd(complex_gaussian(rng, n, r), full_matrices=False)
     s = np.sort(rng.uniform(1.0 / _COND_CAP, 1.5, r))[::-1]

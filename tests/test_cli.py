@@ -663,9 +663,9 @@ def test_cli_starts_without_multiprocessing():
 
 def test_large_dimension_smoke(capsys, tmp_path):
     # n = 64: indices and factorization agree at the dimension cap
-    from kreinalg.genrand import GenConfig, gen_selfadjoint, gen_space_with_split
-    H = gen_space_with_split(GenConfig(640), 40, 24)
-    C = gen_selfadjoint(GenConfig(641, kernel_prob=1.0), H)
+    from kreinalg.genrand import gen_selfadjoint, gen_space_with_split
+    H = gen_space_with_split(640, 40, 24)
+    C = gen_selfadjoint(641, H, kernel_prob=1.0)
     f = write(tmp_path / "big.json",
               {"space": {"J": matrix_to_obj(H.J)}, "operator": matrix_to_obj(C.matrix)})
     code, rep = run_machine(capsys, ["indices", "-i", f, "--machine"])
@@ -681,8 +681,8 @@ def test_large_dimension_smoke(capsys, tmp_path):
 def test_indices_counts_the_space_without_its_eigenvectors(monkeypatch, capsys, tmp_path):
     # the space's signature is counted from J's eigenvalues alone, and the
     # operator's triple from J C's: no eigendecomposition with vectors
-    from kreinalg.genrand import GenConfig, gen_space_with_split
-    J = gen_space_with_split(GenConfig(3), 5, 3).J
+    from kreinalg.genrand import gen_space_with_split
+    J = gen_space_with_split(3, 5, 3).J
     G = np.random.default_rng(4).standard_normal((8, 8))
     path = write(tmp_path / "p.json", {"space": {"J": matrix_to_obj(J)},
                                        "operator": matrix_to_obj(J @ (G + G.T))})
@@ -696,9 +696,9 @@ def test_indices_counts_the_space_without_its_eigenvectors(monkeypatch, capsys, 
 
 def _problem64(tmp_path, name="p64.json", seed=21):
     """A problem file at n = 64 (the generators' cap) and its matrices."""
-    from kreinalg.genrand import GenConfig, gen_selfadjoint, gen_space_with_split
-    H = gen_space_with_split(GenConfig(seed), 30, 34)
-    C = gen_selfadjoint(GenConfig(seed + 1, kernel_prob=1.0), H)
+    from kreinalg.genrand import gen_selfadjoint, gen_space_with_split
+    H = gen_space_with_split(seed, 30, 34)
+    C = gen_selfadjoint(seed + 1, H, kernel_prob=1.0)
     return write(tmp_path / name, {"space": {"J": matrix_to_obj(H.J)},
                                    "operator": matrix_to_obj(C.matrix)}), H.J, C.matrix
 

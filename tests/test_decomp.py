@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from kreinalg.decomp import (Decomposition, decompose, projections, validate)
 from kreinalg.densela import Tolerance, count_above_cut, svd
 from kreinalg.errors import DimensionMismatch, NotDirect, NotSelfadjoint
-from kreinalg.genrand import GenConfig, gen_selfadjoint, gen_space
+from kreinalg.genrand import gen_selfadjoint, gen_space
 from kreinalg.krein import (KOperator, Subspace, hilbert_space, make_space,
                             make_subspace)
 from passes import calls, kinds, record
@@ -232,8 +232,8 @@ def test_validate_decides_pairs_as_the_svd_with_vectors(seed, n, factor, rank_to
 def test_validate_takes_one_svd_on_decompose_output(monkeypatch):
     # decompose's parts are columns of one unitary matrix: their stack has
     # every singular value 1, so no pair of parts needs an SVD of its own
-    H = gen_space(GenConfig(5, dim_range=(12, 12)))
-    C = gen_selfadjoint(GenConfig(5, dim_range=(12, 12), kernel_prob=0.3), H)
+    H = gen_space(5, dim_range=(12, 12))
+    C = gen_selfadjoint(5, H, kernel_prob=0.3)
     dec = decompose(C)
     passes = record(monkeypatch)
     assert validate(C, dec)["pairwise_sums_direct"]
@@ -244,8 +244,8 @@ def test_validate_classifies_from_eigenvalues_alone(monkeypatch):
     # the two strict sign classes of validate are certified by a Cholesky of
     # the C-Gram matrices, with no eigenvalue pass; J C's eigendecomposition
     # is the one decompose cached
-    H = gen_space(GenConfig(5, dim_range=(12, 12)))
-    C = gen_selfadjoint(GenConfig(5, dim_range=(12, 12), kernel_prob=0.3), H)
+    H = gen_space(5, dim_range=(12, 12))
+    C = gen_selfadjoint(5, H, kernel_prob=0.3)
     dec = decompose(C)
     passes = record(monkeypatch)
     assert validate(C, dec)["sign_conditions"]
@@ -255,7 +255,7 @@ def test_validate_classifies_from_eigenvalues_alone(monkeypatch):
 def test_validate_of_a_definite_c_classifies_no_empty_part(monkeypatch):
     # h_minus = h_zero = 0: the empty parts are not classified, so no 0 x 0
     # eigvalsh is taken, and the certified M_plus reads no 2-norm of C
-    H = gen_space(GenConfig(5, dim_range=(8, 8)))
+    H = gen_space(5, dim_range=(8, 8))
     B = np.random.default_rng(5).standard_normal((8, 8))
     C = op(H, H.J @ (B @ B.T + np.eye(8)))
     dec = decompose(C)

@@ -100,9 +100,8 @@ def write_inputs() -> None:
     congruent copy on a (5, 3) space, and an orthogonal semidefinite pair."""
     sys.path.insert(0, str(SRC))
     import numpy as np
-    from kreinalg.genrand import (GenConfig, complex_gaussian, gen_invertible,
-                                  gen_selfadjoint, gen_space_with_split,
-                                  haar_unitary)
+    from kreinalg.genrand import (complex_gaussian, gen_invertible, gen_selfadjoint,
+                                  gen_space_with_split, haar_unitary)
     from kreinalg.hermdex import transport
     from kreinalg.phillips import canonical_frames
     from kreinalg.serial import dump_json, matrix_to_obj
@@ -110,16 +109,16 @@ def write_inputs() -> None:
     def write(name, obj):
         (GOLDEN / name).write_text(dump_json(obj) + "\n")
 
-    H = gen_space_with_split(GenConfig(801), 4, 4)
-    A = gen_selfadjoint(GenConfig(802, kernel_prob=1.0), H)
+    H = gen_space_with_split(801, 4, 4)
+    A = gen_selfadjoint(802, H, kernel_prob=1.0)
     write("problem8.json", {"space": {"J": matrix_to_obj(H.J)},
                             "operator": matrix_to_obj(A.matrix)})
-    K = gen_space_with_split(GenConfig(803), 5, 3)
-    B = transport(A, gen_invertible(GenConfig(804), K, H))
+    K = gen_space_with_split(803, 5, 3)
+    B = transport(A, gen_invertible(804, K, H))
     write("pair8_b.json", {"space": {"J": matrix_to_obj(K.J)},
                            "operator": matrix_to_obj(B.matrix)})
 
-    S = gen_space_with_split(GenConfig(805), 4, 4)
+    S = gen_space_with_split(805, 4, 4)
     rng = np.random.Generator(np.random.PCG64(806))
     U_plus, U_minus = canonical_frames(S)
     U, _, Vh = np.linalg.svd(complex_gaussian(rng, 4, 4))
@@ -138,7 +137,7 @@ def write_loader_inputs() -> None:
     Hilbert mode, a kernel-free operator on a (4, 4) space that is not
     congruent to it, and an empty basis of 8-vectors."""
     sys.path.insert(0, str(SRC))
-    from kreinalg.genrand import GenConfig, gen_selfadjoint, gen_space_with_split
+    from kreinalg.genrand import gen_selfadjoint, gen_space_with_split
     from kreinalg.serial import dump_json, load_json, matrix_from_obj, matrix_to_obj
 
     def write(name, obj):
@@ -151,8 +150,8 @@ def write_loader_inputs() -> None:
     write("symmetry8.json", matrix_to_obj(J))
     JC = J @ C
     write("hermitian8.json", matrix_to_obj(0.5 * (JC + JC.conj().T)))
-    H = gen_space_with_split(GenConfig(807), 4, 4)
-    D = gen_selfadjoint(GenConfig(808, kernel_prob=0.0), H)
+    H = gen_space_with_split(807, 4, 4)
+    D = gen_selfadjoint(808, H, kernel_prob=0.0)
     write("other8.json", {"space": {"J": matrix_to_obj(H.J)},
                           "operator": matrix_to_obj(D.matrix)})
     write("empty8.json", {"rows": 8, "cols": 0, "data": []})

@@ -6,7 +6,7 @@ from kreinalg.errors import (DimensionMismatch, NotCongruent, NotInvertible,
                              NotSelfadjoint)
 from kreinalg import hermdex, suite
 from kreinalg.densela import Tolerance
-from kreinalg.genrand import GenConfig, gen_invertible, gen_selfadjoint, gen_space
+from kreinalg.genrand import gen_invertible, gen_selfadjoint, gen_space
 from kreinalg.hermdex import (Congruence, build_congruence, canonical_form,
                               hermitian_indices, is_congruent, transport)
 from kreinalg.krein import (IndexTriple, KOperator, hilbert_space, identity_op,
@@ -168,9 +168,9 @@ def _congruent_pairs():
     yield op(H0, np.zeros((0, 0))), op(H0, np.zeros((0, 0)))
     yield op(make_space(J2), [[0, 1], [-1, 0]]), op(hilbert_space(2), np.diag([3.0, -5.0]))
     for seed in (5, 6, 7):
-        Ha, Kb = gen_space(GenConfig(seed, (6, 6))), gen_space(GenConfig(seed + 10, (6, 6)))
-        B = gen_selfadjoint(GenConfig(seed + 20, kernel_prob=1.0), Kb)
-        X = gen_invertible(GenConfig(seed + 30), Ha, Kb)
+        Ha, Kb = gen_space(seed, (6, 6)), gen_space(seed + 10, (6, 6))
+        B = gen_selfadjoint(seed + 20, Kb, kernel_prob=1.0)
+        X = gen_invertible(seed + 30, Ha, Kb)
         yield transport(B, X), B
 
 
@@ -212,10 +212,10 @@ def _verdict(A, B):
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.booleans(),
        st.floats(-30, 30), st.floats(-30, 30))
 def test_congruence_is_scale_equivariant(seed, n, transported, log_a, log_b):
-    H, K = gen_space(GenConfig(seed, (n, n))), gen_space(GenConfig(seed + 1, (n, n)))
-    B = gen_selfadjoint(GenConfig(seed + 2, kernel_prob=0.5), K)
-    A = (transport(B, gen_invertible(GenConfig(seed + 3), H, K)) if transported
-         else gen_selfadjoint(GenConfig(seed + 4, kernel_prob=0.5), H))
+    H, K = gen_space(seed, (n, n)), gen_space(seed + 1, (n, n))
+    B = gen_selfadjoint(seed + 2, K, kernel_prob=0.5)
+    A = (transport(B, gen_invertible(seed + 3, H, K)) if transported
+         else gen_selfadjoint(seed + 4, H, kernel_prob=0.5))
     aA, bB = _scaled(A, 10.0 ** log_a), _scaled(B, 10.0 ** log_b)
     verdict, scaled = _verdict(A, B)[0], _verdict(aA, bB)
     assert scaled[0] == verdict
@@ -257,10 +257,9 @@ def test_build_congruence_checks_one_inverse_and_no_canonical_form(monkeypatch):
 def test_transport_computes_no_singular_vectors(monkeypatch):
     # the bound on cond(X) read from the verified inverse clears the rank cut
     # and the condition cap, so no SVD is taken
-    cfg = GenConfig(8, dim_range=(6, 6))
-    H = gen_space(cfg)
-    B = gen_selfadjoint(cfg, H)
-    X = gen_invertible(cfg, H, H)
+    H = gen_space(8, (6, 6))
+    B = gen_selfadjoint(8, H)
+    X = gen_invertible(8, H, H)
     passes = record(monkeypatch)
     A = transport(B, X)
     assert not kinds(passes, "svd")

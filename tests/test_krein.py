@@ -6,7 +6,7 @@ from kreinalg.bkfact import bk_factorize
 from kreinalg.decomp import Decomposition, decompose, validate
 from kreinalg.densela import Tolerance
 from kreinalg.errors import DimensionMismatch, NotSelfadjoint, NotSymmetry
-from kreinalg.genrand import GenConfig, gen_space
+from kreinalg.genrand import gen_space
 from kreinalg.hermdex import canonical_form, hermitian_indices
 from kreinalg.krein import (IndexTriple, KOperator, KreinSpace, Subspace, SubspaceClass,
                             c_orthogonal, classify_subspace,
@@ -190,7 +190,7 @@ def indices_values_only(J):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 12))
 def test_space_indices_of_generated_spaces(seed, n):
-    J = gen_space(GenConfig(seed, dim_range=(n, n))).J
+    J = gen_space(seed, dim_range=(n, n)).J
     assert indices_values_only(J) == indices_with_vectors(J)
 
 

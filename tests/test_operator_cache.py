@@ -21,8 +21,7 @@ from kreinalg.bkfact import bk_factorize, bk_verify
 from kreinalg.decomp import decompose, projections, validate
 from kreinalg.densela import Tolerance, spectral_norm
 from kreinalg.errors import NotSelfadjoint
-from kreinalg.genrand import (GenConfig, gen_invertible, gen_selfadjoint,
-                              gen_space_with_split)
+from kreinalg.genrand import gen_invertible, gen_selfadjoint, gen_space_with_split
 from kreinalg.hermdex import (build_congruence, canonical_form,
                               hermitian_indices, transport)
 from kreinalg.krein import (KOperator, hilbert_space, identity_op, is_selfadjoint,
@@ -64,10 +63,10 @@ def _hermitian_part(C: KOperator) -> np.ndarray:
 
 def _congruent_pair():
     # C on a space of signature (4, 3) and B = X* C X on another such space
-    H = gen_space_with_split(GenConfig(11), 4, 3)
-    K = gen_space_with_split(GenConfig(12), 4, 3)
-    C = gen_selfadjoint(GenConfig(13, kernel_prob=1.0), H)
-    B = transport(C, gen_invertible(GenConfig(14), K, H))
+    H = gen_space_with_split(11, 4, 3)
+    K = gen_space_with_split(12, 4, 3)
+    C = gen_selfadjoint(13, H, kernel_prob=1.0)
+    B = transport(C, gen_invertible(14, K, H))
     return C, B
 
 

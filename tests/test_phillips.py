@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kreinalg.errors import Incompatible, InputError, NotSemidefinite, NotSymmetry
-from kreinalg.genrand import GenConfig, gen_space_with_split
+from kreinalg.genrand import gen_space_with_split
 from kreinalg.krein import (KreinSpace, SubspaceClass, classify_subspace,
                             identity_op, make_space, make_subspace, space_indices)
 from kreinalg.phillips import (canonical_frames, check_compatibility,
@@ -25,7 +25,7 @@ def test_canonical_frames_split():
     assert np.allclose(H.J @ Um, -Um, atol=1e-12)
     # the frame widths are the space's indices, read from the same split
     for seed, p, q in ((11, 3, 2), (12, 0, 4), (13, 5, 0)):
-        S = gen_space_with_split(GenConfig(seed), p, q)
+        S = gen_space_with_split(seed, p, q)
         Up, Um = canonical_frames(S)
         assert (Up.shape[1], Um.shape[1]) == space_indices(S) == (p, q)
     # both readers take the one split cached on the space

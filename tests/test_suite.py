@@ -56,6 +56,12 @@ def test_count_zero_is_vacuous():
                for k, v in b.items() if k.startswith("worst_"))
 
 
+@pytest.mark.parametrize("seed", [1.5, np.float64(2.0), "7"])
+def test_suite_refuses_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(InputError, match="seed must be an unsigned 64-bit integer"):
+        run_property_suite(seed, count=0)
+
+
 def test_seed_changes_streams():
     a = run_property_suite(1, count=4)
     b = run_property_suite(2, count=4)
